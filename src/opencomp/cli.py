@@ -21,10 +21,6 @@ from .classify import (
 from .crosstable import ingest_crosstable
 from .demos import run_all_demos
 from .dsl import parse_learner_file
-from .errors import (
-    ComplementarityViolation, InvariantError, NotSymmetricError, ParseError,
-    ShapeMismatchError,
-)
 from .game_core import GameTable, enumerate_game_count, parse_game, serialize_game
 from .mixed import fictitious_play
 from .series import Aggregator, compose_series
@@ -35,18 +31,13 @@ _BUILTIN_GAMES = {
     "pennies": bundled.pennies,
 }
 
-_DATA_ERRORS = (
-    ParseError, InvariantError, NotSymmetricError, ShapeMismatchError,
-    ComplementarityViolation,
-)
-
 
 class _UsageError(Exception):
     pass
 
 
-class _DataError(Exception):
-    pass
+class _DataError(ValueError):
+    """Bad input caught by the CLI itself; exits 2 like the library's data errors."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,12 +169,9 @@ def _cmd_arena(args) -> tuple[int, str, str]:
 def _cmd_tournament(args) -> tuple[int, str, str]:
     game = _load_game(args.game)
     learners = [_load_learner(path) for path in args.learners]
-    try:
-        report = run_tournament(
-            game, learners, fuel=args.fuel, mode=args.mode, workers=args.workers
-        )
-    except ValueError as exc:
-        raise _DataError(str(exc)) from None
+    report = run_tournament(
+        game, learners, fuel=args.fuel, mode=args.mode, workers=args.workers
+    )
     return 0, render_report(report), ""
 
 
@@ -214,10 +202,7 @@ def _cmd_crosstable(args) -> tuple[int, str, str]:
         text = Path(args.path).read_text()
     except OSError as exc:
         raise _DataError(f"cannot read crosstable {args.path}: {exc}") from None
-    try:
-        game = ingest_crosstable(text, margin=args.margin, name=args.name)
-    except ValueError as exc:
-        raise _DataError(str(exc)) from None
+    game = ingest_crosstable(text, margin=args.margin, name=args.name)
     return 0, serialize_game(game), ""
 
 
@@ -254,11 +239,7 @@ def dispatch(argv: list[str]) -> tuple[int, str, str]:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except _DataError as exc:
-        return 2, "", f"error: {exc}\n"
-    except _DATA_ERRORS as exc:
-        return 2, "", f"error: {exc}\n"
-    except ValueError as exc:
+    except ValueError as exc:  # _DataError and every library data error
         return 2, "", f"error: {exc}\n"
     except Exception as exc:  # last resort, a CLI should not traceback
         return 2, "", f"error: {type(exc).__name__}: {exc}\n"

@@ -21,6 +21,10 @@ Grammar::
     budget := "rest" | INT
     cmp    := "==" | "<" | ">"
 
+``INT`` is 1 to 18 ASCII digits and ``ID`` is an ASCII letter or underscore
+followed by ASCII letters, digits and underscores; any other character is a
+``ParseError`` with its position.
+
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
 ``target`` with ``adversary`` as its opponent.  An integer budget caps the
@@ -33,17 +37,20 @@ exhausts too.  This is what makes halting results stable under fuel
 increases, and what makes two mutual simulators burn all their fuel rather
 than bottom out.
 
-While a program runs, every machine state is fingerprinted (full control,
-continuation and bindings, fuel counters excluded).  If a state repeats, the
-run can never halt, with or without fuel limits, and evaluation stops early
-with a two-step witness.  The check is sound here because the language has
-no in-level recursion: a state can only recur at the ``loop`` primitive,
-whose behavior does not depend on remaining fuel.  ``grow`` enlarges its
-state every step, so it defeats the check within any finite state-size cap
-and simply runs until fuel is gone.
+The two non-halting primitives are decided where they occur.  The language
+has no in-level recursion, so every other step moves the machine strictly
+forward and no state (control, continuation and bindings, fuel counters
+excluded) can recur, except at ``loop``: a step there leaves the state as it
+was.  So when evaluation reaches ``loop`` with fuel left for one more step,
+the run can never halt, with or without fuel limits, and it stops with a
+two-step witness, provided the state fits ``memory_cap``; over the cap the
+level spins until its fuel is gone.  ``grow`` enlarges its state every step,
+so it never repeats within any finite state-size cap: it spends the level's
+remaining fuel at once.
 """
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -156,6 +163,10 @@ class _Token:
 
 
 _SYMBOLS = ("=>", "==", "(", ")", "{", "}", ",", "|", "<", ">")
+_DIGITS = frozenset(string.digits)
+_ID_START = frozenset(string.ascii_letters + "_")
+_ID_CHARS = _ID_START | _DIGITS
+_MAX_INT_DIGITS = 18
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -218,17 +229,22 @@ def _tokenize(text: str) -> list[_Token]:
             i += len(matched)
             col += len(matched)
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > _MAX_INT_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {_MAX_INT_DIGITS} digits",
+                    line=line, column=col,
+                )
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _ID_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _ID_CHARS:
                 j += 1
             word = text[i:j]
             kind = "kw" if word in _KEYWORDS else "id"
@@ -552,7 +568,7 @@ class _Level:
 
     __slots__ = (
         "control", "kont", "side", "opp_source", "self_source",
-        "limit", "start_g", "seen",
+        "limit", "start_g",
     )
 
     def __init__(self, control, side, opp_source, self_source, limit, start_g):
@@ -563,28 +579,31 @@ class _Level:
         self.self_source = self_source
         self.limit = limit          # absolute step count this level may reach
         self.start_g = start_g
-        self.seen: dict = {}
 
 
-def _est_size(obj, memo: dict) -> int:
-    """Rough byte size of a state component, used for the prover's cap."""
-    if isinstance(obj, bool) or obj is None:
-        return 16
-    if isinstance(obj, int):
-        return 28
-    if isinstance(obj, str):
-        return 49 + len(obj)
-    if isinstance(obj, tuple):
-        return 56 + 8 * len(obj) + sum(_est_size(x, memo) for x in obj)
-    # Syntax nodes, frames, SimOut: immutable, so memoize by identity.
-    cached = memo.get(id(obj))
-    if cached is not None:
-        return cached
-    fields = getattr(obj, "__dataclass_fields__", None)
-    if fields is None:
-        return 64
-    size = 48 + sum(_est_size(getattr(obj, f), memo) for f in fields)
-    memo[id(obj)] = size
+def _est_size(state) -> int:
+    """Rough byte size of a machine state, used for the prover's cap.
+
+    Walks the state with an explicit stack, so the depth of a syntax tree is
+    not bounded by the interpreter's recursion limit.  A part reachable along
+    two paths is counted on each.
+    """
+    size = 0
+    stack = [state]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, bool) or obj is None:
+            size += 16
+        elif isinstance(obj, int):
+            size += 28
+        elif isinstance(obj, str):
+            size += 49 + len(obj)
+        elif isinstance(obj, tuple):
+            size += 56 + 8 * len(obj)
+            stack.extend(obj)
+        else:  # syntax nodes and frames, all dataclasses
+            size += 48
+            stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
     return size
 
 
@@ -609,7 +628,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     g = 0  # fuel consumed so far, shared by every nesting level
     parse_cache: dict[str, Expr | ParseError] = {}
     pretty_cache: dict[int, str] = {}
-    size_memo: dict[int, int] = {}
     game = env.game
 
     root = _Level(
@@ -677,24 +695,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             pop(("exhausted",))
             continue
 
-        # Repetition check on the full level state, fuel counters excluded.
-        # States whose control is a pending simulation are skipped: their
-        # future can depend on the fuel left, and structural evaluation
-        # cannot revisit them anyway.
-        if not (control[0] == "expr" and isinstance(control[1], Sim)):
-            if control[0] == "grow":
-                size = 100 + control[1] + _est_size(lvl.kont, size_memo)
-            else:
-                size = _est_size((control, lvl.kont), size_memo)
-            if size <= env.memory_cap:
-                key = (control, lvl.kont)
-                step_no = g - lvl.start_g + 1
-                first = lvl.seen.get(key)
-                if first is not None:
-                    pop(("proven", first, step_no))
-                    continue
-                lvl.seen[key] = step_no
-
         g += 1
         try:
             if control[0] == "expr":
@@ -704,9 +704,20 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                 elif isinstance(node, Var):
                     lvl.control = ("value", _lookup(bindings, node.name))
                 elif isinstance(node, Loop):
-                    pass  # the single-state spinner: same state next step
+                    # This step leaves the state as it was, so the next one
+                    # would repeat it: a proof, if the state fits the cap
+                    # and fuel is left to take that next step.
+                    size = _est_size((control, lvl.kont))
+                    if g < lvl.limit and size <= env.memory_cap:
+                        step = g - lvl.start_g
+                        pop(("proven", step, step + 1))
+                    else:
+                        g = lvl.limit
+                        pop(("exhausted",))
                 elif isinstance(node, Grow):
-                    lvl.control = ("grow", 1)
+                    # Never halts and never repeats a state: spends the rest.
+                    g = lvl.limit
+                    pop(("exhausted",))
                 elif isinstance(node, BestResp):
                     lvl.kont = lvl.kont + (_KBestResp(),)
                     lvl.control = ("expr", node.arg, bindings)
@@ -752,8 +763,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         ))
                 else:  # pragma: no cover
                     raise _FaultSignal(f"unknown node {node!r}")
-            elif control[0] == "grow":
-                lvl.control = ("grow", control[1] + 1)
             else:  # a value meeting the top continuation frame
                 value = control[1]
                 frame = lvl.kont[-1]
