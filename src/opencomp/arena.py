@@ -10,13 +10,11 @@ leaves room for mutually-simulating programs to force a standoff.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 from .dsl import (
-    DEFAULT_MEMORY_CAP, EvalEnv, EvalKind, EvalResult, StrategyProgram,
-    evaluate, parse_program,
+    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, parse_program,
 )
 from .errors import RuntimeFault
 from .game_core import GameTable, Side, outcome
@@ -161,7 +159,6 @@ def run_match(
     fuel: int = 100_000,
     mode: Mode | str = Mode.STRICT,
     fuel2: int | None = None,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> MatchRecord:
     """Play one match: learner1 takes the row seat, learner2 the column seat.
 
@@ -172,12 +169,12 @@ def run_match(
     env1 = EvalEnv(
         game=game, side=Side.ROW,
         opponent_source=learner2.source, self_source=learner1.source,
-        fuel=fuel, memory_cap=memory_cap,
+        fuel=fuel,
     )
     env2 = EvalEnv(
         game=game, side=Side.COL,
         opponent_source=learner1.source, self_source=learner2.source,
-        fuel=fuel if fuel2 is None else fuel2, memory_cap=memory_cap,
+        fuel=fuel if fuel2 is None else fuel2,
     )
     side1 = _run_side(learner1, env1)
     side2 = _run_side(learner2, env2)
@@ -204,15 +201,12 @@ def run_tournament(
     learners: list[Learner],
     fuel: int = 100_000,
     mode: Mode | str = Mode.STRICT,
-    workers: int = 1,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> TournamentReport:
     """Round robin over every pair of distinct learners.
 
     On a symmetric game each unordered pair meets once, learner order
-    deciding seats; otherwise both seatings are played.  The report is
-    deterministic for a given input, whatever the worker count: matches are
-    assembled in pair order, and each match is itself deterministic.
+    deciding seats; otherwise both seatings are played.  Matches are played
+    and reported in pair order, so the report is deterministic.
 
     The universal winner, if any, is the learner that won every match it
     appeared in (draws, undecided results, or any loss disqualify).  With
@@ -237,18 +231,10 @@ def run_tournament(
             if i != j
         ]
 
-    def play_pair(pair: tuple[int, int]) -> MatchRecord:
-        i, j = pair
-        return run_match(
-            game, learners[i], learners[j],
-            fuel=fuel, mode=mode, memory_cap=memory_cap,
-        )
-
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(play_pair, pairs))
-    else:
-        records = [play_pair(pair) for pair in pairs]
+    records = [
+        run_match(game, learners[i], learners[j], fuel=fuel, mode=mode)
+        for i, j in pairs
+    ]
 
     tallies = {
         name: {"wins": 0, "draws": 0, "losses": 0, "undecided": 0}

@@ -82,10 +82,3 @@ CATALOG: tuple[tuple[str, str], ...] = (
 def catalog_learners() -> list[ProgramLearner]:
     """Fresh learner objects for the whole catalog, in order."""
     return [ProgramLearner(name, source) for name, source in CATALOG]
-
-
-def catalog_source(name: str) -> str:
-    for entry_name, source in CATALOG:
-        if entry_name == name:
-            return source
-    raise KeyError(f"no catalog learner named {name!r}")

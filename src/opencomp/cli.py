@@ -93,7 +93,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--learners", required=True, nargs="+")
     p.add_argument("--fuel", type=int, default=100_000)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="strict")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("demo", help="run the no-champion demonstrations")
     p.add_argument("--fuel", type=int, default=3000)
@@ -169,9 +168,7 @@ def _cmd_arena(args) -> tuple[int, str, str]:
 def _cmd_tournament(args) -> tuple[int, str, str]:
     game = _load_game(args.game)
     learners = [_load_learner(path) for path in args.learners]
-    report = run_tournament(
-        game, learners, fuel=args.fuel, mode=args.mode, workers=args.workers
-    )
+    report = run_tournament(game, learners, fuel=args.fuel, mode=args.mode)
     return 0, render_report(report), ""
 
 
@@ -207,8 +204,6 @@ def _cmd_crosstable(args) -> tuple[int, str, str]:
 
 
 def _cmd_enumerate(args) -> tuple[int, str, str]:
-    if args.rows < 1 or args.cols < 1:
-        raise _DataError("rows and cols must be positive")
     count = enumerate_game_count(args.rows, args.cols)
     return 0, f"games={count}\n", ""
 

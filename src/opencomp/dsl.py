@@ -23,7 +23,10 @@ Grammar::
 
 ``INT`` is 1 to 18 ASCII digits and ``ID`` is an ASCII letter or underscore
 followed by ASCII letters, digits and underscores; any other character is a
-``ParseError`` with its position.
+``ParseError`` with its position.  Expressions nest at most 640 deep, a
+quoted program counting one level deeper than the ``sim`` that quotes it;
+deeper nesting is a ``ParseError`` too, so every tree the parser builds can
+be walked recursively.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -167,6 +170,7 @@ _DIGITS = frozenset(string.digits)
 _ID_START = frozenset(string.ascii_letters + "_")
 _ID_CHARS = _ID_START | _DIGITS
 _MAX_INT_DIGITS = 18
+_MAX_NESTING = 640
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -294,7 +298,9 @@ class _Parser:
                 line=tok.line, column=tok.col,
             )
 
-    def expr(self) -> Expr:
+    def expr(self, depth: int) -> Expr:
+        if depth > _MAX_NESTING:
+            raise self.fail(f"expressions nested deeper than {_MAX_NESTING}")
         tok = self.peek()
         if tok.kind == "kw":
             if tok.value == "const":
@@ -308,22 +314,22 @@ class _Parser:
             if tok.value == "bestresp":
                 self.next()
                 self.expect_sym("(")
-                arg = self.expr()
+                arg = self.expr(depth + 1)
                 self.expect_sym(")")
                 return BestResp(arg)
             if tok.value == "sim":
                 self.next()
                 self.expect_sym("(")
-                target = self.src()
+                target = self.src(depth)
                 self.expect_sym(",")
-                adversary = self.src()
+                adversary = self.src(depth)
                 self.expect_sym(",")
                 budget = self.budget()
                 self.expect_sym(")")
                 return Sim(target, adversary, budget)
             if tok.value == "match":
                 self.next()
-                scrutinee = self.expr()
+                scrutinee = self.expr(depth + 1)
                 self.expect_sym("{")
                 self.expect_kw("halted")
                 self.expect_sym("(")
@@ -335,27 +341,27 @@ class _Parser:
                     )
                 self.expect_sym(")")
                 self.expect_sym("=>")
-                on_halted = self.expr()
+                on_halted = self.expr(depth + 1)
                 self.expect_sym("|")
                 self.expect_kw("exhausted")
                 self.expect_sym("=>")
-                on_exhausted = self.expr()
+                on_exhausted = self.expr(depth + 1)
                 self.expect_sym("}")
                 return Match(scrutinee, var.value, on_halted, on_exhausted)
             if tok.value == "if":
                 self.next()
-                left = self.expr()
+                left = self.expr(depth + 1)
                 op = self.next()
                 if op.kind != "sym" or op.value not in ("==", "<", ">"):
                     raise ParseError(
                         "expected a comparison (==, < or >)",
                         line=op.line, column=op.col,
                     )
-                right = self.expr()
+                right = self.expr(depth + 1)
                 self.expect_kw("then")
-                then = self.expr()
+                then = self.expr(depth + 1)
                 self.expect_kw("else")
-                otherwise = self.expr()
+                otherwise = self.expr(depth + 1)
                 return If(left, op.value, right, then, otherwise)
             if tok.value == "loop":
                 self.next()
@@ -374,7 +380,7 @@ class _Parser:
             f"expected an expression, got '{tok.value or 'end of input'}'"
         )
 
-    def src(self) -> Src:
+    def src(self, depth: int) -> Src:
         tok = self.peek()
         if tok.kind == "kw" and tok.value == "opp":
             self.next()
@@ -385,12 +391,12 @@ class _Parser:
         if tok.kind == "string":
             self.next()
             try:
-                inner = parse_program(tok.value)
+                inner = _parse(tok.value, depth + 1)
             except ParseError as exc:
                 raise ParseError(
                     f"inside quoted program: {exc}", line=tok.line, column=tok.col
                 ) from None
-            return SrcQuoted(inner.ast)
+            return SrcQuoted(inner)
         raise self.fail("expected opp, self or a quoted program")
 
     def budget(self) -> int | str:
@@ -405,17 +411,21 @@ class _Parser:
         )
 
 
-def parse_program(text: str) -> StrategyProgram:
-    """Parse ``text`` into a program; errors carry line and column."""
+def _parse(text: str, depth: int) -> Expr:
     parser = _Parser(_tokenize(text))
-    tree = parser.expr()
+    tree = parser.expr(depth)
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(
             f"trailing content '{trailing.value}' after program",
             line=trailing.line, column=trailing.col,
         )
-    return StrategyProgram(source=text, ast=tree)
+    return tree
+
+
+def parse_program(text: str) -> StrategyProgram:
+    """Parse ``text`` into a program; errors carry line and column."""
+    return StrategyProgram(source=text, ast=_parse(text, 0))
 
 
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:

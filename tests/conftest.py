@@ -67,6 +67,14 @@ def brute_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
     return found
 
 
+def brute_game_count(rows: int, cols: int) -> int:
+    """Distinct payoff tables of one shape, by building every one of them."""
+    tables = set()
+    for cells in itertools.product((-1, 0, 1), repeat=rows * cols):
+        tables.add(np.array(cells, dtype=np.int8).reshape(rows, cols).tobytes())
+    return len(tables)
+
+
 def grid_maxmin(table: GameTable, step: int = 100) -> float:
     """Maxmin value by grid search over row mixtures.
 

@@ -185,11 +185,6 @@ class TestTournament:
         )
         assert total == 2 * len(report.records)
 
-    def test_workers_do_not_change_the_report(self):
-        serial = run_tournament(rps(), catalog_learners(), fuel=400, workers=1)
-        threaded = run_tournament(rps(), catalog_learners(), fuel=400, workers=4)
-        assert render_report(serial) == render_report(threaded)
-
     def test_report_layout(self):
         learners = [
             ProgramLearner("rock", "const 1"), ProgramLearner("paper", "const 2")

@@ -93,16 +93,15 @@ class TestOtherCommands:
         assert code == 0
         assert out.rstrip().endswith("universal_winner=exploiter")
 
-    def test_tournament_workers_flag_is_cosmetic(self, repo_root):
+    def test_tournament_workers_flag_is_rejected(self, repo_root):
         learners = [
             str(repo_root / "learners" / name)
             for name in ("const_rock.lrn", "mirror.lrn", "exploiter.lrn")
         ]
-        base = run("tournament", "--game", "rps", "--learners", *learners,
-                   "--fuel", "600")
-        threaded = run("tournament", "--game", "rps", "--learners", *learners,
-                       "--fuel", "600", "--workers", "4")
-        assert base == threaded
+        code, out, err = run("tournament", "--game", "rps", "--learners",
+                             *learners, "--fuel", "600", "--workers", "4")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --workers 4" in err
 
     def test_demo(self):
         code, out, _ = run("demo", "--fuel", "600")

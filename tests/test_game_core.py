@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import game_tables
+from conftest import brute_game_count, game_tables
 from opencomp import (
     MAX_STRATEGIES, GameTable, InvariantError, Outcome, ParseError, Side,
     dice, enumerate_game_count, is_symmetric, outcome, parse_game, pennies,
@@ -210,10 +210,14 @@ class TestParseSerialize:
 
 class TestEnumeration:
     def test_small_counts_exact(self):
-        assert enumerate_game_count(1, 1) == 3
-        assert enumerate_game_count(2, 2) == 81
-        assert enumerate_game_count(2, 3) == 729
-        assert enumerate_game_count(3, 3) == 3 ** 9
+        shapes = [
+            (rows, cols)
+            for rows in range(1, 10)
+            for cols in range(1, 10)
+            if rows * cols <= 9
+        ]
+        for rows, cols in shapes:
+            assert enumerate_game_count(rows, cols) == brute_game_count(rows, cols)
 
     def test_large_shapes_use_closed_form(self):
         assert enumerate_game_count(5, 5) == 3 ** 25

@@ -5,15 +5,22 @@ Each must fail as a positioned ParseError, or evaluate normally; inside
 simulating side down with it.
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencomp import (
-    EXPLOITER_SOURCE, EvalKind, Learner, ParseError, ProgramLearner,
-    SideOutcome, evaluate, parse_program, rps, run_match, run_tournament,
+    EXPLOITER_SOURCE, EvalKind, EvalResult, Learner, MatchResult, ParseError,
+    ProgramLearner, SideOutcome, catalog_learners, evaluate, parse_program,
+    pretty, rps, run_match, run_tournament,
 )
+from opencomp.dsl import _MAX_NESTING
 from test_dsl import env_for
 
 _DEEP_BESTRESP = "bestresp(" * 600 + "const 1" + ")" * 600
 _DEEP_LOOP = f"if loop == {_DEEP_BESTRESP} then 1 else 2"
+# past the nesting bound, and deep enough to exhaust the interpreter's stack
+# if the parser did not stop it
+_DEEPER_BESTRESP = "bestresp(" * 1000 + "const 1" + ")" * 1000
 
 _UNPARSEABLE = {
     # superscript two: isdigit() accepts it, int() does not
@@ -29,6 +36,7 @@ _UNPARSEABLE = {
 }
 _HOSTILE = {name: text for name, (text, _) in _UNPARSEABLE.items()}
 _HOSTILE["600-deep-tree-at-loop"] = _DEEP_LOOP
+_HOSTILE["1000-deep-bestresp"] = _DEEPER_BESTRESP
 
 
 @pytest.mark.parametrize(
@@ -47,6 +55,13 @@ def test_eighteen_digit_literal_is_accepted():
 def test_quoted_program_with_a_bad_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="inside quoted program"):
         parse_program('sim("const ٣", opp, 5)')
+
+
+def test_nesting_past_the_bound_is_a_positioned_parse_error():
+    with pytest.raises(ParseError, match="nested deeper than") as info:
+        parse_program(_DEEPER_BESTRESP)
+    # the first expression past the bound is the 642nd "bestresp("
+    assert (info.value.line, info.value.column) == (1, 641 * 9 + 1)
 
 
 def test_deep_tree_at_loop_is_proven_without_recursion():
@@ -87,3 +102,54 @@ def test_tournament_with_hostile_entrants_completes():
     ]
     report = run_tournament(rps(), entrants, fuel=1000)
     assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
+
+
+def test_catalog_tournament_with_a_deep_nesting_entrant_completes():
+    entrants = catalog_learners() + [_Publisher("deep", _DEEPER_BESTRESP)]
+    report = run_tournament(rps(), entrants, fuel=100_000)
+    assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
+    (record,) = [r for r in report.records if r.learner1 == "exploiter"]
+    assert record.learner2 == "deep"
+    assert record.side1.outcome is SideOutcome.HALTED
+    assert record.side1.strategy == 1  # read the rival as exhausted
+    assert record.result is MatchResult.DRAW
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# Each wrapper puts an expression one or two levels deeper: (depth, template).
+_WRAPPERS = {
+    "bestresp": (1, "bestresp({})"),
+    "if": (1, "if 1 == 1 then {} else 2"),
+    "match": (1, "match sim(opp, self, 3) {{ halted(k) => {} | exhausted => 2 }}"),
+    # match, then sim, then the quoted program's root
+    "quote": (2, "match sim({}, opp, 5) {{ halted(k) => k | exhausted => 1 }}"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["bestresp", "if", "match"]), min_size=1, max_size=6
+    ),
+    length=st.integers(_MAX_NESTING - 40, _MAX_NESTING + 40),
+    quotes=st.lists(st.integers(0, _MAX_NESTING + 40), max_size=10),
+)
+def test_nesting_around_the_bound_parses_or_is_a_parse_error(kinds, length, quotes):
+    text, depth = "const 1", 0
+    for i in range(length):
+        step, template = _WRAPPERS[kinds[i % len(kinds)]]
+        text, depth = template.format(text), depth + step
+        for _ in range(quotes.count(i)):
+            step, template = _WRAPPERS["quote"]
+            text, depth = template.format(_quote(text)), depth + step
+    if depth <= _MAX_NESTING:
+        tree = parse_program(text).ast
+        assert parse_program(pretty(tree)).ast == tree
+    else:
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_program(text)
+    result = evaluate(EXPLOITER_SOURCE, env_for(opponent=text, fuel=3000))
+    assert isinstance(result, EvalResult)
