@@ -28,6 +28,11 @@ quoted program counting one level deeper than the ``sim`` that quotes it;
 deeper nesting is a ``ParseError`` too, so every tree the parser builds can
 be walked recursively.
 
+A source that ``sim`` runs is parsed once per process, not once per
+evaluation: the trees (or parse errors) of the 1024 most recently simulated
+texts are shared by every evaluation.  Trees are immutable and parsing
+costs no fuel, so sharing changes no result.
+
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
 ``target`` with ``adversary`` as its opponent.  An integer budget caps the
@@ -53,6 +58,7 @@ remaining fuel at once.
 """
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from enum import Enum
@@ -171,6 +177,7 @@ _ID_START = frozenset(string.ascii_letters + "_")
 _ID_CHARS = _ID_START | _DIGITS
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
+_PARSE_CACHE_SIZE = 1024
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -428,6 +435,22 @@ def parse_program(text: str) -> StrategyProgram:
     return StrategyProgram(source=text, ast=_parse(text, 0))
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_source(text: str) -> Expr | ParseError:
+    """Syntax tree of a simulated source, or the error that rejects it.
+
+    Shared by every evaluation in the process: trees are immutable, and
+    parsing is a pure function of the text that costs no fuel, so a cache
+    hit cannot change a result.  The error is kept without its traceback or
+    the quoted program's error it replaced, so it pins no parser frames.
+    """
+    try:
+        return _parse(text, 0)
+    except ParseError as exc:
+        exc.__context__ = None
+        return exc.with_traceback(None)
+
+
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     """Parse a learner file: first line ``learner <name>``, rest the program."""
     lines = text.splitlines()
@@ -636,8 +659,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     if isinstance(program, str):
         program = parse_program(program)
     g = 0  # fuel consumed so far, shared by every nesting level
-    parse_cache: dict[str, Expr | ParseError] = {}
-    pretty_cache: dict[int, str] = {}
+    pretty_cache: dict[int, tuple[Expr, str]] = {}
     game = env.game
 
     root = _Level(
@@ -651,22 +673,14 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     levels = [root]
     final = None
 
-    def cached_parse(text: str):
-        hit = parse_cache.get(text)
-        if hit is None:
-            try:
-                hit = parse_program(text).ast
-            except ParseError as exc:
-                hit = exc
-            parse_cache[text] = hit
-        return hit
-
     def cached_pretty(node: Expr) -> str:
+        # Keyed by id(), so the entry holds the node: a tree evicted from the
+        # shared parse cache mid-call cannot free it and hand its id to
+        # another node.
         hit = pretty_cache.get(id(node))
         if hit is None:
-            hit = pretty(node)
-            pretty_cache[id(node)] = hit
-        return hit
+            hit = pretty_cache[id(node)] = (node, pretty(node))
+        return hit[1]
 
     def src_text(src: Src, lvl: _Level) -> str:
         if isinstance(src, SrcOpp):
@@ -752,7 +766,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     else:
                         text = cached_pretty(node.target.program)
                         child_side = lvl.side
-                    parsed = cached_parse(text)
+                    parsed = _parse_source(text)
                     if isinstance(parsed, ParseError):
                         # A rival whose source is not a runnable program
                         # yields nothing observable.

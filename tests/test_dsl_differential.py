@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import EXPLOITER_SOURCE, EvalKind, RuntimeFault, evaluate, pretty
+from opencomp.dsl import _parse_source
 from test_dsl import env_for, program_trees
 
 _FUELS = st.one_of(
@@ -42,6 +43,18 @@ def test_agrees_with_the_fingerprint_oracle(tree, opponent, fuel, cap):
     env = env_for(opponent=opponent, me=source, fuel=fuel, memory_cap=cap)
     new, old = _both(source, env)
     assert new == old
+
+
+@given(program_trees, _OPPONENTS, _FUELS, _CAPS)
+@settings(max_examples=150, deadline=None)
+def test_cold_and_warm_parse_cache_agree_with_the_oracle(tree, opponent, fuel, cap):
+    source = pretty(tree)
+    env = env_for(opponent=opponent, me=source, fuel=fuel, memory_cap=cap)
+    expected = _run(fingerprint_evaluate, source, env)
+    _parse_source.cache_clear()
+    cold = _run(evaluate, source, env)
+    warm = _run(evaluate, source, env)
+    assert cold == warm == expected
 
 
 # A top-level `loop` state sizes to 365 under the prover's estimate.

@@ -1,0 +1,104 @@
+"""The parse cache that every evaluation shares.
+
+``sim`` looks its target's text up in one bounded cache per process, so a
+tournament parses each rival source once.  Sharing must change no result:
+not when the cache is cold, not when trees are evicted in the middle of an
+evaluation, and not when the cached entry is a parse error.
+"""
+import pytest
+
+from fingerprint_oracle import fingerprint_evaluate
+from opencomp import (
+    EXPLOITER_SOURCE, EvalKind, ParseError, catalog_learners, evaluate,
+    render_report, rps, run_tournament,
+)
+from opencomp.bundled import CATALOG
+from opencomp.dsl import _PARSE_CACHE_SIZE, _parse_source
+from test_dsl import env_for
+from test_dsl_differential import _run
+from test_hostile_sources import _Publisher, _quote
+
+
+def _wide_source(leaves: int) -> str:
+    """A program quoting ``leaves`` distinct programs, each quoting another.
+
+    Leaf ``i`` runs ``match sim("const i", ...)`` and checks that it saw
+    ``i``, so every leaf adds two texts to the parse cache.  The leaves sit
+    in a balanced tree of ``if`` nodes, well inside the nesting bound.
+    """
+    def run(text: str, budget: int) -> str:
+        return (f"match sim({_quote(text)}, opp, {budget}) "
+                "{ halted(k) => k | exhausted => 0 }")
+
+    checks = [
+        f"if {run(run(f'const {i}', 5), 50)} == {i} then 1 else 2"
+        for i in range(1, leaves + 1)
+    ]
+    while len(checks) > 1:
+        checks = [
+            f"if {left} == 1 then {right} else 2"
+            for left, right in zip(checks[::2], checks[1::2])
+        ] + checks[len(checks) - len(checks) % 2:]
+    return checks[0]
+
+
+_WIDE = _wide_source(_PARSE_CACHE_SIZE)
+
+
+@pytest.mark.parametrize("me, opponent, strategy", [
+    (_WIDE, "const 1", 1),
+    # the rival halts with 1, so the exploiter plays its best response
+    (EXPLOITER_SOURCE, _WIDE, 2),
+], ids=["wide-program", "exploiter-vs-wide-rival"])
+def test_evicting_trees_mid_evaluation_matches_the_oracle(me, opponent, strategy):
+    env = env_for(opponent=opponent, me=me, fuel=200_000)
+    _parse_source.cache_clear()
+    result = _run(evaluate, me, env)
+    assert _parse_source.cache_info().misses > _PARSE_CACHE_SIZE
+    assert result == _run(fingerprint_evaluate, me, env)
+    assert result[:2] == (EvalKind.HALTED, strategy)
+
+
+def test_a_cached_parse_error_pins_no_frames():
+    _parse_source.cache_clear()
+    error = _parse_source('sim("const ²", opp, 5)')
+    assert isinstance(error, ParseError)
+    assert "inside quoted program" in str(error)
+    assert error.__traceback__ is None
+    assert error.__context__ is None
+
+
+def test_an_unparseable_rival_reads_as_exhausted_every_time():
+    env = env_for(opponent="const ²", me=EXPLOITER_SOURCE)
+    _parse_source.cache_clear()
+    first = evaluate(EXPLOITER_SOURCE, env)
+    second = evaluate(EXPLOITER_SOURCE, env)
+    assert _parse_source.cache_info().hits > 0
+    assert first == second
+    assert (first.kind, first.strategy) == (EvalKind.HALTED, 1)
+
+
+def test_a_tournament_with_an_unparseable_rival_repeats_its_report():
+    def play():
+        entrants = catalog_learners() + [_Publisher("garbled", "const ²")]
+        report = run_tournament(rps(), entrants, fuel=10_000)
+        assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
+        return render_report(report)
+
+    _parse_source.cache_clear()
+    assert play() == play()
+
+
+def test_a_tournament_parses_each_simulated_source_once():
+    # The catalog simulates only `opp` and `self`, and the exploiter
+    # simulates every entrant, so the simulated texts are the sources.
+    sources = {source for _, source in CATALOG}
+    _parse_source.cache_clear()
+    run_tournament(rps(), catalog_learners(), fuel=10_000)
+    first = _parse_source.cache_info()
+    assert first.misses == len(sources)
+    assert first.currsize == len(sources)
+    run_tournament(rps(), catalog_learners(), fuel=10_000)
+    second = _parse_source.cache_info()
+    assert second.misses == first.misses
+    assert second.hits > first.hits
