@@ -144,25 +144,24 @@ def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
         raise ValueError("max_len must be 3, 4 or 5")
     if not (table.symmetric_flag and is_symmetric(table)):
         raise NotSymmetricError("cycle search needs a symmetric table")
-    n = table.rows
-    entries = table.entries
-    # successors[i] = strategies that beat i, i.e. edges i -> j.
-    successors = [
-        [j for j in range(n) if entries[j, i] == 1] for i in range(n)
-    ]
+    # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.
+    beaten_by = table.entries.T == 1
+    successors = [np.flatnonzero(row) for row in beaten_by]
     cycles: list[tuple[int, ...]] = []
 
     def walk(start: int, path: list[int]):
         last = path[-1]
-        for nxt in successors[last]:
-            if nxt == start and len(path) >= 3:
-                cycles.append(tuple(p + 1 for p in path))
-            elif nxt > start and nxt not in path and len(path) < max_len:
-                path.append(nxt)
-                walk(start, path)
-                path.pop()
+        if len(path) >= 3 and beaten_by[last, start]:
+            cycles.append(tuple(p + 1 for p in path))
+        if len(path) < max_len:
+            succ = successors[last]
+            for nxt in succ[succ.searchsorted(start, "right"):].tolist():
+                if nxt not in path:
+                    path.append(nxt)
+                    walk(start, path)
+                    path.pop()
 
-    for start in range(n):
+    for start in range(table.rows):
         walk(start, [start])
     cycles.sort(key=lambda c: (len(c), c))
     return cycles

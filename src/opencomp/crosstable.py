@@ -7,7 +7,7 @@ left empty.  Scores of a pair must be complementary, s(a,b) + s(b,a) = 1,
 within a small tolerance.  A margin parameter decides how far from an even
 0.5 a score must be before it counts as a win rather than a draw; widening
 the margin can erase narrow intransitive cycles, which is the phenomenon
-the bundled engine table demonstrates.
+the bundled engine table demonstrates.  Scores are plain ASCII numbers.
 """
 from __future__ import annotations
 
@@ -44,24 +44,25 @@ def parse_crosstable(text: str) -> Crosstable:
     Raises ComplementarityViolation when a pair's two scores are present
     and do not sum to 1 within tolerance.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(lineno, line) for lineno, line in numbered if line.strip()]
     if not lines:
         raise ParseError("empty crosstable")
-    header = [cell.strip() for cell in lines[0].split(",")]
+    header_line, header = lines[0]
+    header = [cell.strip() for cell in header.split(",")]
     if header[0] != "names" or len(header) < 2:
-        raise ParseError("header must be 'names,<name>,...'", line=1)
+        raise ParseError("header must be 'names,<name>,...'", line=header_line)
     names = tuple(header[1:])
     if len(set(names)) != len(names):
-        raise ParseError("duplicate names in header", line=1)
+        raise ParseError("duplicate names in header", line=header_line)
     n = len(names)
     if len(lines) != n + 1:
         raise ParseError(
             f"expected {n} score rows after the header, found {len(lines) - 1}"
         )
 
-    scores = np.full((n, n), np.nan)
-    for row, line in enumerate(lines[1:]):
-        lineno = row + 2
+    scores = np.empty((n, n))
+    for row, (lineno, line) in enumerate(lines[1:]):
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != n + 1:
             raise ParseError(
@@ -72,35 +73,48 @@ def parse_crosstable(text: str) -> Crosstable:
                 f"row name '{cells[0]}' does not match header order "
                 f"('{names[row]}' expected)", line=lineno,
             )
-        for col, cell in enumerate(cells[1:]):
-            if cell == "":
-                continue
-            if row == col:
-                raise ParseError(
-                    "diagonal cells must be empty", line=lineno
-                )
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"bad score '{cell}'", line=lineno
-                ) from None
-            if not 0.0 <= value <= 1.0:
-                raise ParseError(
-                    f"score {value} outside [0, 1]", line=lineno
-                )
-            scores[row, col] = value
+        scores[row] = _row_scores(cells[1:], row, lineno)
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            ab, ba = scores[a, b], scores[b, a]
-            if not np.isnan(ab) and not np.isnan(ba):
-                if abs(ab + ba - 1.0) > _COMPLEMENT_TOL:
-                    raise ComplementarityViolation(
-                        f"scores for {names[a]} vs {names[b]} sum to "
-                        f"{ab + ba:.6f}, expected 1"
-                    )
+    total = scores + scores.T
+    clash = np.argwhere(np.triu(np.abs(total - 1.0) > _COMPLEMENT_TOL, 1))
+    if clash.size:
+        a, b = clash[0]
+        raise ComplementarityViolation(
+            f"scores for {names[a]} vs {names[b]} sum to "
+            f"{total[a, b]:.6f}, expected 1"
+        )
     return Crosstable(names=names, scores=scores)
+
+
+def _row_scores(cells: list[str], row: int, lineno: int) -> np.ndarray:
+    """One row's scores, NaN where empty, converted and checked in one go;
+    a row that fails is scanned cell by cell for its first bad cell."""
+    text = "".join(cells)
+    if text.isascii() and "_" not in text and cells[row] == "":
+        try:
+            values = np.array([float(cell) if cell else np.nan for cell in cells])
+        except ValueError:
+            pass
+        else:
+            # Valid when every cell is either empty (NaN) or in range.
+            if ((values >= 0) & (values <= 1)).sum() + cells.count("") == values.size:
+                return values
+    values = np.full(len(cells), np.nan)
+    for col, cell in enumerate(cells):
+        if cell == "":
+            continue
+        if row == col:
+            raise ParseError("diagonal cells must be empty", line=lineno)
+        if not cell.isascii() or "_" in cell:
+            raise ParseError(f"bad score '{cell}'", line=lineno)
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"bad score '{cell}'", line=lineno) from None
+        if not 0.0 <= value <= 1.0:
+            raise ParseError(f"score {value} outside [0, 1]", line=lineno)
+        values[col] = value
+    return values
 
 
 def to_game(
@@ -116,27 +130,14 @@ def to_game(
     """
     if not 0.0 <= margin < 0.5:
         raise ValueError("margin must be in [0, 0.5)")
-    n = len(crosstable.names)
-    entries = np.zeros((n, n), dtype=np.int8)
-    for a in range(n):
-        for b in range(a + 1, n):
-            score = crosstable.scores[a, b]
-            if np.isnan(score):
-                other = crosstable.scores[b, a]
-                if np.isnan(other):
-                    continue
-                score = 1.0 - other
-            if score > 0.5 + margin:
-                entry = 1
-            elif score < 0.5 - margin:
-                entry = -1
-            else:
-                entry = 0
-            entries[a, b] = entry
-            entries[b, a] = -entry
+    s = crosstable.scores
+    score = np.where(np.isnan(s), 1.0 - s.T, s)  # NaN when both are absent
+    entries = np.triu(
+        np.where(score > 0.5 + margin, 1, np.where(score < 0.5 - margin, -1, 0)), 1
+    ).astype(np.int8)
     return GameTable(
         name=name,
-        entries=entries,
+        entries=entries - entries.T,
         symmetric_flag=True,
         labels_rows=crosstable.names,
         labels_cols=crosstable.names,

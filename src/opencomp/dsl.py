@@ -30,8 +30,10 @@ be walked recursively.
 
 A source that ``sim`` runs is parsed once per process, not once per
 evaluation: the trees (or parse errors) of the 1024 most recently simulated
-texts are shared by every evaluation.  Trees are immutable and parsing
-costs no fuel, so sharing changes no result.
+texts of at most 4096 characters are shared by every evaluation, so the
+cache holds a bounded amount of memory.  A longer text is parsed once per
+evaluation and dropped when the evaluation returns.  Trees are immutable
+and parsing costs no fuel, so sharing changes no result.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -178,6 +180,7 @@ _ID_CHARS = _ID_START | _DIGITS
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
 _PARSE_CACHE_SIZE = 1024
+_MAX_CACHED_SOURCE = 4096  # characters: ~13 bytes of tree each, ~56 MB for a full cache
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -435,20 +438,42 @@ def parse_program(text: str) -> StrategyProgram:
     return StrategyProgram(source=text, ast=_parse(text, 0))
 
 
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
-def _parse_source(text: str) -> Expr | ParseError:
+def _read_source(text: str) -> Expr | ParseError:
     """Syntax tree of a simulated source, or the error that rejects it.
 
-    Shared by every evaluation in the process: trees are immutable, and
-    parsing is a pure function of the text that costs no fuel, so a cache
-    hit cannot change a result.  The error is kept without its traceback or
-    the quoted program's error it replaced, so it pins no parser frames.
+    The error is kept without its traceback or the quoted program's error it
+    replaced, so a cached one pins no parser frames.
     """
     try:
         return _parse(text, 0)
     except ParseError as exc:
         exc.__context__ = None
         return exc.with_traceback(None)
+
+
+# Shared by every evaluation in the process: trees are immutable, and
+# parsing is a pure function of the text that costs no fuel, so a cache hit
+# cannot change a result.
+_parse_source = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)(_read_source)
+
+
+def _simulated_tree(
+    text: str, long_trees: dict[str, Expr | ParseError]
+) -> Expr | ParseError:
+    """Tree of a source that ``sim`` runs, each text parsed at most once.
+
+    A text of at most ``_MAX_CACHED_SOURCE`` characters goes through the
+    shared cache.  A longer one is kept in ``long_trees``, which lives for
+    one evaluation: the shared cache stays small, and a long rival that
+    simulates itself on every step is still parsed only once, so fuel keeps
+    bounding the work.
+    """
+    if len(text) <= _MAX_CACHED_SOURCE:
+        return _parse_source(text)
+    tree = long_trees.get(text)
+    if tree is None:
+        tree = long_trees[text] = _read_source(text)
+    return tree
 
 
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
@@ -660,6 +685,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         program = parse_program(program)
     g = 0  # fuel consumed so far, shared by every nesting level
     pretty_cache: dict[int, tuple[Expr, str]] = {}
+    long_trees: dict[str, Expr | ParseError] = {}
     game = env.game
 
     root = _Level(
@@ -766,7 +792,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     else:
                         text = cached_pretty(node.target.program)
                         child_side = lvl.side
-                    parsed = _parse_source(text)
+                    parsed = _simulated_tree(text, long_trees)
                     if isinstance(parsed, ParseError):
                         # A rival whose source is not a runnable program
                         # yields nothing observable.

@@ -20,7 +20,6 @@ from .errors import InvariantError, ParseError
 MAX_STRATEGIES = 10_000
 
 _ENTRY_TOKENS = {"+1": 1, "0": 0, "-1": -1, "w": 1, "d": 0, "l": -1}
-_ENTRY_TEXT = {1: "+1", 0: "0", -1: "-1"}
 
 
 class Outcome(IntEnum):
@@ -199,10 +198,10 @@ def parse_game(text: str) -> GameTable:
     lineno, rest = take("rows")
     if len(rest) != 3 or rest[1] != "cols":
         raise ParseError("expected 'rows <n> cols <m>'", line=lineno)
-    try:
-        nr, nc = int(rest[0]), int(rest[2])
-    except ValueError:
-        raise ParseError("row and column counts must be integers", line=lineno) from None
+    digits = [count.removeprefix("-") for count in rest[::2]]
+    if not all(count.isascii() and count.isdigit() for count in digits):
+        raise ParseError("row and column counts must be integers", line=lineno)
+    nr, nc = int(rest[0]), int(rest[2])
     if nr < 1 or nc < 1:
         raise ParseError("row and column counts must be positive", line=lineno)
     if nr > MAX_STRATEGIES or nc > MAX_STRATEGIES:
@@ -230,10 +229,11 @@ def parse_game(text: str) -> GameTable:
         cells = rest[1:]
         if len(cells) != nc:
             raise ParseError(f"row {i} needs exactly {nc} entries", line=lineno)
-        for j, tok in enumerate(cells):
-            if tok not in _ENTRY_TOKENS:
-                raise ParseError(f"invalid entry '{tok}'", line=lineno)
-            entries[i - 1, j] = _ENTRY_TOKENS[tok]
+        values = list(map(_ENTRY_TOKENS.get, cells))
+        if None in values:
+            bad = next(tok for tok in cells if tok not in _ENTRY_TOKENS)
+            raise ParseError(f"invalid entry '{bad}'", line=lineno)
+        entries[i - 1] = values
 
     if pos < len(lines):
         raise ParseError("trailing content after last row", line=lines[pos][0])
@@ -265,9 +265,10 @@ def serialize_game(table: GameTable) -> str:
         out.append("labels_rows " + " ".join(table.labels_rows))
     if table.labels_cols is not None:
         out.append("labels_cols " + " ".join(table.labels_cols))
-    for i in range(table.rows):
-        cells = " ".join(_ENTRY_TEXT[int(v)] for v in table.entries[i])
-        out.append(f"row {i + 1}: {cells}")
+    letters = (table.entries + ord("b")).astype(np.uint8)  # a, b, c: -1, 0, +1
+    for i, row in enumerate(letters, start=1):
+        cells = " ".join(row.tobytes().decode()).replace("a", "-1")
+        out.append(f"row {i}: " + cells.replace("b", "0").replace("c", "+1"))
     return "\n".join(out) + "\n"
 
 

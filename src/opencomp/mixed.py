@@ -2,10 +2,13 @@
 
 Fictitious play here is the simultaneous, deterministic variant: each round
 both players best-respond to the opponent's empirical mixture so far, ties
-broken toward the lowest index, and both counts update at once.  For
-zero-sum games the empirical mixtures approach the maxmin value; the
-per-round play itself may cycle forever (rock-paper-scissors famously does),
-which is exactly the behavior the intransitive examples lean on.
+broken toward the lowest index, and both counts update at once.  The
+payoffs against the mixtures are kept as exact integer sums, so tied
+replies are equal and go to the lowest index exactly, never to whichever
+one rounding favours.  For zero-sum games the empirical mixtures approach
+the maxmin value; the per-round play itself may cycle forever
+(rock-paper-scissors famously does), which is exactly the behavior the
+intransitive examples lean on.
 """
 from __future__ import annotations
 
@@ -99,47 +102,39 @@ def fictitious_play(
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    payoff = game.entries.astype(np.float64)
-    rows, cols = game.rows, game.cols
+    payoff = game.entries
 
-    counts1 = np.zeros(rows)
-    counts2 = np.zeros(cols)
-    counts1[0] = 1.0
-    counts2[0] = 1.0
+    counts1 = np.zeros(game.rows, dtype=np.int64)
+    counts2 = np.zeros(game.cols, dtype=np.int64)
+    counts1[0] = counts2[0] = 1
+    # Exact running totals: payoff @ counts2 and counts1 @ payoff.
+    row_sums = payoff[:, 0].astype(np.int64)
+    col_sums = payoff[0].astype(np.int64)
 
-    best = None  # (exploitability, p1 weights, p2 weights, value, t)
+    best = None  # (exploitability, p1 counts, p2 counts, value)
     for t in range(1, iterations + 1):
-        mix1 = counts1 / counts1.sum()
-        mix2 = counts2 / counts2.sum()
-
-        row_payoffs = payoff @ mix2
-        col_payoffs = mix1 @ payoff
-        gap = float(np.max(row_payoffs) - np.min(col_payoffs))
-        gap = max(0.0, gap)
+        # Both counts sum to t: exact integers and one rounding each, so
+        # equal gaps compare equal and an exactly even value reads as 0.
+        gap = max(0.0, (int(row_sums.max()) - int(col_sums.min())) / t)
         if best is None or gap < best[0]:
-            value = float(mix1 @ payoff @ mix2)
-            best = (gap, mix1.copy(), mix2.copy(), value, t)
+            value = int(counts1 @ row_sums) / (t * t)
+            best = (gap, counts1.copy(), counts2.copy(), value)
         if gap <= tol:
-            return FictitiousPlayResult(
-                p1=MixedStrategy(mix1),
-                p2=MixedStrategy(mix2),
-                value=float(mix1 @ payoff @ mix2),
-                exploitability=gap,
-                iterations=t,
-                converged=True,
-            )
+            break
+        reply1 = int(np.argmax(row_sums))
+        reply2 = int(np.argmin(col_sums))
+        counts1[reply1] += 1
+        counts2[reply2] += 1
+        row_sums += payoff[:, reply2]
+        col_sums += payoff[reply1]
 
-        reply1 = int(np.argmax(row_payoffs))
-        reply2 = int(np.argmin(col_payoffs))
-        counts1[reply1] += 1.0
-        counts2[reply2] += 1.0
-
-    gap, mix1, mix2, value, _ = best
+    # The first gap within tol is below every earlier one, so it is the best.
+    gap, counts1, counts2, value = best
     return FictitiousPlayResult(
-        p1=MixedStrategy(mix1),
-        p2=MixedStrategy(mix2),
+        p1=MixedStrategy(counts1 / counts1.sum()),
+        p2=MixedStrategy(counts2 / counts2.sum()),
         value=value,
         exploitability=gap,
-        iterations=iterations,
-        converged=False,
+        iterations=t,
+        converged=gap <= tol,
     )

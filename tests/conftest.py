@@ -7,6 +7,7 @@ or search-based answers against them.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,38 @@ def grid_maxmin(table: GameTable, step: int = 100) -> float:
         if worst > best:
             best = worst
     return best
+
+
+def exact_fictitious_play(table: GameTable, iterations: int, tol: float):
+    """Fictitious play by its documented rule, in exact rational arithmetic.
+
+    Simultaneous play from strategy 1 on both sides, each reply the lowest
+    index among the best responses to the opponent's empirical mixture, and
+    the lowest-exploitability profile kept (the first of equals).  Returns
+    ``(p1, p2, value, exploitability, iterations, converged)`` with the
+    mixtures, value and exploitability as ``Fraction``s.
+    """
+    payoff = table.entries.tolist()
+    counts1 = [1] + [0] * (table.rows - 1)
+    counts2 = [1] + [0] * (table.cols - 1)
+    best = None
+    for t in range(1, iterations + 1):
+        mix1 = [Fraction(c, t) for c in counts1]
+        mix2 = [Fraction(c, t) for c in counts2]
+        # payoff @ mix2 and mix1 @ payoff, each summed over the counts first
+        vs_mix2 = [Fraction(sum(a * c for a, c in zip(row, counts2)), t)
+                   for row in payoff]
+        vs_mix1 = [Fraction(sum(c * row[j] for c, row in zip(counts1, payoff)), t)
+                   for j in range(table.cols)]
+        gap = max(Fraction(0), max(vs_mix2) - min(vs_mix1))
+        if best is None or gap < best[3]:
+            value = sum(w * v for w, v in zip(mix1, vs_mix2))
+            best = (mix1, mix2, value, gap)
+        if gap <= tol:
+            return (*best, t, True)
+        counts1[vs_mix2.index(max(vs_mix2))] += 1
+        counts2[vs_mix1.index(min(vs_mix1))] += 1
+    return (*best, iterations, False)
 
 
 # --------------------------------------------------------------------------

@@ -56,6 +56,39 @@ class TestParse:
         with pytest.raises(ComplementarityViolation):
             parse_crosstable("names,A,B\nA,,0.6\nB,0.6,\n")
 
+    def test_blank_lines_keep_the_line_numbers(self):
+        with pytest.raises(ParseError) as err:
+            parse_crosstable("names,a,b\n\na,,0.5\nb,0.5,x\n")
+        assert err.value.line == 4
+        with pytest.raises(ParseError) as err:
+            parse_crosstable("\n\nnames,A,A\nA,,0.5\nA,0.5,\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("Stockfish,,0.55", "Stockfish,,0.5_5", 2, "bad score '0.5_5'"),
+        ("FatFritz,0.45", "FatFritz,\u0660.\u0664\u0665", 3,
+         "bad score '\u0660.\u0664\u0665'"),
+        ("Houdini,0.55", "Houdini,\uff10.55", 4, "bad score '\uff10.55'"),
+        # the diagonal is checked first, as for any other cell
+        ("FatFritz,0.45,", "FatFritz,0.45,0_5", 3, "diagonal cells must be empty"),
+    ], ids=["underscore", "arabic-indic-digits", "fullwidth-digit", "diagonal"])
+    def test_scores_are_ascii_numbers(self, old, new, line, message):
+        text = ENGINES3_TEXT.replace(old, new)
+        with pytest.raises(ParseError) as err:
+            parse_crosstable(text)
+        assert err.value.line == line
+        assert str(err.value) == f"{message} (line {line})"
+
+    def test_non_ascii_names_and_padding_are_fine(self):
+        text = ENGINES3_TEXT.replace("Houdini", "H\u00f6udini").replace(
+            ",0.45,", ",\u00a00.45\u3000,"
+        )
+        table = parse_crosstable(text)
+        assert table.names[2] == "H\u00f6udini"
+        assert np.array_equal(
+            table.scores, parse_crosstable(ENGINES3_TEXT).scores, equal_nan=True
+        )
+
     def test_complementarity_tolerates_rounding(self):
         table = parse_crosstable("names,A,B\nA,,0.5500004\nB,0.4499997,\n")
         assert table.scores[0, 1] == pytest.approx(0.5500004)

@@ -147,6 +147,25 @@ class TestParseSerialize:
             parse_game("symmetric true\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("counts", [
+        "rows \u0663 cols 0_3", "rows 3 cols 0_3", "rows \u0663 cols 3",
+        "rows +3 cols 3",
+    ])
+    def test_counts_are_ascii_digits(self, counts):
+        text = serialize_game(rps()).replace("rows 3 cols 3", counts)
+        with pytest.raises(ParseError) as err:
+            parse_game(text)
+        assert err.value.line == 3
+        assert "counts must be integers" in str(err.value)
+
+    @pytest.mark.parametrize("counts", ["rows -3 cols 3", "rows 3 cols -0"])
+    def test_a_negative_count_is_not_positive(self, counts):
+        text = serialize_game(rps()).replace("rows 3 cols 3", counts)
+        with pytest.raises(ParseError) as err:
+            parse_game(text)
+        assert err.value.line == 3
+        assert "counts must be positive" in str(err.value)
+
     def test_bad_entry_token(self):
         text = "game b\nsymmetric false\nrows 1 cols 2\nrow 1: 0 2\n"
         with pytest.raises(ParseError) as err:

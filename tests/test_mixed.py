@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import game_tables, grid_maxmin
+from conftest import exact_fictitious_play, game_tables, grid_maxmin
 from opencomp import (
-    MixedStrategy, dice, expected_payoff, exploitability, fictitious_play,
-    pennies, rps,
+    GameTable, MixedStrategy, dice, expected_payoff, exploitability,
+    fictitious_play, pennies, rps,
 )
+
+
+def _seeded_symmetric(n: int, seed: int) -> GameTable:
+    upper = np.triu(np.random.default_rng(seed).integers(-1, 2, (n, n)), 1)
+    return GameTable(name=f"seeded{n}", entries=upper - upper.T, symmetric_flag=True)
 
 
 class TestMixedStrategy:
@@ -106,6 +111,22 @@ class TestFictitiousPlay:
         short = fictitious_play(rps(), iterations=500, tol=0.0)
         long = fictitious_play(rps(), iterations=5000, tol=0.0)
         assert long.exploitability <= short.exploitability
+
+    @pytest.mark.parametrize("game, iterations, tol", [
+        # rows 1 and 2 of rps tie exactly at t=15, and later again
+        (rps(), 500, 0.0),
+        (_seeded_symmetric(30, 7), 400, 0.0),
+        (dice(), 300, 1e-9),
+        (pennies(), 5000, 1e-2),
+    ], ids=["rps", "seeded30", "dice", "pennies"])
+    def test_matches_exact_arithmetic(self, game, iterations, tol):
+        p1, p2, value, gap, t, converged = exact_fictitious_play(game, iterations, tol)
+        result = fictitious_play(game, iterations=iterations, tol=tol)
+        assert np.allclose(result.p1.weights, [float(w) for w in p1], rtol=0, atol=1e-12)
+        assert np.allclose(result.p2.weights, [float(w) for w in p2], rtol=0, atol=1e-12)
+        assert abs(result.value - value) <= 1e-12
+        assert abs(result.exploitability - gap) <= 1e-12
+        assert (result.iterations, result.converged) == (t, converged)
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):

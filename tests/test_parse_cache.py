@@ -12,8 +12,9 @@ from opencomp import (
     EXPLOITER_SOURCE, EvalKind, ParseError, catalog_learners, evaluate,
     render_report, rps, run_tournament,
 )
+from opencomp import dsl
 from opencomp.bundled import CATALOG
-from opencomp.dsl import _PARSE_CACHE_SIZE, _parse_source
+from opencomp.dsl import _MAX_CACHED_SOURCE, _PARSE_CACHE_SIZE, _parse_source
 from test_dsl import env_for
 from test_dsl_differential import _run
 from test_hostile_sources import _Publisher, _quote
@@ -102,3 +103,66 @@ def test_a_tournament_parses_each_simulated_source_once():
     second = _parse_source.cache_info()
     assert second.misses == first.misses
     assert second.hits > first.hits
+
+
+def _rival_of_length(length: int) -> str:
+    """A rival that takes a few dozen steps and halts with 2, padded out to
+    exactly ``length`` characters."""
+    body = "if const 1 == const 2 then const 3 else " * 40 + "const 2"
+    return body + " " * (length - len(body))
+
+
+@pytest.mark.parametrize("length, cached", [
+    (_MAX_CACHED_SOURCE, 1), (_MAX_CACHED_SOURCE + 1, 0), (40 * _MAX_CACHED_SOURCE, 0),
+])
+def test_only_sources_within_the_bound_are_cached(length, cached):
+    # The exploiter simulates only its rival, and the rival simulates nothing.
+    env = env_for(opponent=_rival_of_length(length), me=EXPLOITER_SOURCE, fuel=10_000)
+    _parse_source.cache_clear()
+    result = _run(evaluate, EXPLOITER_SOURCE, env)
+    assert _parse_source.cache_info().currsize == cached
+    assert result == _run(fingerprint_evaluate, EXPLOITER_SOURCE, env)
+    assert result[:2] == (EvalKind.HALTED, 3)
+
+
+# Runs itself against its opponent with all the fuel that is left, so every
+# other step simulates its own text again until the pool is drained.
+_SELF_SIMULATING = "match sim(self, opp, rest) { halted(k) => k | exhausted => const 1 }"
+_LONG_SELF_SIMULATING = _SELF_SIMULATING + " " * (5 * _MAX_CACHED_SOURCE)
+
+
+def _count_parses(monkeypatch, text: str) -> list[int]:
+    """Patch the parser so that the returned list grows by one each time
+    ``text`` is parsed."""
+    calls = []
+    parse = dsl._parse
+
+    def counting(source, depth):
+        if source == text:
+            calls.append(1)
+        return parse(source, depth)
+
+    monkeypatch.setattr(dsl, "_parse", counting)
+    return calls
+
+
+def test_a_long_self_simulating_rival_is_parsed_once_per_evaluation(monkeypatch):
+    parses = _count_parses(monkeypatch, _LONG_SELF_SIMULATING)
+    env = env_for(opponent=_LONG_SELF_SIMULATING, me=EXPLOITER_SOURCE, fuel=20_000)
+    _parse_source.cache_clear()
+    result = evaluate(EXPLOITER_SOURCE, env)
+    assert result.kind is EvalKind.FUEL_EXHAUSTED
+    assert result.fuel_used == 20_000
+    assert len(parses) == 1
+    assert _parse_source.cache_info().currsize == 0
+    evaluate(EXPLOITER_SOURCE, env)
+    assert len(parses) == 2
+
+
+def test_a_tournament_with_a_long_self_simulating_rival_completes(monkeypatch):
+    parses = _count_parses(monkeypatch, _LONG_SELF_SIMULATING)
+    entrants = catalog_learners() + [_Publisher("padded", _LONG_SELF_SIMULATING)]
+    report = run_tournament(rps(), entrants, fuel=100_000)
+    assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
+    # at most one parse for each evaluation that faces the padded rival
+    assert 0 < len(parses) <= 2 * (len(entrants) - 1)
