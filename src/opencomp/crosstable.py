@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplementarityViolation, ParseError
-from .game_core import GameTable
+from .game_core import GameTable, is_label
 
 _COMPLEMENT_TOL = 1e-6
 
@@ -82,6 +82,13 @@ def parse_crosstable(text: str) -> Crosstable:
         raise ComplementarityViolation(
             f"scores for {names[a]} vs {names[b]} sum to "
             f"{total[a, b]:.6f}, expected 1"
+        )
+    # Checked last: a name only matters once it becomes a game label, which
+    # must read back from a game file.
+    bad = next((name for name in names if not is_label(name)), None)
+    if bad is not None:
+        raise ParseError(
+            f"name {bad!r} must be one word with no '#'", line=header_line
         )
     return Crosstable(names=names, scores=scores)
 

@@ -25,15 +25,19 @@ Grammar::
 followed by ASCII letters, digits and underscores; any other character is a
 ``ParseError`` with its position.  Expressions nest at most 640 deep, a
 quoted program counting one level deeper than the ``sim`` that quotes it;
-deeper nesting is a ``ParseError`` too, so every tree the parser builds can
-be walked recursively.
+deeper nesting is a ``ParseError`` too, so a walker that takes one frame
+per level, such as ``pretty``, can recurse through every tree the parser
+builds.  Tree ``==`` and ``hash`` take about two frames per level and can
+pass the default recursion limit near the bound.
 
-A source that ``sim`` runs is parsed once per process, not once per
-evaluation: the trees (or parse errors) of the 1024 most recently simulated
-texts of at most 4096 characters are shared by every evaluation, so the
-cache holds a bounded amount of memory.  A longer text is parsed once per
-evaluation and dropped when the evaluation returns.  Trees are immutable
-and parsing costs no fuel, so sharing changes no result.
+A quoted program runs as its canonical text (``pretty``), which is built
+once per syntax node and kept with the tree.  A source that ``sim`` runs
+is parsed once per process, not once per evaluation: the trees (or parse
+errors) of the 1024 most recently simulated texts of at most 4096
+characters are shared by every evaluation, so the cache holds a bounded
+amount of memory.  A longer text is parsed once per evaluation and dropped
+when the evaluation returns.  Trees are immutable and parsing costs no
+fuel, so sharing changes no result.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -61,7 +65,7 @@ remaining fuel at once.
 from __future__ import annotations
 
 import functools
-import string
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -111,6 +115,13 @@ class SrcSelf:
 @dataclass(frozen=True)
 class SrcQuoted:
     program: "Expr"
+
+    # Not a dataclass field: equality, hashing and the prover's state size
+    # see only the program.
+    @functools.cached_property
+    def text(self) -> str:
+        """Canonical text of the quoted program, the source ``sim`` runs."""
+        return pretty(self.program)
 
 
 Src = Union[SrcOpp, SrcSelf, SrcQuoted]
@@ -173,101 +184,61 @@ class _Token:
     col: int
 
 
-_SYMBOLS = ("=>", "==", "(", ")", "{", "}", ",", "|", "<", ">")
-_DIGITS = frozenset(string.digits)
-_ID_START = frozenset(string.ascii_letters + "_")
-_ID_CHARS = _ID_START | _DIGITS
+# Alternatives in priority order.  Digits and letters are spelled out:
+# ``\d`` and ``\w`` would also match other scripts' digits and letters.
+_TOKEN = re.compile(r"""
+    (?P<blank>[ \t\r]+) | (?P<newline>\n)
+  | (?P<string>"(?P<body>[^"\\]*(?:\\["\\][^"\\]*)*)(?P<close>"?))
+  | (?P<sym>=>|==|[(){},|<>]) | (?P<int>[0-9]+) | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
 _PARSE_CACHE_SIZE = 1024
-_MAX_CACHED_SOURCE = 4096  # characters: ~13 bytes of tree each, ~56 MB for a full cache
+# characters: ~15 bytes of tree and quote texts each, ~63 MB for a full cache
+_MAX_CACHED_SOURCE = 4096
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            closed = False
-            while i < n:
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise ParseError(
-                            "bad escape in quoted program", line=line, column=col
-                        )
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if ch == '"':
-                    closed = True
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\n":
-                    line += 1
-                    col = 0
-                buf.append(ch)
-                i += 1
-                col += 1
-            if not closed:
+    line, line_start, pos, n = 1, 0, 0, len(text)
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line=line, column=col
+            )
+        kind, value, end = m.lastgroup, m.group(), m.end()
+        start_line = line
+        breaks = value.count("\n")
+        if breaks:
+            line += breaks
+            line_start = pos + value.rindex("\n") + 1
+        if kind == "string":
+            if not m.group("close"):
+                if end == n:
+                    raise ParseError(
+                        "unterminated quoted program", line=start_line, column=col
+                    )
+                # The body stopped at a backslash that escapes neither '"'
+                # nor '\'.
                 raise ParseError(
-                    "unterminated quoted program", line=start_line, column=start_col
+                    "bad escape in quoted program",
+                    line=line, column=end - line_start + 1,
                 )
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            tokens.append(_Token("sym", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > _MAX_INT_DIGITS:
-                raise ParseError(
-                    f"integer literal longer than {_MAX_INT_DIGITS} digits",
-                    line=line, column=col,
-                )
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ID_START:
-            j = i
-            while j < n and text[j] in _ID_CHARS:
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "id"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line=line, column=col)
-    tokens.append(_Token("eof", "", line, col))
+            value = _ESCAPE.sub(r"\1", m.group("body"))
+        elif kind == "int" and end - pos > _MAX_INT_DIGITS:
+            raise ParseError(
+                f"integer literal longer than {_MAX_INT_DIGITS} digits",
+                line=line, column=col,
+            )
+        elif kind == "word":
+            kind = "kw" if value in _KEYWORDS else "id"
+        if kind not in ("blank", "newline"):
+            tokens.append(_Token(kind, value, start_line, col))
+        pos = end
+    tokens.append(_Token("eof", "", line, n - line_start + 1))
     return tokens
 
 
@@ -292,19 +263,11 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, line=tok.line, column=tok.col)
 
-    def expect_sym(self, sym: str) -> None:
+    def expect(self, kind: str, value: str) -> None:
         tok = self.next()
-        if tok.kind != "sym" or tok.value != sym:
+        if tok.kind != kind or tok.value != value:
             raise ParseError(
-                f"expected '{sym}', got '{tok.value or 'end of input'}'",
-                line=tok.line, column=tok.col,
-            )
-
-    def expect_kw(self, word: str) -> None:
-        tok = self.next()
-        if tok.kind != "kw" or tok.value != word:
-            raise ParseError(
-                f"expected '{word}', got '{tok.value or 'end of input'}'",
+                f"expected '{value}', got '{tok.value or 'end of input'}'",
                 line=tok.line, column=tok.col,
             )
 
@@ -323,40 +286,40 @@ class _Parser:
                 return Literal(int(num.value), bare=False)
             if tok.value == "bestresp":
                 self.next()
-                self.expect_sym("(")
+                self.expect("sym", "(")
                 arg = self.expr(depth + 1)
-                self.expect_sym(")")
+                self.expect("sym", ")")
                 return BestResp(arg)
             if tok.value == "sim":
                 self.next()
-                self.expect_sym("(")
+                self.expect("sym", "(")
                 target = self.src(depth)
-                self.expect_sym(",")
+                self.expect("sym", ",")
                 adversary = self.src(depth)
-                self.expect_sym(",")
+                self.expect("sym", ",")
                 budget = self.budget()
-                self.expect_sym(")")
+                self.expect("sym", ")")
                 return Sim(target, adversary, budget)
             if tok.value == "match":
                 self.next()
                 scrutinee = self.expr(depth + 1)
-                self.expect_sym("{")
-                self.expect_kw("halted")
-                self.expect_sym("(")
+                self.expect("sym", "{")
+                self.expect("kw", "halted")
+                self.expect("sym", "(")
                 var = self.next()
                 if var.kind != "id":
                     raise ParseError(
                         "halted pattern needs an identifier",
                         line=var.line, column=var.col,
                     )
-                self.expect_sym(")")
-                self.expect_sym("=>")
+                self.expect("sym", ")")
+                self.expect("sym", "=>")
                 on_halted = self.expr(depth + 1)
-                self.expect_sym("|")
-                self.expect_kw("exhausted")
-                self.expect_sym("=>")
+                self.expect("sym", "|")
+                self.expect("kw", "exhausted")
+                self.expect("sym", "=>")
                 on_exhausted = self.expr(depth + 1)
-                self.expect_sym("}")
+                self.expect("sym", "}")
                 return Match(scrutinee, var.value, on_halted, on_exhausted)
             if tok.value == "if":
                 self.next()
@@ -368,9 +331,9 @@ class _Parser:
                         line=op.line, column=op.col,
                     )
                 right = self.expr(depth + 1)
-                self.expect_kw("then")
+                self.expect("kw", "then")
                 then = self.expr(depth + 1)
-                self.expect_kw("else")
+                self.expect("kw", "else")
                 otherwise = self.expr(depth + 1)
                 return If(left, op.value, right, then, otherwise)
             if tok.value == "loop":
@@ -523,7 +486,7 @@ def pretty(node: Expr | Src) -> str:
     if isinstance(node, SrcSelf):
         return "self"
     if isinstance(node, SrcQuoted):
-        inner = pretty(node.program).replace("\\", "\\\\").replace('"', '\\"')
+        inner = node.text.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{inner}"'
     raise TypeError(f"not a syntax node: {node!r}")
 
@@ -684,7 +647,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     if isinstance(program, str):
         program = parse_program(program)
     g = 0  # fuel consumed so far, shared by every nesting level
-    pretty_cache: dict[int, tuple[Expr, str]] = {}
     long_trees: dict[str, Expr | ParseError] = {}
     game = env.game
 
@@ -699,21 +661,12 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     levels = [root]
     final = None
 
-    def cached_pretty(node: Expr) -> str:
-        # Keyed by id(), so the entry holds the node: a tree evicted from the
-        # shared parse cache mid-call cannot free it and hand its id to
-        # another node.
-        hit = pretty_cache.get(id(node))
-        if hit is None:
-            hit = pretty_cache[id(node)] = (node, pretty(node))
-        return hit[1]
-
     def src_text(src: Src, lvl: _Level) -> str:
         if isinstance(src, SrcOpp):
             return lvl.opp_source
         if isinstance(src, SrcSelf):
             return lvl.self_source
-        return cached_pretty(src.program)
+        return src.text
 
     def pop(result) -> None:
         nonlocal final
@@ -783,14 +736,10 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     lvl.control = ("expr", node.left, bindings)
                 elif isinstance(node, Sim):
                     adversary = src_text(node.adversary, lvl)
+                    text = src_text(node.target, lvl)
                     if isinstance(node.target, SrcOpp):
-                        text = lvl.opp_source
                         child_side = lvl.side.opposite
-                    elif isinstance(node.target, SrcSelf):
-                        text = lvl.self_source
-                        child_side = lvl.side
                     else:
-                        text = cached_pretty(node.target.program)
                         child_side = lvl.side
                     parsed = _simulated_tree(text, long_trees)
                     if isinstance(parsed, ParseError):

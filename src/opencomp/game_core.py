@@ -30,6 +30,15 @@ class Outcome(IntEnum):
     WIN = 1
 
 
+def is_label(text: str) -> bool:
+    """Whether ``text`` can be a game name or strategy label in a game file.
+
+    It must be one word there: not empty, with no whitespace (which covers
+    every line break) and no ``#``, which starts a comment.
+    """
+    return isinstance(text, str) and text.split() == [text] and "#" not in text
+
+
 class Side(str, Enum):
     ROW = "row"
     COL = "col"
@@ -42,6 +51,9 @@ class Side(str, Enum):
 @dataclass(frozen=True, eq=False)
 class GameTable:
     """Immutable payoff table with optional strategy labels.
+
+    The name and every label are one word without ``#`` (``is_label``), so
+    that ``serialize_game`` writes a file ``parse_game`` reads back.
 
     ``symmetric_flag`` is a declaration, checked at construction: a symmetric
     table must be square and antisymmetric (``entries[i][j] == -entries[j][i]``,
@@ -72,6 +84,11 @@ class GameTable:
             raise InvariantError("labels_rows length does not match row count")
         if self.labels_cols is not None and len(self.labels_cols) != nc:
             raise InvariantError("labels_cols length does not match column count")
+        for word in (self.name, *(self.labels_rows or ()), *(self.labels_cols or ())):
+            if not is_label(word):
+                raise InvariantError(
+                    f"name or label {word!r} must be one word with no '#'"
+                )
         if self.symmetric_flag:
             if nr != nc:
                 raise InvariantError("symmetric table must be square")

@@ -186,6 +186,17 @@ class TestErrorHandling:
         assert code == 2
         assert "sum to" in err
 
+    def test_crosstable_name_that_is_no_game_label(self, tmp_path, repo_root):
+        bad = tmp_path / "bad.ct"
+        bad.write_text("names,Stock fish,B\nStock fish,,0.7\nB,0.3,\n")
+        code, out, err = run("crosstable", str(bad))
+        assert (code, out) == (2, "")
+        assert "'Stock fish' must be one word" in err
+        path = str(repo_root / "crosstables/engines3.ct")
+        code, out, err = run("crosstable", path, "--name", "my game")
+        assert (code, out) == (2, "")
+        assert "'my game' must be one word" in err
+
     def test_series_shape_mismatch(self, repo_root):
         code, _, err = run(
             "series", "--game", str(repo_root / "games/rps.gm"),

@@ -89,6 +89,17 @@ class TestParse:
             table.scores, parse_crosstable(ENGINES3_TEXT).scores, equal_nan=True
         )
 
+    @pytest.mark.parametrize("text, line", [
+        ("names,Stock fish,B\nStock fish,,0.7\nB,0.3,\n", 1),
+        ("names,,B\n,,0.7\nB,0.3,\n", 1),
+        ("\nnames,A#1,B\nA#1,,0.7\nB,0.3,\n", 2),
+    ], ids=["space", "empty", "hash"])
+    def test_names_must_be_game_labels(self, text, line):
+        # Each would become a label that a game file cannot read back.
+        with pytest.raises(ParseError, match="must be one word with no '#'") as err:
+            ingest_crosstable(text)
+        assert err.value.line == line
+
     def test_complementarity_tolerates_rounding(self):
         table = parse_crosstable("names,A,B\nA,,0.5500004\nB,0.4499997,\n")
         assert table.scores[0, 1] == pytest.approx(0.5500004)

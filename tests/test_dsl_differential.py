@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerprint_oracle import fingerprint_evaluate
-from opencomp import EXPLOITER_SOURCE, EvalKind, RuntimeFault, evaluate, pretty
+from opencomp import (
+    EXPLOITER_SOURCE, EvalKind, RuntimeFault, evaluate, parse_program, pretty,
+)
 from opencomp.dsl import _parse_source
 from test_dsl import env_for, program_trees
 
@@ -77,8 +79,18 @@ def test_cold_and_warm_parse_cache_agree_with_the_oracle(tree, opponent, fuel, c
      65536, (EvalKind.HALTED, 2, None, 5)),
     ('match sim("loop", opp, 2) { halted(k) => k | exhausted => 2 }', 50,
      65536, (EvalKind.HALTED, 2, None, 5)),
+    # A `loop` state holding a quote sizes to 976.  The oracle sizes the
+    # same node classes, so if a quote's text counted towards the size both
+    # sides would move together: only these pinned numbers would change.
+    ('if loop == 1 then sim("const 1", opp, 5) else 2', 40, 976,
+     (EvalKind.PROVEN_NONHALTING, None, (2, 3), 2)),
+    ('if loop == 1 then sim("const 1", opp, 5) else 2', 40, 975,
+     (EvalKind.FUEL_EXHAUSTED, None, None, 40)),
 ])
 def test_boundary_cases_match_the_oracle(source, fuel, cap, expected):
+    program = parse_program(source)
     env = env_for(me=source, fuel=fuel, memory_cap=cap)
-    new, old = _both(source, env)
-    assert new == old == expected
+    for _ in range(2):  # the second time with every quote's text built
+        new, old = _both(program, env)
+        assert new == old == expected
+        pretty(program.ast)

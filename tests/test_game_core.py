@@ -3,11 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_game_count, game_tables
+from conftest import brute_game_count, game_tables, symmetric_tables
 from opencomp import (
     MAX_STRATEGIES, GameTable, InvariantError, Outcome, ParseError, Side,
     dice, enumerate_game_count, is_symmetric, outcome, parse_game, pennies,
     role_swapped, rps, serialize_game,
+)
+from opencomp.game_core import is_label
+
+# Mostly words that can stand in a game file, often words that cannot:
+# empty, holding whitespace or a line break, or holding '#'.
+_NAMES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5),
+    st.sampled_from(["R", "row", "1:", "+1", "game", "\u00e9", "\ufeff"]),
+    st.sampled_from(["", "a b", "a\tb", "#", "a#b", "\x1c", "\x85", "\u2028"]),
 )
 
 
@@ -58,6 +67,22 @@ class TestGameTable:
             GameTable(
                 name="bad", entries=np.zeros((2, 2), dtype=np.int8),
                 labels_rows=("a",),
+            )
+
+    @pytest.mark.parametrize("name, labels", [
+        ("my game", None),
+        ("", None),
+        ("g#1", None),
+        ("g", ("Stock fish", "B")),
+        ("g", ("", "B")),
+        ("g", ("A#1", "B")),
+        ("g", ("A\u2028", "B")),  # a line break to splitlines()
+    ])
+    def test_name_and_labels_must_be_one_word_without_a_hash(self, name, labels):
+        with pytest.raises(InvariantError, match="must be one word with no '#'"):
+            GameTable(
+                name=name, entries=np.zeros((2, 2), dtype=np.int8),
+                labels_rows=labels, labels_cols=labels,
             )
 
     def test_equality(self):
@@ -214,6 +239,30 @@ class TestParseSerialize:
         again = parse_game(text)
         assert again == game
         assert serialize_game(again) == text
+
+    @given(
+        st.one_of(game_tables(max_side=4), symmetric_tables(max_side=4)),
+        _NAMES, st.booleans(), st.booleans(), st.data(),
+    )
+    @settings(max_examples=150)
+    def test_every_table_that_constructs_round_trips(
+        self, game, name, with_rows, with_cols, data
+    ):
+        def labels(count, present):
+            if not present:
+                return None
+            return tuple(data.draw(st.lists(_NAMES, min_size=count, max_size=count)))
+
+        rows, cols = labels(game.rows, with_rows), labels(game.cols, with_cols)
+        try:
+            table = GameTable(
+                name=name, entries=game.entries, symmetric_flag=game.symmetric_flag,
+                labels_rows=rows, labels_cols=cols,
+            )
+        except InvariantError:
+            assert not all(map(is_label, [name, *(rows or ()), *(cols or ())]))
+            return
+        assert parse_game(serialize_game(table)) == table
 
     @given(game_tables(max_side=4), st.booleans())
     @settings(max_examples=40)

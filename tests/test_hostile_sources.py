@@ -153,3 +153,31 @@ def test_nesting_around_the_bound_parses_or_is_a_parse_error(kinds, length, quot
             parse_program(text)
     result = evaluate(EXPLOITER_SOURCE, env_for(opponent=text, fuel=3000))
     assert isinstance(result, EvalResult)
+
+
+# 638 `bestresp(` inside a quote inside `match`: `const 1` sits at depth
+# exactly _MAX_NESTING.
+_AT_THE_BOUND = (
+    "match sim("
+    + _quote("bestresp(" * 638 + "const 1" + ")" * 638)
+    + ", opp, 5000) { halted(k) => k | exhausted => 2 }"
+)
+
+
+def test_a_program_at_the_nesting_bound_runs_at_the_default_recursion_limit():
+    # Outside hypothesis, which raises the recursion limit while a test runs.
+    # Texts are compared, not trees: tree `==` takes about two frames per
+    # level and would pass the default limit here.
+    text = pretty(parse_program(_AT_THE_BOUND).ast)
+    assert pretty(parse_program(text).ast) == text
+    result = evaluate(_AT_THE_BOUND, env_for(me=_AT_THE_BOUND, fuel=10_000))
+    assert (result.kind, result.strategy, result.fuel_used) == (
+        EvalKind.HALTED, 3, 1281
+    )
+    result = evaluate(
+        EXPLOITER_SOURCE,
+        env_for(opponent=_AT_THE_BOUND, me=EXPLOITER_SOURCE, fuel=10_000),
+    )
+    assert (result.kind, result.strategy) == (EvalKind.HALTED, 1)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_program(_AT_THE_BOUND.replace("const 1", "bestresp(const 1)"))
