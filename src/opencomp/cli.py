@@ -21,7 +21,7 @@ from .classify import (
 from .crosstable import ingest_crosstable
 from .demos import run_all_demos
 from .dsl import parse_learner_file
-from .game_core import GameTable, enumerate_game_count, parse_game, serialize_game
+from .game_core import GameTable, parse_game, serialize_game, table_cells
 from .mixed import fictitious_play
 from .series import Aggregator, compose_series
 
@@ -30,6 +30,12 @@ _BUILTIN_GAMES = {
     "dice": bundled.dice,
     "pennies": bundled.pennies,
 }
+
+
+# 3**9012 has 4,300 digits, the most Python converts to text by default.
+# A larger count is printed as a power and never computed, so even the
+# largest shape (10**8 cells) answers at once.
+_MAX_DECIMAL_CELLS = 9012
 
 
 class _UsageError(Exception):
@@ -204,8 +210,10 @@ def _cmd_crosstable(args) -> tuple[int, str, str]:
 
 
 def _cmd_enumerate(args) -> tuple[int, str, str]:
-    count = enumerate_game_count(args.rows, args.cols)
-    return 0, f"games={count}\n", ""
+    cells = table_cells(args.rows, args.cols)
+    if cells > _MAX_DECIMAL_CELLS:
+        return 0, f"games=3^{cells}\n", ""
+    return 0, f"games={3 ** cells}\n", ""
 
 
 _HANDLERS = {

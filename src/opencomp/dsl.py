@@ -30,14 +30,16 @@ per level, such as ``pretty``, can recurse through every tree the parser
 builds.  Tree ``==`` and ``hash`` take about two frames per level and can
 pass the default recursion limit near the bound.
 
-A quoted program runs as its canonical text (``pretty``), which is built
-once per syntax node and kept with the tree.  A source that ``sim`` runs
-is parsed once per process, not once per evaluation: the trees (or parse
-errors) of the 1024 most recently simulated texts of at most 4096
-characters are shared by every evaluation, so the cache holds a bounded
-amount of memory.  A longer text is parsed once per evaluation and dropped
-when the evaluation returns.  Trees are immutable and parsing costs no
-fuel, so sharing changes no result.
+A quoted program runs as its own syntax tree and is never parsed again.
+The two sources ``evaluate`` is given, the opponent's and its own, are
+parsed when a ``sim`` first runs them, and every level of the simulation
+tower keeps the tree it got.  They are parsed once per process, not once
+per evaluation: the trees of the 1024 most recently given texts of at most
+4096 characters (or the verdict that a text is not a program) are shared
+by every evaluation, so the cache holds a bounded amount of memory.  A
+longer text is parsed at most once per evaluation and dropped when the
+evaluation returns.  Trees are immutable and parsing costs no fuel, so
+sharing changes no result.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -114,14 +116,7 @@ class SrcSelf:
 
 @dataclass(frozen=True)
 class SrcQuoted:
-    program: "Expr"
-
-    # Not a dataclass field: equality, hashing and the prover's state size
-    # see only the program.
-    @functools.cached_property
-    def text(self) -> str:
-        """Canonical text of the quoted program, the source ``sim`` runs."""
-        return pretty(self.program)
+    program: "Expr"  # ``sim`` runs a quote's tree as it runs a ``_Given``'s
 
 
 Src = Union[SrcOpp, SrcSelf, SrcQuoted]
@@ -195,7 +190,8 @@ _ESCAPE = re.compile(r"\\(.)")
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
 _PARSE_CACHE_SIZE = 1024
-# characters: ~15 bytes of tree and quote texts each, ~63 MB for a full cache
+# characters: up to ~23 bytes of key and tree each (tracemalloc, five shapes
+# of source), ~97 MB for a full cache
 _MAX_CACHED_SOURCE = 4096
 
 
@@ -401,42 +397,17 @@ def parse_program(text: str) -> StrategyProgram:
     return StrategyProgram(source=text, ast=_parse(text, 0))
 
 
-def _read_source(text: str) -> Expr | ParseError:
-    """Syntax tree of a simulated source, or the error that rejects it.
-
-    The error is kept without its traceback or the quoted program's error it
-    replaced, so a cached one pins no parser frames.
-    """
-    try:
-        return _parse(text, 0)
-    except ParseError as exc:
-        exc.__context__ = None
-        return exc.with_traceback(None)
-
-
 # Shared by every evaluation in the process: trees are immutable, and
 # parsing is a pure function of the text that costs no fuel, so a cache hit
 # cannot change a result.
-_parse_source = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)(_read_source)
-
-
-def _simulated_tree(
-    text: str, long_trees: dict[str, Expr | ParseError]
-) -> Expr | ParseError:
-    """Tree of a source that ``sim`` runs, each text parsed at most once.
-
-    A text of at most ``_MAX_CACHED_SOURCE`` characters goes through the
-    shared cache.  A longer one is kept in ``long_trees``, which lives for
-    one evaluation: the shared cache stays small, and a long rival that
-    simulates itself on every step is still parsed only once, so fuel keeps
-    bounding the work.
-    """
-    if len(text) <= _MAX_CACHED_SOURCE:
-        return _parse_source(text)
-    tree = long_trees.get(text)
-    if tree is None:
-        tree = long_trees[text] = _read_source(text)
-    return tree
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_source(text: str) -> Expr | None:
+    """Syntax tree of a source given to ``evaluate``, or None if the text
+    is not a program."""
+    try:
+        return _parse(text, 0)
+    except ParseError:
+        return None
 
 
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
@@ -486,7 +457,7 @@ def pretty(node: Expr | Src) -> str:
     if isinstance(node, SrcSelf):
         return "self"
     if isinstance(node, SrcQuoted):
-        inner = node.text.replace("\\", "\\\\").replace('"', '\\"')
+        inner = pretty(node.program).replace("\\", "\\\\").replace('"', '\\"')
         return f'"{inner}"'
     raise TypeError(f"not a syntax node: {node!r}")
 
@@ -584,20 +555,37 @@ class _FaultSignal(Exception):
     pass
 
 
+class _Given:
+    """A source text handed to ``evaluate``, parsed when a ``sim`` first runs
+    it.  Like ``SrcQuoted``, it is a source whose ``program`` is its tree,
+    or None when the text is not a program."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    @functools.cached_property
+    def program(self) -> Expr | None:
+        # A longer text stays out of the shared cache, so the cache holds a
+        # bounded amount of memory; the holder still parses it only once.
+        if len(self.text) <= _MAX_CACHED_SOURCE:
+            return _parse_source(self.text)
+        return _parse_source.__wrapped__(self.text)
+
+
+_Source = Union[_Given, SrcQuoted]
+
+
 class _Level:
     """One live evaluation: the top program or a nested simulation."""
 
-    __slots__ = (
-        "control", "kont", "side", "opp_source", "self_source",
-        "limit", "start_g",
-    )
+    __slots__ = ("control", "kont", "side", "opp", "me", "limit", "start_g")
 
-    def __init__(self, control, side, opp_source, self_source, limit, start_g):
+    def __init__(self, control, side, opp: _Source, me: _Source, limit, start_g):
         self.control = control
         self.kont: tuple = ()
         self.side = side
-        self.opp_source = opp_source
-        self.self_source = self_source
+        self.opp = opp
+        self.me = me
         self.limit = limit          # absolute step count this level may reach
         self.start_g = start_g
 
@@ -628,6 +616,14 @@ def _est_size(state) -> int:
     return size
 
 
+def _resolve(src: Src, lvl: _Level) -> _Source:
+    if isinstance(src, SrcOpp):
+        return lvl.opp
+    if isinstance(src, SrcSelf):
+        return lvl.me
+    return src
+
+
 def _lookup(bindings: tuple, name: str):
     for key, value in reversed(bindings):
         if key == name:
@@ -647,26 +643,18 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     if isinstance(program, str):
         program = parse_program(program)
     g = 0  # fuel consumed so far, shared by every nesting level
-    long_trees: dict[str, Expr | ParseError] = {}
     game = env.game
 
     root = _Level(
         control=("expr", program.ast, ()),
         side=env.side,
-        opp_source=env.opponent_source,
-        self_source=env.self_source,
+        opp=_Given(env.opponent_source),
+        me=_Given(env.self_source),
         limit=env.fuel,
         start_g=0,
     )
     levels = [root]
     final = None
-
-    def src_text(src: Src, lvl: _Level) -> str:
-        if isinstance(src, SrcOpp):
-            return lvl.opp_source
-        if isinstance(src, SrcSelf):
-            return lvl.self_source
-        return src.text
 
     def pop(result) -> None:
         nonlocal final
@@ -735,14 +723,14 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     )
                     lvl.control = ("expr", node.left, bindings)
                 elif isinstance(node, Sim):
-                    adversary = src_text(node.adversary, lvl)
-                    text = src_text(node.target, lvl)
+                    adversary = _resolve(node.adversary, lvl)
+                    target = _resolve(node.target, lvl)
                     if isinstance(node.target, SrcOpp):
                         child_side = lvl.side.opposite
                     else:
                         child_side = lvl.side
-                    parsed = _simulated_tree(text, long_trees)
-                    if isinstance(parsed, ParseError):
+                    tree = target.program
+                    if tree is None:
                         # A rival whose source is not a runnable program
                         # yields nothing observable.
                         lvl.control = ("value", SimOut("exhausted"))
@@ -753,10 +741,10 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             child_limit = min(lvl.limit, g + node.budget)
                         lvl.control = ("await",)
                         levels.append(_Level(
-                            control=("expr", parsed, ()),
+                            control=("expr", tree, ()),
                             side=child_side,
-                            opp_source=adversary,
-                            self_source=text,
+                            opp=adversary,
+                            me=target,
                             limit=child_limit,
                             start_g=g,
                         ))

@@ -289,11 +289,17 @@ def serialize_game(table: GameTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def enumerate_game_count(n_rows: int, n_cols: int) -> int:
-    """Number of distinct payoff tables of the given shape: each cell is
-    independently -1, 0 or 1, so 3**cells."""
+def table_cells(n_rows: int, n_cols: int) -> int:
+    """Number of cells of a payoff table of the given shape; ValueError if
+    the shape is not one a table can have."""
     if n_rows < 1 or n_cols < 1:
         raise ValueError("both dimensions must be at least 1")
     if n_rows > MAX_STRATEGIES or n_cols > MAX_STRATEGIES:
         raise ValueError(f"dimensions are capped at {MAX_STRATEGIES}")
-    return 3 ** (n_rows * n_cols)
+    return n_rows * n_cols
+
+
+def enumerate_game_count(n_rows: int, n_cols: int) -> int:
+    """Number of distinct payoff tables of the given shape: each cell is
+    independently -1, 0 or 1, so 3**cells."""
+    return 3 ** table_cells(n_rows, n_cols)

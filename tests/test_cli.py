@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from conftest import REPO_ROOT
 from opencomp import serialize_game, rps
 from opencomp.cli import dispatch
 
@@ -143,6 +146,27 @@ class TestOtherCommands:
         assert code == 0
         assert out == "games=81\n"
 
+    def test_enumerate_prints_counts_of_4300_digits_in_full(self):
+        code, out, _ = run("enumerate", "--rows", "1", "--cols", "9012")
+        assert code == 0
+        assert out == f"games={3 ** 9012}\n"
+        assert len(out) == len("games=\n") + 4300
+
+    @pytest.mark.parametrize("rows, cols", [(1, 9013), (10_000, 10_000)])
+    def test_enumerate_prints_larger_counts_as_powers(self, rows, cols):
+        start = time.perf_counter()
+        code, out, err = run("enumerate", "--rows", str(rows), "--cols", str(cols))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, f"games=3^{rows * cols}\n", "")
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        (0, 2, "both dimensions must be at least 1"),
+        (10_001, 20_000, "dimensions are capped at 10000"),
+    ])
+    def test_enumerate_rejects_shapes_no_table_has(self, rows, cols, message):
+        code, out, err = run("enumerate", "--rows", str(rows), "--cols", str(cols))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestErrorHandling:
     def test_no_command_is_a_usage_error(self):
@@ -215,11 +239,21 @@ class TestErrorHandling:
             assert code in (1, 2, 3)
 
 
+def _module_env() -> dict[str, str]:
+    """The test process's environment, with this checkout's ``src`` first on
+    the child's module path, so ``python -m opencomp`` runs uninstalled."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opencomp", "classify", "--game", "rps"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=_module_env(),
         )
         assert proc.returncode == 0
         assert "StronglyIntransitive" in proc.stdout
@@ -228,6 +262,6 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "opencomp", "classify", "--game",
              "rps", "--assert-class", "Other"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=_module_env(),
         )
         assert proc.returncode == 3

@@ -1,15 +1,17 @@
 """The parse cache that every evaluation shares.
 
-``sim`` looks its target's text up in one bounded cache per process, so a
-tournament parses each rival source once.  Sharing must change no result:
-not when the cache is cold, not when trees are evicted in the middle of an
-evaluation, and not when the cached entry is a parse error.
+``sim`` reads the sources ``evaluate`` is given through one bounded cache
+per process, so a tournament parses each rival source once; a quoted
+program runs its own tree and never reaches the cache.  Sharing must change
+no result: not when the cache is cold, not when a program quotes more texts
+than the cache holds, and not when the cached entry is a text that does not
+parse.
 """
 import pytest
 
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
-    EXPLOITER_SOURCE, EvalKind, ParseError, catalog_learners, evaluate,
+    EXPLOITER_SOURCE, EvalKind, catalog_learners, evaluate, parse_program,
     render_report, rps, run_tournament,
 )
 from opencomp import dsl
@@ -20,19 +22,20 @@ from test_dsl_differential import _run
 from test_hostile_sources import _Publisher, _quote
 
 
+def _run_quoted(text: str, budget: int) -> str:
+    return (f"match sim({_quote(text)}, opp, {budget}) "
+            "{ halted(k) => k | exhausted => 0 }")
+
+
 def _wide_source(leaves: int) -> str:
     """A program quoting ``leaves`` distinct programs, each quoting another.
 
     Leaf ``i`` runs ``match sim("const i", ...)`` and checks that it saw
-    ``i``, so every leaf adds two texts to the parse cache.  The leaves sit
-    in a balanced tree of ``if`` nodes, well inside the nesting bound.
+    ``i``, so every leaf quotes two texts.  The leaves sit in a balanced
+    tree of ``if`` nodes, well inside the nesting bound.
     """
-    def run(text: str, budget: int) -> str:
-        return (f"match sim({_quote(text)}, opp, {budget}) "
-                "{ halted(k) => k | exhausted => 0 }")
-
     checks = [
-        f"if {run(run(f'const {i}', 5), 50)} == {i} then 1 else 2"
+        f"if {_run_quoted(_run_quoted(f'const {i}', 5), 50)} == {i} then 1 else 2"
         for i in range(1, leaves + 1)
     ]
     while len(checks) > 1:
@@ -52,21 +55,23 @@ _WIDE = _wide_source(_PARSE_CACHE_SIZE)
     (EXPLOITER_SOURCE, _WIDE, 2),
 ], ids=["wide-program", "exploiter-vs-wide-rival"])
 def test_evicting_trees_mid_evaluation_matches_the_oracle(me, opponent, strategy):
+    # More quoted texts than the cache holds, so sharing trees through the
+    # cache would evict them mid-evaluation; none is read through it, and
+    # `_WIDE` itself is over the length bound.
     env = env_for(opponent=opponent, me=me, fuel=200_000)
     _parse_source.cache_clear()
     result = _run(evaluate, me, env)
-    assert _parse_source.cache_info().misses > _PARSE_CACHE_SIZE
+    assert _parse_source.cache_info().misses == 0
     assert result == _run(fingerprint_evaluate, me, env)
     assert result[:2] == (EvalKind.HALTED, strategy)
 
 
 def test_a_cached_parse_error_pins_no_frames():
+    # The cache stores None for a text that does not parse, not the error.
     _parse_source.cache_clear()
-    error = _parse_source('sim("const ²", opp, 5)')
-    assert isinstance(error, ParseError)
-    assert "inside quoted program" in str(error)
-    assert error.__traceback__ is None
-    assert error.__context__ is None
+    assert _parse_source('sim("const ²", opp, 5)') is None
+    assert _parse_source('sim("const ²", opp, 5)') is None
+    assert _parse_source.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_an_unparseable_rival_reads_as_exhausted_every_time():
@@ -131,14 +136,14 @@ _SELF_SIMULATING = "match sim(self, opp, rest) { halted(k) => k | exhausted => c
 _LONG_SELF_SIMULATING = _SELF_SIMULATING + " " * (5 * _MAX_CACHED_SOURCE)
 
 
-def _count_parses(monkeypatch, text: str) -> list[int]:
+def _count_parses(monkeypatch, *texts: str) -> list[int]:
     """Patch the parser so that the returned list grows by one each time
-    ``text`` is parsed."""
+    one of ``texts`` is parsed."""
     calls = []
     parse = dsl._parse
 
     def counting(source, depth):
-        if source == text:
+        if source in texts:
             calls.append(1)
         return parse(source, depth)
 
@@ -166,3 +171,18 @@ def test_a_tournament_with_a_long_self_simulating_rival_completes(monkeypatch):
     assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
     # at most one parse for each evaluation that faces the padded rival
     assert 0 < len(parses) <= 2 * (len(entrants) - 1)
+
+
+def test_a_wide_program_parses_no_quoted_text_when_it_runs(monkeypatch):
+    program = parse_program(_WIDE)
+    quoted = [
+        text for i in range(1, _PARSE_CACHE_SIZE + 1)
+        for text in (f"const {i}", _run_quoted(f"const {i}", 5))
+    ]
+    parses = _count_parses(monkeypatch, *quoted)
+    parse_program(_WIDE)
+    assert len(parses) == len(quoted)  # the parser reads each quote once
+    parses.clear()
+    result = evaluate(program, env_for(opponent="const 1", me=_WIDE, fuel=200_000))
+    assert (result.kind, result.strategy) == (EvalKind.HALTED, 1)
+    assert parses == []
