@@ -51,7 +51,15 @@ non-halting was proven early).  A child simulated with ``rest`` that runs
 out of fuel has by definition drained the caller's own pool, so the caller
 exhausts too.  This is what makes halting results stable under fuel
 increases, and what makes two mutual simulators burn all their fuel rather
-than bottom out.
+than bottom out.  The burn is not run level by level.  A ``sim`` whose
+target, seat and adversary (the same source objects) and limit equal a
+live ancestor's starts in that ancestor's state, and the machine reads the
+fuel counter only against limits (a nested level's witness reaches its
+parent as ``exhausted``), so the child would repeat the ancestor's descent
+until the shared limit stops it.  The limit is spent at once instead:
+every level that has it then holds a simulation's result and pops as
+exhausted or as a fault, as in the full descent, so the result and
+``fuel_used`` are unchanged.
 
 The two non-halting primitives are decided where they occur.  The language
 has no in-level recursion, so every other step moves the machine strictly
@@ -578,16 +586,18 @@ _Source = Union[_Given, SrcQuoted]
 class _Level:
     """One live evaluation: the top program or a nested simulation."""
 
-    __slots__ = ("control", "kont", "side", "opp", "me", "limit", "start_g")
+    __slots__ = ("control", "kont", "side", "opp", "me", "limit", "key", "shadowed")
 
-    def __init__(self, control, side, opp: _Source, me: _Source, limit, start_g):
+    def __init__(self, control, side, opp: _Source, me: _Source, limit,
+                 key=None, shadowed=None):
         self.control = control
         self.kont: tuple = ()
         self.side = side
         self.opp = opp
         self.me = me
         self.limit = limit          # absolute step count this level may reach
-        self.start_g = start_g
+        self.key = key              # (target, seat, adversary) of a simulation
+        self.shadowed = shadowed    # the live level this one hides under key
 
 
 def _est_size(state) -> int:
@@ -651,14 +661,19 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         opp=_Given(env.opponent_source),
         me=_Given(env.self_source),
         limit=env.fuel,
-        start_g=0,
     )
     levels = [root]
+    # Deepest live simulation per (target, seat, adversary).  The root is
+    # not entered: its program need not be ``env.self_source``.  Sources are
+    # keyed by identity; every one stays alive until the evaluation returns.
+    live: dict = {}
     final = None
 
     def pop(result) -> None:
         nonlocal final
-        levels.pop()
+        done = levels.pop()
+        if done.key is not None:
+            live[done.key] = done.shadowed
         if not levels:
             final = result
             return
@@ -697,11 +712,11 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                 elif isinstance(node, Loop):
                     # This step leaves the state as it was, so the next one
                     # would repeat it: a proof, if the state fits the cap
-                    # and fuel is left to take that next step.
+                    # and fuel is left to take that next step.  Only the
+                    # root's witness is reported, and it starts at step 0.
                     size = _est_size((control, lvl.kont))
                     if g < lvl.limit and size <= env.memory_cap:
-                        step = g - lvl.start_g
-                        pop(("proven", step, step + 1))
+                        pop(("proven", g, g + 1))
                     else:
                         g = lvl.limit
                         pop(("exhausted",))
@@ -739,15 +754,25 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             child_limit = lvl.limit
                         else:
                             child_limit = min(lvl.limit, g + node.budget)
+                        key = (id(target), child_side, id(adversary))
+                        twin = live.get(key)
+                        if twin is not None and twin.limit == child_limit:
+                            # The child starts in its twin's state, and its
+                            # run would repeat the twin's descent until the
+                            # shared limit stops it: spend that limit now.
+                            g = child_limit
                         lvl.control = ("await",)
-                        levels.append(_Level(
+                        child = _Level(
                             control=("expr", tree, ()),
                             side=child_side,
                             opp=adversary,
                             me=target,
                             limit=child_limit,
-                            start_g=g,
-                        ))
+                            key=key,
+                            shadowed=twin,
+                        )
+                        live[key] = child
+                        levels.append(child)
                 else:  # pragma: no cover
                     raise _FaultSignal(f"unknown node {node!r}")
             else:  # a value meeting the top continuation frame

@@ -12,6 +12,7 @@ intransitive examples lean on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,8 @@ def fictitious_play(
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, not NaN")
     payoff = game.entries
 
     counts1 = np.zeros(game.rows, dtype=np.int64)

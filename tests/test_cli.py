@@ -228,6 +228,11 @@ class TestErrorHandling:
         )
         assert code == 2
 
+    def test_maxmin_rejects_a_nan_tolerance(self):
+        code, out, err = run("maxmin", "--game", "rps", "--tol", "nan")
+        assert (code, out) == (2, "")
+        assert "NaN" in err
+
     def test_dispatch_never_raises(self):
         for argv in (
             ["classify", "--game"],

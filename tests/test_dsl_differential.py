@@ -1,19 +1,25 @@
 """``evaluate`` against the fingerprinting evaluator it replaced.
 
-The library decides ``loop`` and ``grow`` at their own node; the oracle in
-``fingerprint_oracle.py`` sizes and hashes the whole state on every step.
-They must agree on kind, strategy, witness and ``fuel_used`` everywhere,
-faults included.
+The library decides ``loop`` and ``grow`` at their own node, and spends the
+shared limit at once when a simulation repeats a live ancestor; the oracle
+in ``fingerprint_oracle.py`` sizes and hashes the whole state on every step
+and runs every level of a simulation tower.  They must agree on kind,
+strategy, witness and ``fuel_used`` everywhere, faults included.
 """
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opencomp.dsl as dsl
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
-    EXPLOITER_SOURCE, EvalKind, RuntimeFault, evaluate, parse_program, pretty,
+    EXPLOITER_SOURCE, MIRROR_SOURCE, EvalKind, RuntimeFault, evaluate,
+    parse_program, pennies, pretty,
 )
-from opencomp.dsl import _parse_source
+from opencomp.dsl import (
+    BestResp, Grow, If, Literal, Loop, Match, Sim, SrcOpp, SrcQuoted, SrcSelf,
+    Var, _parse_source,
+)
 from test_dsl import env_for, program_trees
 
 _FUELS = st.one_of(
@@ -94,3 +100,177 @@ def test_boundary_cases_match_the_oracle(source, fuel, cap, expected):
         new, old = _both(program, env)
         assert new == old == expected
         pretty(program.ast)
+
+
+# Towers of mutual simulation: every program is built around a ``sim``, and
+# most budgets are ``rest``, so most runs descend until a simulation repeats
+# a live ancestor.  Quotes nest at most three deep, because each level of
+# nesting doubles the backslashes in the text.
+_TOWER_LEAVES = st.sampled_from([
+    Literal(1), Literal(2), Literal(3, bare=True), Loop(), Grow(),
+    BestResp(Literal(2)),
+])
+_QUOTED_LEAVES = st.sampled_from([Literal(2), Loop(), Grow()]).map(SrcQuoted)
+_TOWER_BUDGETS = st.one_of(
+    st.just("rest"), st.just("rest"), st.integers(0, 40), st.integers(100, 900)
+)
+
+
+def _towers(inner):
+    srcs = st.one_of(
+        st.just(SrcOpp()), st.just(SrcSelf()), inner.map(SrcQuoted), _QUOTED_LEAVES
+    )
+    sims = st.builds(Sim, srcs, srcs, _TOWER_BUDGETS)
+    matches = st.builds(
+        lambda sim, on_halted, on_exhausted: Match(sim, "k", on_halted, on_exhausted),
+        sims,
+        st.one_of(st.sampled_from([Var("k"), BestResp(Var("k"))]), _TOWER_LEAVES),
+        st.one_of(_TOWER_LEAVES, sims),
+    )
+    return st.one_of(
+        matches,
+        sims,  # a bare sim: its level pops as a fault
+        matches.map(BestResp),
+        st.builds(
+            lambda test, then, otherwise: If(test, "==", Literal(1), then, otherwise),
+            matches, _TOWER_LEAVES, _TOWER_LEAVES,
+        ),
+    )
+
+
+tower_trees = st.nothing()
+for _ in range(3):
+    tower_trees = _towers(tower_trees)
+
+_TOWER_OPPONENTS = st.one_of(
+    tower_trees.map(pretty),
+    st.sampled_from([EXPLOITER_SOURCE, MIRROR_SOURCE, "const 2", "loop"]),
+    st.none(),  # the program's own text
+)
+_TOWER_FUELS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 7, 100, 1000]), st.integers(0, 400)
+)
+
+
+@given(tower_trees, _TOWER_OPPONENTS, _TOWER_FUELS, st.sampled_from([60, 65536]))
+@settings(max_examples=150, deadline=None)
+def test_towers_agree_with_the_fingerprint_oracle(tree, opponent, fuel, cap):
+    source = pretty(tree)
+    env = env_for(
+        opponent=source if opponent is None else opponent, me=source,
+        fuel=fuel, memory_cap=cap,
+    )
+    new, old = _both(source, env)
+    assert new == old
+
+
+@pytest.fixture
+def levels_built(monkeypatch):
+    """Counts the levels ``evaluate`` pushes, the root included."""
+    built = []
+
+    class Counted(dsl._Level):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "_Level", Counted)
+    return built
+
+
+def _arm(quote):
+    return f'match sim(self, "{quote}", rest) {{ halted(j) => j | exhausted => 2 }}'
+
+
+# The adversary cycles through three quoted programs: each level asks its
+# opponent for an index and simulates itself against the next quote.
+_PERIOD_3 = (
+    "match sim(opp, opp, 5) { halted(k) => if k == 1 then " + _arm("const 2")
+    + " else if k == 2 then " + _arm("const 3") + " else " + _arm("const 1")
+    + " | exhausted => const 1 }"
+)
+
+
+# (source, opponent, the most levels a 3000-fuel run may push)
+@pytest.mark.parametrize("source, opponent, most", [
+    pytest.param(
+        "match sim(self, opp, rest) { halted(k) => k | exhausted => const 1 }",
+        "const 1", 3, id="period-1",
+    ),
+    # Every level finishes on a simulation's result and pops as a fault.
+    pytest.param("sim(self, opp, rest)", "const 1", 3, id="period-1-bare"),
+    pytest.param(EXPLOITER_SOURCE, MIRROR_SOURCE, 4, id="exploiter-vs-mirror"),
+    pytest.param(MIRROR_SOURCE, EXPLOITER_SOURCE, 4, id="mirror-vs-exploiter"),
+    pytest.param(EXPLOITER_SOURCE, EXPLOITER_SOURCE, 4, id="same-text"),
+    pytest.param("sim(opp, self, rest)", EXPLOITER_SOURCE, 4, id="period-2-bare"),
+    pytest.param(
+        "match sim(opp, self, rest) { halted(k) => k | exhausted => grow }",
+        "match sim(opp, self, rest) { halted(k) => loop | exhausted => 2 }",
+        4, id="loop-and-grow-under-the-tower",
+    ),
+    # Plus the three finished 5-step probes of the opponent.
+    pytest.param(_PERIOD_3, "const 1", 12, id="period-3-quoted"),
+    # The tower shares an integer budget's limit, and the top level goes
+    # on to halt after it.
+    pytest.param(
+        "match sim(self, opp, 300) { halted(k) => k | exhausted => const 3 }",
+        MIRROR_SOURCE, 4, id="integer-budget-then-halt",
+    ),
+    # The second level's budget cuts its limit below the first's, so the
+    # third level repeats the first's key but not its limit.
+    pytest.param(
+        "match sim(opp, self, 40) { halted(k) => bestresp(k) | exhausted => 1 }",
+        "match sim(opp, self, 25) { halted(k) => bestresp(k) | exhausted => 2 }",
+        5, id="budget-cuts-in",
+    ),
+])
+@pytest.mark.parametrize("fuel", [0, 1, 7, 60, 3000])
+def test_towers_collapse_and_agree_with_the_oracle(
+    levels_built, source, opponent, most, fuel
+):
+    env = env_for(opponent=opponent, me=source, fuel=fuel)
+    new = _run(evaluate, source, env)
+    assert len(levels_built) <= most
+    assert new == _run(fingerprint_evaluate, source, env)
+
+
+# A level whose target, seat and adversary match a live level's is a
+# repeat; these differ in one of them, or meet a finished level, and halt.
+@pytest.mark.parametrize("program, me, opponent, game", [
+    # At ROW the program simulates itself at COL, where it halts.
+    pytest.param(
+        "match sim(self, self, rest) { halted(k) => k | exhausted => 3 }",
+        "if bestresp(1) == 1 then "
+        "match sim(opp, self, rest) { halted(k) => k | exhausted => 2 } else 1",
+        "const 1", pennies(), id="seat-differs",
+    ),
+    # The second level meets the third quote and halts.
+    pytest.param(
+        _PERIOD_3.replace(_arm("const 1"), "const 3"), None, "const 1", None,
+        id="adversary-differs",
+    ),
+    # The second simulation repeats the first, which has already halted.
+    pytest.param(
+        "match sim(self, opp, rest) { halted(k) => "
+        "match sim(self, opp, rest) { halted(j) => j | exhausted => 3 } "
+        "| exhausted => 3 }",
+        "const 2", "const 1", None, id="after-the-twin-returned",
+    ),
+])
+def test_near_repeats_run_in_full(program, me, opponent, game):
+    env = env_for(
+        opponent=opponent, me=program if me is None else me, fuel=3000, game=game
+    )
+    new = _run(evaluate, program, env)
+    assert new[0] is EvalKind.HALTED
+    assert new == _run(fingerprint_evaluate, program, env)
+
+
+def test_a_mutual_simulation_standoff_builds_a_handful_of_levels(levels_built):
+    env = env_for(opponent=MIRROR_SOURCE, me=EXPLOITER_SOURCE, fuel=100_000)
+    result = evaluate(EXPLOITER_SOURCE, env)
+    assert result.kind is EvalKind.FUEL_EXHAUSTED
+    assert result.fuel_used == 100_000
+    assert len(levels_built) <= 4

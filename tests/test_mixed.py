@@ -132,6 +132,16 @@ class TestFictitiousPlay:
         with pytest.raises(ValueError):
             fictitious_play(rps(), iterations=0)
 
+    def test_nan_tolerance_rejected(self):
+        # no gap is ever <= NaN, so the run would silently use every round
+        with pytest.raises(ValueError, match="NaN"):
+            fictitious_play(rps(), iterations=10, tol=float("nan"))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("-inf")])
+    def test_unreachable_tolerances_run_every_round(self, tol):
+        result = fictitious_play(rps(), iterations=50, tol=tol)
+        assert (result.iterations, result.converged) == (50, False)
+
     def test_value_matches_grid_search_on_small_games(self):
         for game in (rps(), pennies()):
             oracle = grid_maxmin(game, step=100)
