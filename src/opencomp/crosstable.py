@@ -8,6 +8,10 @@ within a small tolerance.  A margin parameter decides how far from an even
 0.5 a score must be before it counts as a win rather than a draw; widening
 the margin can erase narrow intransitive cycles, which is the phenomenon
 the bundled engine table demonstrates.  Scores are plain ASCII numbers.
+
+A table whose rows are all plainly valid is converted whole, by one
+``np.loadtxt`` call; any other table is scanned row by row and cell by cell,
+which finds the first error and reports its line.
 """
 from __future__ import annotations
 
@@ -61,19 +65,21 @@ def parse_crosstable(text: str) -> Crosstable:
             f"expected {n} score rows after the header, found {len(lines) - 1}"
         )
 
-    scores = np.empty((n, n))
-    for row, (lineno, line) in enumerate(lines[1:]):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != n + 1:
-            raise ParseError(
-                f"expected {n + 1} cells, found {len(cells)}", line=lineno
-            )
-        if cells[0] != names[row]:
-            raise ParseError(
-                f"row name '{cells[0]}' does not match header order "
-                f"('{names[row]}' expected)", line=lineno,
-            )
-        scores[row] = _row_scores(cells[1:], row, lineno)
+    scores = _whole_table(names, [line for _, line in lines[1:]])
+    if scores is None:
+        scores = np.empty((n, n))
+        for row, (lineno, line) in enumerate(lines[1:]):
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) != n + 1:
+                raise ParseError(
+                    f"expected {n + 1} cells, found {len(cells)}", line=lineno
+                )
+            if cells[0] != names[row]:
+                raise ParseError(
+                    f"row name '{cells[0]}' does not match header order "
+                    f"('{names[row]}' expected)", line=lineno,
+                )
+            scores[row] = _row_scores(cells[1:], row, lineno)
 
     total = scores + scores.T
     clash = np.argwhere(np.triu(np.abs(total - 1.0) > _COMPLEMENT_TOL, 1))
@@ -93,19 +99,47 @@ def parse_crosstable(text: str) -> Crosstable:
     return Crosstable(names=names, scores=scores)
 
 
+def _whole_table(names: tuple[str, ...], rows: list[str]) -> np.ndarray | None:
+    """The score matrix of ``rows`` converted in one ``np.loadtxt`` call, or
+    None unless every row is plainly valid: ASCII with no ``_``, its name
+    first and unpadded, exactly one cell per name, an empty diagonal and
+    every score in [0, 1].  Then the per-row scan raises the right error."""
+    n = len(names)
+    for name, line in zip(names, rows):
+        if not (
+            line.isascii() and "_" not in line and line.count(",") == n
+            and line.startswith(name + ",")
+        ):
+            return None
+    filled = 0
+
+    def nan_filled():
+        # Empty cells become "nan"; their count tells them from a literal
+        # nan, which is an error.
+        nonlocal filled
+        for line in rows:
+            full = line.replace(",,", ",nan,").replace(",,", ",nan,")
+            if full.endswith(","):
+                full += "nan"
+            filled += (len(full) - len(line)) // 3
+            yield full
+
+    try:
+        scores = np.loadtxt(
+            nan_filled(), delimiter=",", comments=None,
+            usecols=range(1, n + 1), max_rows=n, ndmin=2,
+        )
+    except ValueError:
+        return None
+    in_range = np.count_nonzero((scores >= 0) & (scores <= 1))
+    if in_range + filled != n * n or not np.isnan(np.diagonal(scores)).all():
+        return None
+    return scores
+
+
 def _row_scores(cells: list[str], row: int, lineno: int) -> np.ndarray:
-    """One row's scores, NaN where empty, converted and checked in one go;
-    a row that fails is scanned cell by cell for its first bad cell."""
-    text = "".join(cells)
-    if text.isascii() and "_" not in text and cells[row] == "":
-        try:
-            values = np.array([float(cell) if cell else np.nan for cell in cells])
-        except ValueError:
-            pass
-        else:
-            # Valid when every cell is either empty (NaN) or in range.
-            if ((values >= 0) & (values <= 1)).sum() + cells.count("") == values.size:
-                return values
+    """One row's scores, NaN where empty, checked cell by cell; raises at
+    the first bad cell."""
     values = np.full(len(cells), np.nan)
     for col, cell in enumerate(cells):
         if cell == "":

@@ -20,6 +20,10 @@ from .errors import InvariantError, ParseError
 MAX_STRATEGIES = 10_000
 
 _ENTRY_TOKENS = {"+1": 1, "0": 0, "-1": -1, "w": 1, "d": 0, "l": -1}
+# Canonical entries " -1", " 0", " +1" are rewritten as the letters a, b, c
+# and decoded through this byte table; 2 marks a byte that is no entry.
+_CANONICAL_ENTRY = np.full(256, 2, dtype=np.int8)
+_CANONICAL_ENTRY[np.frombuffer(b"abc", dtype=np.uint8)] = (-1, 0, 1)
 
 
 class Outcome(IntEnum):
@@ -178,6 +182,9 @@ def parse_game(text: str) -> GameTable:
         ...
 
     Entries are ``-1 0 +1`` or the aliases ``l d w``.  ``#`` starts a comment.
+    Payoff rows in the spelling ``serialize_game`` writes are decoded all at
+    once; a table with any other row is read token by token, which also
+    finds the first error and reports its line.
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -218,7 +225,7 @@ def parse_game(text: str) -> GameTable:
     digits = [count.removeprefix("-") for count in rest[::2]]
     if not all(count.isascii() and count.isdigit() for count in digits):
         raise ParseError("row and column counts must be integers", line=lineno)
-    nr, nc = int(rest[0]), int(rest[2])
+    nr, nc = _read_count(rest[0]), _read_count(rest[2])
     if nr < 1 or nc < 1:
         raise ParseError("row and column counts must be positive", line=lineno)
     if nr > MAX_STRATEGIES or nc > MAX_STRATEGIES:
@@ -238,19 +245,23 @@ def parse_game(text: str) -> GameTable:
             raise ParseError(f"labels_cols needs exactly {nc} labels", line=lineno)
         labels_cols = tuple(rest)
 
-    entries = np.zeros((nr, nc), dtype=np.int8)
-    for i in range(1, nr + 1):
-        lineno, rest = take("row")
-        if len(rest) < 1 or rest[0] != f"{i}:":
-            raise ParseError(f"expected 'row {i}:' next", line=lineno)
-        cells = rest[1:]
-        if len(cells) != nc:
-            raise ParseError(f"row {i} needs exactly {nc} entries", line=lineno)
-        values = list(map(_ENTRY_TOKENS.get, cells))
-        if None in values:
-            bad = next(tok for tok in cells if tok not in _ENTRY_TOKENS)
-            raise ParseError(f"invalid entry '{bad}'", line=lineno)
-        entries[i - 1] = values
+    entries = _canonical_rows(lines[pos:pos + nr], nr, nc)
+    if entries is not None:
+        pos += nr
+    else:
+        entries = np.zeros((nr, nc), dtype=np.int8)
+        for i in range(1, nr + 1):
+            lineno, rest = take("row")
+            if len(rest) < 1 or rest[0] != f"{i}:":
+                raise ParseError(f"expected 'row {i}:' next", line=lineno)
+            cells = rest[1:]
+            if len(cells) != nc:
+                raise ParseError(f"row {i} needs exactly {nc} entries", line=lineno)
+            values = list(map(_ENTRY_TOKENS.get, cells))
+            if None in values:
+                bad = next(tok for tok in cells if tok not in _ENTRY_TOKENS)
+                raise ParseError(f"invalid entry '{bad}'", line=lineno)
+            entries[i - 1] = values
 
     if pos < len(lines):
         raise ParseError("trailing content after last row", line=lines[pos][0])
@@ -267,6 +278,43 @@ def parse_game(text: str) -> GameTable:
         # Surface broken declarations (symmetric but not antisymmetric) as
         # such rather than as generic parse failures.
         raise InvariantError(f"{name}: {exc}") from None
+
+
+def _read_count(token: str) -> int:
+    """A count spelled ``-?<ASCII digits>``.  int() refuses strings of over
+    4300 digits, leading zeros included, so only the significant digits are
+    read, and a count with more of them than the limit's as one past it."""
+    digits = token.removeprefix("-").lstrip("0") or "0"
+    too_long = len(digits) > len(str(MAX_STRATEGIES))
+    size = MAX_STRATEGIES + 1 if too_long else int(digits)
+    return -size if token.startswith("-") else size
+
+
+def _canonical_rows(
+    rows: list[tuple[int, str]], nr: int, nc: int
+) -> np.ndarray | None:
+    """The entries of payoff rows spelled as ``serialize_game`` writes them
+    (``row <i>:`` and single-space ``+1 0 -1``), decoded all at once; None
+    when there are fewer rows or any row is spelled otherwise."""
+    if len(rows) != nr:
+        return None
+    bodies = []
+    for i, (_, content) in enumerate(rows, start=1):
+        head = f"row {i}:"
+        if not content.startswith(head):
+            return None
+        bodies.append(content[len(head):])
+    text = "\n".join(bodies) + "\n"
+    if "a" in text or "b" in text or "c" in text:
+        return None
+    text = text.replace(" -1", "a").replace(" 0", "b").replace(" +1", "c")
+    if len(text) != nr * (nc + 1) or not text.isascii():
+        return None
+    # With every other byte an entry, the one "\n" per row can only sit in
+    # the last column, so each row holds exactly nc entries.
+    grid = np.frombuffer(text.encode(), dtype=np.uint8).reshape(nr, nc + 1)
+    entries = _CANONICAL_ENTRY[grid[:, :nc]]
+    return None if (entries == 2).any() else entries
 
 
 def serialize_game(table: GameTable) -> str:

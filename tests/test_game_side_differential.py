@@ -10,6 +10,7 @@ the real line number when blank lines precede them.  Inputs here therefore
 hold no blank lines, underscores or non-ASCII characters.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from opencomp import (
     GameTable, ParseError, find_cycles, parse_crosstable, parse_game,
     serialize_game, to_game,
 )
+from opencomp import crosstable, game_core
 from test_hostile_files import _mutated
 
 _MARGINS = st.one_of(
@@ -174,3 +176,195 @@ def test_mutated_game_files_match_the_oracle(text):
         _check_game(new[1])
         if new[1].symmetric_flag:
             _check_cycles(new[1], 4)
+
+
+# Where the whole-table readers hand over to the per-row scan.  Each case
+# edits one row of a large canonical file, which the fast path would read,
+# so that the edit alone decides which path runs.
+_N = 120
+
+
+def _score_cells(n: int, seed: int) -> list[list[str]]:
+    """Rows ``[name, score...]`` of a complementary table in three-decimal
+    spelling, with a few one-sided and absent pairs."""
+    rng = np.random.default_rng(seed)
+    cells = [[f"p{a}"] + [""] * n for a in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            k = int(rng.integers(0, 1001))
+            kind = rng.choice(3, p=[0.9, 0.05, 0.05])  # both, upper, none
+            if kind < 2:
+                cells[a][b + 1] = f"{k / 1000:.3f}"
+            if kind == 0:
+                cells[b][a + 1] = f"{1 - k / 1000:.3f}"
+    return cells
+
+
+def _crosstable_text(cells: list[list[str]]) -> str:
+    header = "names," + ",".join(row[0].strip() for row in cells)
+    return "\n".join([header] + [",".join(row) for row in cells]) + "\n"
+
+
+def _set(a: int, b: int, value: str, partner: str | None = None):
+    def edit(cells):
+        cells[a][b + 1] = value
+        if partner is not None:
+            cells[b][a + 1] = partner
+    return edit
+
+
+def _pad_name(cells):
+    cells[60][0] = " p60 "
+
+
+def _pad_score(cells):
+    cells[60][5] = f" {cells[60][5]} "
+
+
+def _blank_run(cells):
+    cells[60][10:13] = ["", "", ""]
+
+
+def _blank_row(cells):
+    cells[60][1:] = [""] * _N
+
+
+def _swap_rows(cells):
+    cells[60], cells[61] = cells[61], cells[60]
+
+
+def _extra_column(cells):
+    cells[60].append("0.5")
+
+
+def _missing_column(cells):
+    cells[60].pop()
+
+
+def _trailing_comma(cells):
+    cells[60][-1] += ","
+
+
+def _last_cell_blank(cells):
+    cells[60][-1] = ""
+
+
+_CROSSTABLE_EDITS = {
+    "nan": _set(60, 3, "nan"),
+    "inf": _set(60, 3, "inf"),
+    "nan on the diagonal": _set(60, 60, "nan"),
+    "score on the diagonal": _set(60, 60, "0.5"),
+    "out of range": _set(60, 3, "1.5"),
+    "whitespace only": _set(60, 3, "  "),
+    "nul byte": _set(60, 3, "0.5\x00"),
+    "hex": _set(60, 3, "0x1"),
+    "padded score": _pad_score,
+    "padded name": _pad_name,
+    "rows out of order": _swap_rows,
+    "extra column": _extra_column,
+    "missing column": _missing_column,
+    "blank run": _blank_run,
+    "blank row": _blank_row,
+    "trailing comma": _trailing_comma,
+    "last cell blank": _last_cell_blank,
+    "minus zero": _set(60, 3, "-0", "1"),
+    "exponent": _set(60, 3, "1e0", "0"),
+    "no leading digit": _set(60, 3, ".5", ".5"),
+    "not complementary": _set(60, 3, "0.4", "0.5"),
+}
+
+
+@pytest.mark.parametrize("edit", _CROSSTABLE_EDITS.values(), ids=_CROSSTABLE_EDITS)
+def test_crosstable_edits_match_the_oracle(edit):
+    cells = _score_cells(_N, seed=1)
+    edit(cells)
+    text = _crosstable_text(cells)
+    new = _outcome(parse_crosstable, text)
+    assert _same_crosstable(new, _outcome(oracle.parse_crosstable, text))
+    if new[0] == "ok":
+        _check_game(to_game(new[1], margin=0.01))
+
+
+def _game_text(n: int, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1)
+    table = GameTable(name="g", entries=upper - upper.T, symmetric_flag=True)
+    return serialize_game(table)
+
+
+def _on_row(i: int, edit):
+    """``edit`` applied to the line of payoff row ``i``."""
+    def apply(text: str) -> str:
+        lines = text.splitlines()
+        line = 2 + i  # three header lines, then row 1
+        lines[line] = edit(lines[line])
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+_SPELLED = {"+1": "w", "0": "d", "-1": "l"}
+
+
+def _alias_last(line: str) -> str:
+    head, token = line.rsplit(" ", 1)
+    return f"{head} {_SPELLED[token]}"
+
+
+def _as_letters(glue: str):
+    """The row's entries as the letters the whole-table decoder uses
+    internally, each after ``glue``."""
+    letters = {"+1": "c", "0": "b", "-1": "a"}
+
+    def edit(line: str) -> str:
+        head, tokens = line.split(":")
+        return head + ":" + "".join(glue + letters[tok] for tok in tokens.split())
+    return edit
+
+
+_GAME_EDITS = {
+    "double space": _on_row(50, lambda line: line.replace(" ", "  ", 3)),
+    "tab": _on_row(50, lambda line: line.replace(" ", "\t", 3)),
+    "aliases": _on_row(50, lambda line: " ".join(
+        _SPELLED.get(tok, tok) for tok in line.split(" "))),
+    "glued signs": _on_row(50, lambda line: line.replace(" -", "-", 1)),
+    "glued junk": _on_row(50, lambda line: line.replace(" -1", "x", 1)),
+    "glued letter": _on_row(50, lambda line: line.replace(" 0", " 0w", 1)),
+    "placeholder letters": _on_row(50, _as_letters(" ")),
+    "glued placeholder letters": _on_row(50, _as_letters("")),
+    "leading zero": _on_row(50, lambda line: line.replace("row ", "row 0", 1)),
+    "comment": _on_row(50, lambda line: line + " # noted"),
+    "stray sign": _on_row(50, lambda line: line.replace(" +1", " +1 +", 1)),
+    "unsigned one": _on_row(50, lambda line: line.replace("+1", "1", 1)),
+    "alias in the last row": _on_row(100, _alias_last),
+}
+
+
+@pytest.mark.parametrize("edit", _GAME_EDITS.values(), ids=_GAME_EDITS)
+def test_game_edits_match_the_oracle(edit):
+    base = _game_text(100, seed=2)
+    text = edit(base)
+    assert text != base
+    new = _outcome(parse_game, text)
+    assert new == _outcome(oracle.parse_game, text)
+    if new[0] == "ok":
+        _check_game(new[1])
+
+
+def test_canonical_files_take_the_whole_table_paths(monkeypatch):
+    """The per-row scans are the fallbacks; a canonical file never needs
+    them, so they may fail here without the result changing."""
+    class Unused:
+        def get(self, token):
+            raise AssertionError("the per-row entry loop ran")
+
+    def unused(*args):
+        raise AssertionError("the per-row score scan ran")
+
+    ct_text = _crosstable_text(_score_cells(50, seed=3))
+    game_text = _game_text(50, seed=4)
+    want_ct = oracle.parse_crosstable(ct_text)
+    want_game = oracle.parse_game(game_text)
+    monkeypatch.setattr(crosstable, "_row_scores", unused)
+    monkeypatch.setattr(game_core, "_ENTRY_TOKENS", Unused())
+    assert _same_crosstable(("ok", parse_crosstable(ct_text)), ("ok", want_ct))
+    assert parse_game(game_text) == want_game

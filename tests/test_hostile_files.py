@@ -128,3 +128,24 @@ def test_mutated_learner_files(scratch_file, text):
     _check(parse_learner_file, scratch_file, text,
            ["arena", "--game", "rps", "--p1", str(scratch_file),
             "--p2", rival, "--fuel", "1000"])
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ("9" * 5000, "2", "table exceeds the 10000-strategies-per-side limit"),
+    ("2", "-" + "9" * 5000, "row and column counts must be positive"),
+    ("0" * 5000 + "10001", "2", "table exceeds the 10000-strategies-per-side limit"),
+    ("-" + "0" * 5000, "2", "row and column counts must be positive"),
+], ids=["long", "long negative", "zero-padded, past the limit", "zero-padded zero"])
+def test_counts_too_long_for_int(scratch_file, rows, cols, message):
+    """int() refuses over 4300 digits; such counts still fail as data."""
+    text = f"game g\nsymmetric false\nrows {rows} cols {cols}\n"
+    with pytest.raises(ParseError) as info:
+        parse_game(text)
+    assert str(info.value).startswith(message)
+    _check(parse_game, scratch_file, text, ["classify", "--game", str(scratch_file)])
+
+
+def test_zero_padded_counts_past_the_int_digit_limit_are_read():
+    zeros = "0" * 5000
+    text = f"game g\nsymmetric false\nrows {zeros}1 cols {zeros}2\nrow 1: +1 0\n"
+    assert parse_game(text).entries.tolist() == [[1, 0]]
