@@ -73,12 +73,8 @@ def is_strongly_intransitive(table: GameTable) -> tuple[bool, SIWitnesses | None
     col_beaten = (entries == 1).any(axis=0)
     if not (row_loses.all() and col_beaten.all()):
         return False, None
-    beats_row = {
-        i + 1: int(np.argmax(entries[i] == -1)) + 1 for i in range(table.rows)
-    }
-    beats_col = {
-        j + 1: int(np.argmax(entries[:, j] == 1)) + 1 for j in range(table.cols)
-    }
+    beats_row = dict(enumerate((np.argmax(entries == -1, axis=1) + 1).tolist(), 1))
+    beats_col = dict(enumerate((np.argmax(entries == 1, axis=0) + 1).tolist(), 1))
     return True, SIWitnesses(beats_row, beats_col)
 
 
@@ -139,32 +135,71 @@ def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
     winner).  Each cycle is reported once, rotated so its smallest index comes
     first, and the list is sorted by length then lexicographically.  Cycles
     shorter than 3 cannot exist under antisymmetry.
+
+    Paths that climb from their smallest node are grown one node at a time,
+    a block of paths at once, on bit-packed rows of the digraph; a k-cycle is
+    a path of k - 1 nodes that one more edge leads back to its start.  Blocks
+    are grown depth first, so each length comes out in lexicographic order
+    and the list needs no sort.
     """
     if max_len not in (3, 4, 5):
         raise ValueError("max_len must be 3, 4 or 5")
+    # Antisymmetry is also why no path needs a check for repeated nodes: a
+    # path of at most 5 nodes that closes a cycle and rises above its start
+    # could only repeat a node by taking an edge in both directions.
     if not (table.symmetric_flag and is_symmetric(table)):
         raise NotSymmetricError("cycle search needs a symmetric table")
+    n = table.rows
     # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.
     beaten_by = table.entries.T == 1
-    successors = [np.flatnonzero(row) for row in beaten_by]
-    cycles: list[tuple[int, ...]] = []
-
-    def walk(start: int, path: list[int]):
-        last = path[-1]
-        if len(path) >= 3 and beaten_by[last, start]:
-            cycles.append(tuple(p + 1 for p in path))
-        if len(path) < max_len:
-            succ = successors[last]
-            for nxt in succ[succ.searchsorted(start, "right"):].tolist():
-                if nxt not in path:
-                    path.append(nxt)
-                    walk(start, path)
-                    path.pop()
-
-    for start in range(table.rows):
-        walk(start, [start])
-    cycles.sort(key=lambda c: (len(c), c))
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    packed = (
+        np.packbits(beaten_by, axis=1),
+        np.packbits(later, axis=1),
+        np.packbits(beaten_by.T & later, axis=1),  # edges back to the start
+    )
+    found = {length: [] for length in range(3, max_len + 1)}
+    _grow(np.arange(n)[:, None], max_len, packed, found)
+    cycles = found[3]
+    for length in range(4, max_len + 1):
+        cycles.extend(found[length])
     return cycles
+
+
+# A block holds at most this many paths times strategies, which bounds the
+# packed temporaries of one step and the paths one block grows into, however
+# many paths a table has.
+_BLOCK_CELLS = 1 << 17
+
+
+def _grow(
+    paths: np.ndarray,
+    max_len: int,
+    packed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    found: dict[int, list[tuple[int, ...]]],
+) -> None:
+    """Append each k-cycle that continues one of ``paths`` (all of one
+    length, in lexicographic order) to ``found[k]``, in order."""
+    successors, later, closes = packed
+    step = max(1, _BLOCK_CELLS // len(successors))
+    for lo in range(0, len(paths), step):
+        block = paths[lo:lo + step]
+        nodes = block.shape[1]
+        if nodes >= 2:
+            cycles = _extend(block, successors, closes) + 1
+            found[nodes + 1].extend(zip(*cycles.T.tolist()))
+        if nodes < max_len - 1:
+            _grow(_extend(block, successors, later), max_len, packed, found)
+
+
+def _extend(paths: np.ndarray, successors: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each path followed by each node set in both its last node's packed
+    ``successors`` row and its first node's packed ``mask`` row, in
+    row-major order."""
+    bits = successors[paths[:, -1]] & mask[paths[:, 0]]
+    row, byte = np.nonzero(bits)
+    hit, bit = np.nonzero(np.unpackbits(bits[row, byte][:, None], axis=1))
+    return np.column_stack((paths[row[hit]], byte[hit] * 8 + bit))
 
 
 def render_classification(table: GameTable, result: Classification) -> str:

@@ -72,18 +72,20 @@ class GameTable:
     labels_cols: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.int8)
-        if arr.ndim != 2:
+        raw = np.asarray(self.entries)
+        if raw.ndim != 2:
             raise InvariantError("game table must be two-dimensional")
-        nr, nc = arr.shape
+        nr, nc = raw.shape
         if nr < 1 or nc < 1:
             raise InvariantError("game table needs at least one strategy per side")
         if nr > MAX_STRATEGIES or nc > MAX_STRATEGIES:
             raise InvariantError(
                 f"table exceeds the {MAX_STRATEGIES}-strategies-per-side limit"
             )
-        if not np.isin(arr, (-1, 0, 1)).all():
+        # Checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
+        if not ((raw == -1) | (raw == 0) | (raw == 1)).all():
             raise InvariantError("entries must be -1, 0 or +1")
+        arr = raw.astype(np.int8)
         if self.labels_rows is not None and len(self.labels_rows) != nr:
             raise InvariantError("labels_rows length does not match row count")
         if self.labels_cols is not None and len(self.labels_cols) != nc:
@@ -321,7 +323,11 @@ def serialize_game(table: GameTable) -> str:
     """Canonical text form: fixed field order, single spaces, ``+1 0 -1`` spelling.
 
     ``parse_game`` composed with this function is the identity on canonical
-    files, and byte-identical output is guaranteed for equal tables.
+    files, and byte-identical output is guaranteed for equal tables.  The
+    payoff rows are written as one byte grid: each row's ``row <i>: `` head
+    and three bytes per entry (sign, digit, space), with commas padding the
+    heads to one width and standing for the sign of ``0``; one pass drops
+    the commas.
     """
     out = [f"game {table.name}"]
     out.append(f"symmetric {'true' if table.symmetric_flag else 'false'}")
@@ -330,11 +336,17 @@ def serialize_game(table: GameTable) -> str:
         out.append("labels_rows " + " ".join(table.labels_rows))
     if table.labels_cols is not None:
         out.append("labels_cols " + " ".join(table.labels_cols))
-    letters = (table.entries + ord("b")).astype(np.uint8)  # a, b, c: -1, 0, +1
-    for i, row in enumerate(letters, start=1):
-        cells = " ".join(row.tobytes().decode()).replace("a", "-1")
-        out.append(f"row {i}: " + cells.replace("b", "0").replace("c", "+1"))
-    return "\n".join(out) + "\n"
+    entries = table.entries
+    width = len(f"row {table.rows}: ")
+    heads = "".join(f"row {i}: ".ljust(width, ",") for i in range(1, table.rows + 1))
+    grid = np.empty((table.rows, width + 3 * table.cols), dtype=np.uint8)
+    grid[:, :width] = np.frombuffer(heads.encode(), dtype=np.uint8).reshape(-1, width)
+    grid[:, width::3] = ord(",") - entries  # "+", ",", "-" for +1, 0, -1
+    grid[:, width + 1::3] = ord("0") + np.abs(entries)
+    grid[:, width + 2::3] = ord(" ")
+    grid[:, -1] = ord("\n")
+    body = grid.tobytes().replace(b",", b"").decode()
+    return "\n".join(out) + "\n" + body
 
 
 def table_cells(n_rows: int, n_cols: int) -> int:

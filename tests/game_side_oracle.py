@@ -3,10 +3,14 @@
 ``parse_crosstable``, ``to_game``, ``parse_game``, ``serialize_game`` and
 ``find_cycles`` are copied verbatim from the versions that looped over every
 cell in Python, before whole-row and whole-table numpy operations replaced
-those loops.  Tests compare the library's functions against them on
-outputs, exception types, messages and line numbers.  Like the brute-force
-oracles in ``conftest.py`` they are kept for reference and are deliberately
-not optimised.
+those loops.  ``is_strongly_intransitive`` is copied verbatim from the
+version that took one ``argmax`` per row and per column, and
+``find_cycles_walk`` is the recursive walk over per-strategy successor
+arrays that the bit-packed cycle listing replaced, renamed only.  Tests
+compare the library's functions against them on outputs, exception types,
+messages and line numbers, and against the walk's memory peak.  Like the
+brute-force oracles in ``conftest.py`` they are kept for reference and are
+deliberately not optimised.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from opencomp.crosstable import Crosstable
 from opencomp.errors import (
     ComplementarityViolation, InvariantError, NotSymmetricError, ParseError,
 )
+from opencomp.classify import SIWitnesses
 from opencomp.game_core import MAX_STRATEGIES, GameTable, is_symmetric
 
 _COMPLEMENT_TOL = 1e-6
@@ -286,3 +291,54 @@ def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
         walk(start, [start])
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
+
+
+def find_cycles_walk(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
+    """Simple cycles of length at most ``max_len`` in the dominance digraph.
+
+    Only defined for symmetric tables.  The digraph has an edge ``i -> j``
+    when strategy ``j`` beats strategy ``i`` (arrows point from loser to
+    winner).  Each cycle is reported once, rotated so its smallest index comes
+    first, and the list is sorted by length then lexicographically.  Cycles
+    shorter than 3 cannot exist under antisymmetry.
+    """
+    if max_len not in (3, 4, 5):
+        raise ValueError("max_len must be 3, 4 or 5")
+    if not (table.symmetric_flag and is_symmetric(table)):
+        raise NotSymmetricError("cycle search needs a symmetric table")
+    # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.
+    beaten_by = table.entries.T == 1
+    successors = [np.flatnonzero(row) for row in beaten_by]
+    cycles: list[tuple[int, ...]] = []
+
+    def walk(start: int, path: list[int]):
+        last = path[-1]
+        if len(path) >= 3 and beaten_by[last, start]:
+            cycles.append(tuple(p + 1 for p in path))
+        if len(path) < max_len:
+            succ = successors[last]
+            for nxt in succ[succ.searchsorted(start, "right"):].tolist():
+                if nxt not in path:
+                    path.append(nxt)
+                    walk(start, path)
+                    path.pop()
+
+    for start in range(table.rows):
+        walk(start, [start])
+    cycles.sort(key=lambda c: (len(c), c))
+    return cycles
+
+
+def is_strongly_intransitive(table: GameTable) -> tuple[bool, SIWitnesses | None]:
+    entries = table.entries
+    row_loses = (entries == -1).any(axis=1)
+    col_beaten = (entries == 1).any(axis=0)
+    if not (row_loses.all() and col_beaten.all()):
+        return False, None
+    beats_row = {
+        i + 1: int(np.argmax(entries[i] == -1)) + 1 for i in range(table.rows)
+    }
+    beats_col = {
+        j + 1: int(np.argmax(entries[:, j] == 1)) + 1 for j in range(table.cols)
+    }
+    return True, SIWitnesses(beats_row, beats_col)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,21 @@ class TestGameTable:
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(InvariantError):
             GameTable(name="bad", entries=np.array([[2]]))
+
+    @pytest.mark.parametrize("entries", [
+        np.array([[256]]), [[0.5]], np.array([[np.nan]]), [[1.9]], [[257]],
+    ], ids=["wraps-to-0", "half", "nan", "truncates-to-1", "overflows-int8"])
+    def test_rejects_entries_before_the_int8_cast(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match=r"entries must be -1, 0 or \+1"):
+                GameTable(name="bad", entries=entries)
+
+    def test_whole_floats_and_bools_are_entries(self):
+        game = GameTable(name="f", entries=[[1.0, -1.0]])
+        assert game.entries.dtype == np.int8
+        assert game.entries.tolist() == [[1, -1]]
+        assert GameTable(name="b", entries=[[True, False]]).entries.tolist() == [[1, 0]]
 
     def test_rejects_non_2d(self):
         with pytest.raises(InvariantError):

@@ -9,19 +9,25 @@ in game files and crosstables are ASCII only, and crosstable errors carry
 the real line number when blank lines precede them.  Inputs here therefore
 hold no blank lines, underscores or non-ASCII characters.
 """
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import game_side_oracle as oracle
+from conftest import game_tables, symmetric_tables
 from opencomp import (
-    GameTable, ParseError, find_cycles, parse_crosstable, parse_game,
-    serialize_game, to_game,
+    GameTable, ParseError, find_cycles, is_strongly_intransitive,
+    parse_crosstable, parse_game, rps, serialize_game, to_game,
 )
 from opencomp import crosstable, game_core
 from test_hostile_files import _mutated
 
+# The module: the package exports a function of the same name.
+classify_module = importlib.import_module("opencomp.classify")
 _MARGINS = st.one_of(
     st.sampled_from([0.0, 0.003, 0.01, 0.05, 0.1, 0.25, 0.499]),
     st.floats(0.0, 0.4999),
@@ -368,3 +374,98 @@ def test_canonical_files_take_the_whole_table_paths(monkeypatch):
     monkeypatch.setattr(game_core, "_ENTRY_TOKENS", Unused())
     assert _same_crosstable(("ok", parse_crosstable(ct_text)), ("ok", want_ct))
     assert parse_game(game_text) == want_game
+
+
+# ---------------------------------------------------------------------------
+# Cycle listing on bit-packed rows, witness maps and one-line tables
+
+
+def _sparse_symmetric(n: int, decisive: float, seed: int) -> GameTable:
+    """A seeded symmetric table in which a ``decisive`` share of pairings
+    has a winner, either way with equal odds."""
+    rng = np.random.default_rng(seed)
+    draw = rng.choice([-1, 0, 1], size=(n, n), p=[decisive / 2, 1 - decisive, decisive / 2])
+    upper = np.triu(draw, 1)
+    return GameTable(name="s", entries=upper - upper.T, symmetric_flag=True)
+
+
+def _ranked(n: int, seed: int) -> np.ndarray:
+    """A seeded near-transitive symmetric table, strongest strategy first:
+    a stronger strategy wins unless noise draws or reverses a close pair."""
+    rng = np.random.default_rng(seed)
+    lead = (np.arange(n)[None, :] - np.arange(n)[:, None]) / n
+    score = lead + rng.normal(0.0, 0.02, (n, n))
+    upper = np.triu(np.where(score > 0.02, 1, np.where(score < -0.02, -1, 0)), 1)
+    return upper - upper.T
+
+
+@pytest.mark.parametrize("paths_per_block", [1, 2, 7])
+@pytest.mark.parametrize("max_len", [3, 4, 5])
+def test_cycles_across_block_boundaries(monkeypatch, paths_per_block, max_len):
+    """With a block of one, two or seven paths, every step of the listing
+    spans many blocks; the list must still be the oracle's, in order."""
+    n = _CYCLE_BLOCK[max_len]
+    game = _sparse_symmetric(n, decisive=0.8, seed=max_len)
+    want = oracle.find_cycles(game, max_len)
+    assert len(want) > 3 * n
+    monkeypatch.setattr(classify_module, "_BLOCK_CELLS", paths_per_block * n)
+    assert find_cycles(game, max_len) == want
+
+
+def test_cycles_of_a_300_strategy_table():
+    game = _sparse_symmetric(300, decisive=0.2, seed=300)
+    cycles = find_cycles(game, max_len=3)
+    assert cycles == oracle.find_cycles(game, max_len=3)
+    beats = (game.entries.T == 1).astype(np.int64)
+    assert len(cycles) == np.trace(beats @ beats @ beats) // 3 > 1000
+
+
+def test_cycle_listing_memory_stays_near_the_walks():
+    """The listing grows paths a block at a time, so its peak stays within
+    twice the recursive walk's even when a table has 478,670 paths to grow.
+
+    The weakest-first numbering gives each start hundreds of climbing
+    successors (the walk would take hours over its n^3/6 paths there); the
+    walk's peak is measured on the strongest-first numbering of the same
+    table, which has the same edges and cycles, and the walk's memory (the
+    table, one successor array per strategy and the cycle list) does not
+    depend on the numbering."""
+    entries = _ranked(1000, seed=5)
+    strongest_first = GameTable(name="s", entries=entries, symmetric_flag=True)
+    weakest_first = GameTable(name="w", entries=entries[::-1, ::-1], symmetric_flag=True)
+
+    def peak(search, game):
+        tracemalloc.start()
+        try:
+            found = search(game, max_len=3)
+            return len(found), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    count, walk_peak = peak(oracle.find_cycles_walk, strongest_first)
+    assert count > 1000
+    for game in (strongest_first, weakest_first):
+        found, listing_peak = peak(find_cycles, game)
+        assert found == count
+        assert listing_peak < 2 * walk_peak
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 12), (12, 1), (1000, 1)])
+def test_one_line_tables_serialize_as_the_oracle(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    for entries in (
+        np.zeros((rows, cols)), np.ones((rows, cols)), -np.ones((rows, cols)),
+        rng.integers(-1, 2, size=(rows, cols)),
+    ):
+        game = GameTable(name="g", entries=entries)
+        assert serialize_game(game) == oracle.serialize_game(game)
+        assert parse_game(serialize_game(game)) == game
+
+
+@given(st.one_of(game_tables(max_side=8), symmetric_tables(max_side=8)))
+@settings(max_examples=200)
+@example(rps())
+@example(GameTable(name="safe-row", entries=np.array([[0, 1], [-1, 1]])))
+@example(GameTable(name="unbeaten-column", entries=np.array([[0, -1], [-1, 1]])))
+def test_strong_intransitivity_matches_the_oracle(game):
+    assert is_strongly_intransitive(game) == oracle.is_strongly_intransitive(game)
