@@ -9,13 +9,15 @@ within a small tolerance.  A margin parameter decides how far from an even
 the margin can erase narrow intransitive cycles, which is the phenomenon
 the bundled engine table demonstrates.  Scores are plain ASCII numbers.
 
-A table whose rows are all plainly valid is converted whole, by one
-``np.loadtxt`` call; any other table is scanned row by row and cell by cell,
-which finds the first error and reports its line.
+Every table is converted whole, by one ``np.loadtxt`` call fed a line at a
+time, each line's name and cell count checked on the way.  Only a table that
+fails is scanned row by row and cell by cell, to report its first error.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .errors import ComplementarityViolation, ParseError
 from .game_core import GameTable, is_label
 
 _COMPLEMENT_TOL = 1e-6
+_BLANK_CELL = re.compile(r"(?<=,)\s+(?=,|$)")
 
 
 @dataclass(frozen=True)
@@ -65,22 +68,7 @@ def parse_crosstable(text: str) -> Crosstable:
             f"expected {n} score rows after the header, found {len(lines) - 1}"
         )
 
-    scores = _whole_table(names, [line for _, line in lines[1:]])
-    if scores is None:
-        scores = np.empty((n, n))
-        for row, (lineno, line) in enumerate(lines[1:]):
-            cells = [cell.strip() for cell in line.split(",")]
-            if len(cells) != n + 1:
-                raise ParseError(
-                    f"expected {n + 1} cells, found {len(cells)}", line=lineno
-                )
-            if cells[0] != names[row]:
-                raise ParseError(
-                    f"row name '{cells[0]}' does not match header order "
-                    f"('{names[row]}' expected)", line=lineno,
-                )
-            scores[row] = _row_scores(cells[1:], row, lineno)
-
+    scores = _scores(names, lines[1:])
     total = scores + scores.T
     clash = np.argwhere(np.triu(np.abs(total - 1.0) > _COMPLEMENT_TOL, 1))
     if clash.size:
@@ -99,28 +87,24 @@ def parse_crosstable(text: str) -> Crosstable:
     return Crosstable(names=names, scores=scores)
 
 
-def _whole_table(names: tuple[str, ...], rows: list[str]) -> np.ndarray | None:
-    """The score matrix of ``rows`` converted in one ``np.loadtxt`` call, or
-    None unless every row is plainly valid: ASCII with no ``_``, its name
-    first and unpadded, exactly one cell per name, an empty diagonal and
-    every score in [0, 1].  Then the per-row scan raises the right error."""
+def _scores(names: tuple[str, ...], rows: list[tuple[int, str]]) -> np.ndarray:
+    """The score matrix of ``rows``, NaN where a cell is blank, decoded by
+    one ``np.loadtxt`` call.  Any fault goes to ``_row_error`` to be worded."""
     n = len(names)
-    for name, line in zip(names, rows):
-        if not (
-            line.isascii() and "_" not in line and line.count(",") == n
-            and line.startswith(name + ",")
-        ):
-            return None
     filled = 0
 
     def nan_filled():
-        # Empty cells become "nan"; their count tells them from a literal
-        # nan, which is an error.
+        # A row with a wrong name or cell count stops the call.  Blank cells,
+        # the last one behind a sentinel ",", become "nan"; their count tells
+        # them from a literal nan, an error.  Within a line, ASCII text holds
+        # no whitespace but " ", "\t" and "\x1f".
         nonlocal filled
-        for line in rows:
-            full = line.replace(",,", ",nan,").replace(",,", ",nan,")
-            if full.endswith(","):
-                full += "nan"
+        for name, (_, line) in zip(names, rows):
+            if line.count(",") != n or line[:line.index(",")].strip() != name:
+                raise ValueError(f"row {name!r} is malformed")
+            if not line.isascii() or " " in line or "\t" in line or "\x1f" in line:
+                line = _BLANK_CELL.sub("", line)
+            full = (line + ",").replace(",,", ",nan,").replace(",,", ",nan,")[:-1]
             filled += (len(full) - len(line)) // 3
             yield full
 
@@ -129,33 +113,42 @@ def _whole_table(names: tuple[str, ...], rows: list[str]) -> np.ndarray | None:
             nan_filled(), delimiter=",", comments=None,
             usecols=range(1, n + 1), max_rows=n, ndmin=2,
         )
+        in_range = np.count_nonzero((scores >= 0) & (scores <= 1))
+        if in_range + filled == n * n and np.isnan(np.diagonal(scores)).all():
+            return scores
     except ValueError:
-        return None
-    in_range = np.count_nonzero((scores >= 0) & (scores <= 1))
-    if in_range + filled != n * n or not np.isnan(np.diagonal(scores)).all():
-        return None
-    return scores
+        pass
+    _row_error(names, rows)
 
 
-def _row_scores(cells: list[str], row: int, lineno: int) -> np.ndarray:
-    """One row's scores, NaN where empty, checked cell by cell; raises at
-    the first bad cell."""
-    values = np.full(len(cells), np.nan)
-    for col, cell in enumerate(cells):
-        if cell == "":
-            continue
-        if row == col:
-            raise ParseError("diagonal cells must be empty", line=lineno)
-        if not cell.isascii() or "_" in cell:
-            raise ParseError(f"bad score '{cell}'", line=lineno)
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ParseError(f"bad score '{cell}'", line=lineno) from None
-        if not 0.0 <= value <= 1.0:
-            raise ParseError(f"score {value} outside [0, 1]", line=lineno)
-        values[col] = value
-    return values
+def _row_error(names: tuple[str, ...], rows: list[tuple[int, str]]) -> NoReturn:
+    """Raise the ParseError of the first bad row, checked cell by cell."""
+    n = len(names)
+    for row, (lineno, line) in enumerate(rows):
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != n + 1:
+            raise ParseError(
+                f"expected {n + 1} cells, found {len(cells)}", line=lineno
+            )
+        if cells[0] != names[row]:
+            raise ParseError(
+                f"row name '{cells[0]}' does not match header order "
+                f"('{names[row]}' expected)", line=lineno,
+            )
+        for col, cell in enumerate(cells[1:]):
+            if cell == "":
+                continue
+            if row == col:
+                raise ParseError("diagonal cells must be empty", line=lineno)
+            if not cell.isascii() or "_" in cell:
+                raise ParseError(f"bad score '{cell}'", line=lineno)
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"bad score '{cell}'", line=lineno) from None
+            if not 0.0 <= value <= 1.0:
+                raise ParseError(f"score {value} outside [0, 1]", line=lineno)
+    raise AssertionError("the score decoder rejected a valid table")
 
 
 def to_game(

@@ -10,8 +10,10 @@ function arguments); the numpy array underneath is 0-based as usual.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NoReturn
 
 import numpy as np
 
@@ -19,11 +21,10 @@ from .errors import InvariantError, ParseError
 
 MAX_STRATEGIES = 10_000
 
-_ENTRY_TOKENS = {"+1": 1, "0": 0, "-1": -1, "w": 1, "d": 0, "l": -1}
-# Canonical entries " -1", " 0", " +1" are rewritten as the letters a, b, c
-# and decoded through this byte table; 2 marks a byte that is no entry.
-_CANONICAL_ENTRY = np.full(256, 2, dtype=np.int8)
-_CANONICAL_ENTRY[np.frombuffer(b"abc", dtype=np.uint8)] = (-1, 0, 1)
+_ENTRY_TOKENS = ("+1", "0", "-1", "w", "d", "l")
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")  # whitespace beyond ASCII
+# Payoff cells decoded at a time, which bounds the decoder's scratch memory.
+_BLOCK_CELLS = 1 << 16
 
 
 class Outcome(IntEnum):
@@ -183,10 +184,10 @@ def parse_game(text: str) -> GameTable:
         row 1: <e1> ... <em>
         ...
 
-    Entries are ``-1 0 +1`` or the aliases ``l d w``.  ``#`` starts a comment.
-    Payoff rows in the spelling ``serialize_game`` writes are decoded all at
-    once; a table with any other row is read token by token, which also
-    finds the first error and reports its line.
+    Entries are ``-1 0 +1`` or the aliases ``l d w``, split as ``str.split``
+    splits.  ``#`` starts a comment.  Row heads are checked line by line and
+    the row bodies decoded as bytes, a block of rows at a time; a block with
+    a bad row is checked token by token to report the first error's line.
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -205,11 +206,6 @@ def parse_game(text: str) -> GameTable:
             raise ParseError(f"expected '{expected}', got '{parts[0]}'", line=lineno)
         pos += 1
         return lineno, parts[1:]
-
-    def peek_keyword() -> str | None:
-        if pos >= len(lines):
-            return None
-        return lines[pos][1].split()[0]
 
     lineno, rest = take("game")
     if len(rest) != 1:
@@ -235,35 +231,21 @@ def parse_game(text: str) -> GameTable:
             f"table exceeds the {MAX_STRATEGIES}-strategies-per-side limit", line=lineno
         )
 
-    labels_rows = labels_cols = None
-    if peek_keyword() == "labels_rows":
-        lineno, rest = take("labels_rows")
-        if len(rest) != nr:
-            raise ParseError(f"labels_rows needs exactly {nr} labels", line=lineno)
-        labels_rows = tuple(rest)
-    if peek_keyword() == "labels_cols":
-        lineno, rest = take("labels_cols")
-        if len(rest) != nc:
-            raise ParseError(f"labels_cols needs exactly {nc} labels", line=lineno)
-        labels_cols = tuple(rest)
+    labels = {}
+    for keyword, count in (("labels_rows", nr), ("labels_cols", nc)):
+        if pos < len(lines) and lines[pos][1].split()[0] == keyword:
+            lineno, rest = take(keyword)
+            if len(rest) != count:
+                raise ParseError(f"{keyword} needs exactly {count} labels", line=lineno)
+            labels[keyword] = tuple(rest)
 
-    entries = _canonical_rows(lines[pos:pos + nr], nr, nc)
-    if entries is not None:
-        pos += nr
-    else:
-        entries = np.zeros((nr, nc), dtype=np.int8)
-        for i in range(1, nr + 1):
-            lineno, rest = take("row")
-            if len(rest) < 1 or rest[0] != f"{i}:":
-                raise ParseError(f"expected 'row {i}:' next", line=lineno)
-            cells = rest[1:]
-            if len(cells) != nc:
-                raise ParseError(f"row {i} needs exactly {nc} entries", line=lineno)
-            values = list(map(_ENTRY_TOKENS.get, cells))
-            if None in values:
-                bad = next(tok for tok in cells if tok not in _ENTRY_TOKENS)
-                raise ParseError(f"invalid entry '{bad}'", line=lineno)
-            entries[i - 1] = values
+    entries = np.empty((nr, nc), dtype=np.int8)
+    step = max(1, _BLOCK_CELLS // nc)
+    for start in range(0, nr, step):
+        stop = min(start + step, nr)
+        block = lines[pos + start:pos + stop]
+        entries[start:stop] = _payoff_rows(block, start, stop, nc)
+    pos += nr
 
     if pos < len(lines):
         raise ParseError("trailing content after last row", line=lines[pos][0])
@@ -273,8 +255,8 @@ def parse_game(text: str) -> GameTable:
             name=name,
             entries=entries,
             symmetric_flag=symmetric,
-            labels_rows=labels_rows,
-            labels_cols=labels_cols,
+            labels_rows=labels.get("labels_rows"),
+            labels_cols=labels.get("labels_cols"),
         )
     except InvariantError as exc:
         # Surface broken declarations (symmetric but not antisymmetric) as
@@ -292,31 +274,56 @@ def _read_count(token: str) -> int:
     return -size if token.startswith("-") else size
 
 
-def _canonical_rows(
-    rows: list[tuple[int, str]], nr: int, nc: int
-) -> np.ndarray | None:
-    """The entries of payoff rows spelled as ``serialize_game`` writes them
-    (``row <i>:`` and single-space ``+1 0 -1``), decoded all at once; None
-    when there are fewer rows or any row is spelled otherwise."""
-    if len(rows) != nr:
-        return None
-    bodies = []
-    for i, (_, content) in enumerate(rows, start=1):
-        head = f"row {i}:"
-        if not content.startswith(head):
-            return None
-        bodies.append(content[len(head):])
-    text = "\n".join(bodies) + "\n"
-    if "a" in text or "b" in text or "c" in text:
-        return None
-    text = text.replace(" -1", "a").replace(" 0", "b").replace(" +1", "c")
-    if len(text) != nr * (nc + 1) or not text.isascii():
-        return None
-    # With every other byte an entry, the one "\n" per row can only sit in
-    # the last column, so each row holds exactly nc entries.
-    grid = np.frombuffer(text.encode(), dtype=np.uint8).reshape(nr, nc + 1)
-    entries = _CANONICAL_ENTRY[grid[:, :nc]]
-    return None if (entries == 2).any() else entries
+def _payoff_rows(
+    rows: list[tuple[int, str]], start: int, stop: int, nc: int
+) -> np.ndarray:
+    """The entries of payoff rows ``start + 1`` to ``stop``: their heads
+    checked line by line, their bodies decoded as bytes.  Any fault in them,
+    or fewer of them, goes to ``_row_error`` to be worded."""
+    heads = [content.split(None, 2) + [""] for _, content in rows]
+    want = [["row", f"{i}:"] for i in range(start + 1, stop + 1)]
+    if [head[:2] for head in heads] != want:
+        _row_error(rows, start + 1, nc)
+    text = "\n".join(head[2] for head in heads) + "\n"
+    if not text.isascii():
+        text = _WIDE_SPACE.sub(" ", text)
+    data = np.frombuffer(text.encode(errors="surrogatepass"), dtype=np.uint8)
+    space = ((data - 9) <= 4) | ((data - 28) <= 4)  # bytes 9-13 and 28-32
+    # An entry ends where a space follows a byte that is none; the two bytes
+    # before its end (wrapping round to the final "\n") give its spelling.
+    ends = np.flatnonzero(space[1:] > space[:-1])
+    tail, sign = data.take(ends), data.take(ends - 1)
+    letter = (tail == ord("0")) | (tail == ord("d"))
+    letter |= (tail == ord("w")) | (tail == ord("l"))
+    letter &= space.take(ends - 1)
+    signed = (tail == ord("1")) & space.take(ends - 2)
+    signed &= (sign == ord("+")) | (sign == ord("-"))
+    row_ends = np.searchsorted(ends, np.flatnonzero(data == ord("\n")))
+    if not (
+        np.array_equal(row_ends, np.arange(1, len(rows) + 1) * nc)
+        and (letter | signed).all()
+    ):
+        _row_error(rows, start + 1, nc)
+    values = (tail == ord("w")).view(np.int8) - (tail == ord("l")).view(np.int8)
+    values += (ord(",") - sign.view(np.int8)) * signed  # "+" and "-" flank ","
+    return values.reshape(len(rows), nc)
+
+
+def _row_error(rows: list[tuple[int, str]], first: int, nc: int) -> NoReturn:
+    """Raise the ParseError of the first bad payoff row among ``rows``,
+    numbered from ``first``, or of the input ending before them."""
+    for i, (lineno, content) in enumerate(rows, start=first):
+        word, *rest = content.split()
+        if word != "row":
+            raise ParseError(f"expected 'row', got '{word}'", line=lineno)
+        if not rest or rest[0] != f"{i}:":
+            raise ParseError(f"expected 'row {i}:' next", line=lineno)
+        if len(rest) != nc + 1:
+            raise ParseError(f"row {i} needs exactly {nc} entries", line=lineno)
+        bad = next((tok for tok in rest[1:] if tok not in _ENTRY_TOKENS), None)
+        if bad is not None:
+            raise ParseError(f"invalid entry '{bad}'", line=lineno)
+    raise ParseError("unexpected end of input, expected 'row'")
 
 
 def serialize_game(table: GameTable) -> str:

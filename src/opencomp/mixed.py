@@ -42,6 +42,8 @@ class MixedStrategy:
 
     @staticmethod
     def uniform(n: int) -> "MixedStrategy":
+        if n < 1:
+            raise ValueError("a uniform mixture needs at least one strategy")
         return MixedStrategy(np.full(n, 1.0 / n))
 
     @staticmethod

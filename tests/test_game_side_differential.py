@@ -6,8 +6,10 @@ library must agree with them on every output and, for rejected input, on
 the exception type, its message and its line.  Two rules are new and are
 tested on their own (``test_crosstable.py``, ``test_game_core.py``): numbers
 in game files and crosstables are ASCII only, and crosstable errors carry
-the real line number when blank lines precede them.  Inputs here therefore
-hold no blank lines, underscores or non-ASCII characters.
+the real line number when blank lines precede them.  Random and mutated
+inputs here therefore hold no blank lines, underscores or non-ASCII
+characters; the one-row edits below put them only where the oracle reads
+them as the library does: in names, padding and entry separators.
 """
 import importlib
 import tracemalloc
@@ -184,9 +186,9 @@ def test_mutated_game_files_match_the_oracle(text):
             _check_cycles(new[1], 4)
 
 
-# Where the whole-table readers hand over to the per-row scan.  Each case
-# edits one row of a large canonical file, which the fast path would read,
-# so that the edit alone decides which path runs.
+# One-row edits of a large canonical file.  Each edited table goes through
+# the table decoder, and a table it rejects through the per-row checks that
+# word the error; the edit alone decides which.
 _N = 120
 
 
@@ -255,6 +257,16 @@ def _last_cell_blank(cells):
     cells[60][-1] = ""
 
 
+def _rename(name: str):
+    def edit(cells):
+        cells[60][0] = name
+    return edit
+
+
+def _unicode_pad(cells):
+    cells[60][5] = f"\u3000{cells[60][5]}\xa0"
+
+
 _CROSSTABLE_EDITS = {
     "nan": _set(60, 3, "nan"),
     "inf": _set(60, 3, "inf"),
@@ -277,6 +289,10 @@ _CROSSTABLE_EDITS = {
     "exponent": _set(60, 3, "1e0", "0"),
     "no leading digit": _set(60, 3, ".5", ".5"),
     "not complementary": _set(60, 3, "0.4", "0.5"),
+    "underscore in a name": _rename("p_60"),
+    "non-ASCII name": _rename("p\u00e960"),
+    "Unicode padding": _unicode_pad,
+    "tab-only cell": _set(60, 3, "\t"),
 }
 
 
@@ -317,13 +333,33 @@ def _alias_last(line: str) -> str:
 
 
 def _as_letters(glue: str):
-    """The row's entries as the letters the whole-table decoder uses
-    internally, each after ``glue``."""
+    """The row's entries as the letters a, b and c, each after ``glue``:
+    one-byte tokens that are no entry."""
     letters = {"+1": "c", "0": "b", "-1": "a"}
 
     def edit(line: str) -> str:
         head, tokens = line.split(":")
         return head + ":" + "".join(glue + letters[tok] for tok in tokens.split())
+    return edit
+
+
+def _entry_moved_down(i: int):
+    """Payoff row ``i``'s last entry moved to the end of row ``i + 1``, so
+    that the two rows still hold as many entries as before."""
+    def apply(text: str) -> str:
+        lines = text.splitlines()
+        line = 2 + i  # three header lines, then row 1
+        lines[line], token = lines[line].rsplit(" ", 1)
+        lines[line + 1] += f" {token}"
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+def _between_entries(glue: str):
+    """The row with ``glue`` for each space between its entries."""
+    def edit(line: str) -> str:
+        head, body = line.split(": ", 1)
+        return f"{head}: {body.replace(' ', glue)}"
     return edit
 
 
@@ -342,6 +378,10 @@ _GAME_EDITS = {
     "stray sign": _on_row(50, lambda line: line.replace(" +1", " +1 +", 1)),
     "unsigned one": _on_row(50, lambda line: line.replace("+1", "1", 1)),
     "alias in the last row": _on_row(100, _alias_last),
+    "alias in the first row": _on_row(1, _alias_last),
+    "U+3000 between entries": _on_row(50, _between_entries("\u3000")),
+    "U+001F between entries": _on_row(50, _between_entries("\x1f")),
+    "entry moved to the next row": _entry_moved_down(50),
 }
 
 
@@ -356,24 +396,69 @@ def test_game_edits_match_the_oracle(edit):
         _check_game(new[1])
 
 
-def test_canonical_files_take_the_whole_table_paths(monkeypatch):
-    """The per-row scans are the fallbacks; a canonical file never needs
-    them, so they may fail here without the result changing."""
-    class Unused:
-        def get(self, token):
-            raise AssertionError("the per-row entry loop ran")
+def _edited(text: str, *edits) -> str:
+    for edit in edits:
+        text = edit(text)
+    return text
 
+
+def test_valid_files_of_every_spelling_need_no_row_checks(monkeypatch):
+    """The per-row checks only word errors; every valid file, however it
+    is spelled, is read by the table decoders alone."""
     def unused(*args):
-        raise AssertionError("the per-row score scan ran")
+        raise AssertionError("the per-row checks ran on a valid file")
 
-    ct_text = _crosstable_text(_score_cells(50, seed=3))
-    game_text = _game_text(50, seed=4)
-    want_ct = oracle.parse_crosstable(ct_text)
-    want_game = oracle.parse_game(game_text)
-    monkeypatch.setattr(crosstable, "_row_scores", unused)
-    monkeypatch.setattr(game_core, "_ENTRY_TOKENS", Unused())
-    assert _same_crosstable(("ok", parse_crosstable(ct_text)), ("ok", want_ct))
-    assert parse_game(game_text) == want_game
+    monkeypatch.setattr(crosstable, "_row_error", unused)
+    monkeypatch.setattr(game_core, "_row_error", unused)
+    cells = _score_cells(50, seed=3)
+    cells[7][0], cells[8][0] = "p_7", "H\u00f6udini"
+    cells[9][4] = f" {cells[9][4]}\t"
+    cells[10][5] = f"\u3000{cells[10][5]}\xa0"
+    cells[11][3] = "\t"
+    for edited in (_score_cells(50, seed=3), cells):
+        text = _crosstable_text(edited)
+        want = ("ok", oracle.parse_crosstable(text))
+        assert _same_crosstable(("ok", parse_crosstable(text)), want)
+
+    base = _game_text(50, seed=4)
+    for text in (
+        base,
+        _on_row(1, lambda line: " ".join(
+            _SPELLED.get(tok, tok) for tok in line.split(" ")))(base),
+        _edited(
+            base,
+            _on_row(2, _between_entries("\t")),
+            _on_row(3, _between_entries("  ")),
+            _on_row(4, _between_entries("\x1f")),
+            _on_row(5, _between_entries("\u3000")),
+            _on_row(6, _between_entries(" \t\u3000 ")),
+            _on_row(7, lambda line: line + " # noted"),
+            _on_row(50, lambda line: line + "\t#"),
+        ),
+    ):
+        assert parse_game(text) == oracle.parse_game(text)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+def test_game_rows_across_block_boundaries(monkeypatch, rows_per_block):
+    """With a block of one, two or seven rows, a 100-row file spans many
+    blocks; it must still read as the oracle reads it, and an invalid
+    token in the first row of a block, or an entry moved across a block
+    boundary, must be reported on its line."""
+    monkeypatch.setattr(game_core, "_BLOCK_CELLS", rows_per_block * 100)
+    text = _game_text(100, seed=5)
+    assert parse_game(text) == oracle.parse_game(text)
+    aliased = _on_row(rows_per_block + 1, _alias_last)(text)
+    assert parse_game(aliased) == oracle.parse_game(aliased)
+    bad_texts = [
+        _on_row(row, lambda line: line.replace(" 0", " 2", 1))(text)
+        for row in (1, rows_per_block + 1, 3 * rows_per_block + 1, 99)
+    ]
+    bad_texts.append(_entry_moved_down(rows_per_block)(text))
+    for bad in bad_texts:
+        want = _outcome(oracle.parse_game, bad)
+        assert want[0] is ParseError
+        assert _outcome(parse_game, bad) == want
 
 
 # ---------------------------------------------------------------------------

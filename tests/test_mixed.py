@@ -39,6 +39,11 @@ class TestMixedStrategy:
         with pytest.raises(ValueError):
             MixedStrategy(np.array([]))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_uniform_needs_a_strategy(self, n):
+        with pytest.raises(ValueError):
+            MixedStrategy.uniform(n)
+
     def test_weights_are_read_only(self):
         mix = MixedStrategy.uniform(2)
         with pytest.raises(ValueError):
