@@ -421,21 +421,18 @@ def test_valid_files_of_every_spelling_need_no_row_checks(monkeypatch):
         assert _same_crosstable(("ok", parse_crosstable(text)), want)
 
     base = _game_text(50, seed=4)
-    for text in (
+    spelled = _edited(
         base,
-        _on_row(1, lambda line: " ".join(
-            _SPELLED.get(tok, tok) for tok in line.split(" ")))(base),
-        _edited(
-            base,
-            _on_row(2, _between_entries("\t")),
-            _on_row(3, _between_entries("  ")),
-            _on_row(4, _between_entries("\x1f")),
-            _on_row(5, _between_entries("\u3000")),
-            _on_row(6, _between_entries(" \t\u3000 ")),
-            _on_row(7, lambda line: line + " # noted"),
-            _on_row(50, lambda line: line + "\t#"),
-        ),
-    ):
+        _on_row(1, _alias_last),
+        _on_row(2, _between_entries("\t")),
+        _on_row(3, _between_entries("  ")),
+        _on_row(4, _between_entries("\x1f")),
+        _on_row(5, _between_entries("\u3000")),
+        _on_row(6, _between_entries(" \t\u3000 ")),
+        _on_row(7, lambda line: line + " # noted"),
+        _on_row(50, lambda line: line + "\t#"),
+    )
+    for text in (base, _GAME_EDITS["aliases"](base), spelled):
         assert parse_game(text) == oracle.parse_game(text)
 
 
