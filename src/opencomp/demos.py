@@ -26,7 +26,6 @@ from .bundled import EXPLOITER_SOURCE, catalog_learners, rps
 from .classify import best_response
 from .dsl import EvalEnv, EvalKind, EvalResult, evaluate, parse_program
 from .errors import ParseError, RuntimeFault
-from .game_core import GameTable
 
 ORACLE_SOURCE = "oracle: simulates rivals with host resources; not a program."
 
@@ -80,7 +79,6 @@ class OracleWinner(Learner):
             opponent_source=self.source,
             self_source=env.opponent_source,
             fuel=env.fuel,
-            memory_cap=env.memory_cap,
         )
         try:
             run = evaluate(rival, rival_env)
@@ -107,10 +105,9 @@ class OracleWinner(Learner):
         return f"OracleWinner({self.name!r})"
 
 
-def demo_no_universal(game: GameTable | None = None, fuel: int = 3000) -> str:
+def demo_no_universal(fuel: int = 3000) -> str:
     """Full-catalog round robin; the last line reports no universal winner."""
-    game = rps() if game is None else game
-    report = run_tournament(game, catalog_learners(), fuel=fuel, mode=Mode.STRICT)
+    report = run_tournament(rps(), catalog_learners(), fuel=fuel, mode=Mode.STRICT)
     lines = [
         "no universal winner: every member of the catalog fails to win at "
         "least one of its matches",
@@ -118,9 +115,9 @@ def demo_no_universal(game: GameTable | None = None, fuel: int = 3000) -> str:
     return "\n".join(lines) + "\n" + render_report(report)
 
 
-def demo_exploiter(game: GameTable | None = None, fuel: int = 3000) -> str:
+def demo_exploiter(fuel: int = 3000) -> str:
     """The exploiter runs the table on rivals it can actually read out."""
-    game = rps() if game is None else game
+    game = rps()
     exploiter = build_exploiter()
     beatable = [
         learner for learner in catalog_learners()
@@ -143,9 +140,7 @@ def demo_exploiter(game: GameTable | None = None, fuel: int = 3000) -> str:
     return "\n".join(lines) + "\n"
 
 
-def demo_exploiter_exploited(
-    game: GameTable | None = None, fuel: int = 2000
-) -> str:
+def demo_exploiter_exploited(fuel: int = 2000) -> str:
     """No learner is safe: the exploiter falls to a budgeted copy of itself.
 
     Two open-budget exploiters stall forever (strict rules call that
@@ -153,7 +148,7 @@ def demo_exploiter_exploited(
     fuel, and a deadline judge halts while the first is still simulating,
     and takes the match.
     """
-    game = rps() if game is None else game
+    game = rps()
     open_ended = build_exploiter("exploiter")
     rival = build_exploiter("exploiter2")
     stalled = run_match(game, open_ended, rival, fuel=fuel, mode=Mode.STRICT)
@@ -174,9 +169,9 @@ def demo_exploiter_exploited(
     return "\n".join(lines) + "\n"
 
 
-def demo_oracle(game: GameTable | None = None, fuel: int = 3000) -> str:
+def demo_oracle(fuel: int = 3000) -> str:
     """The unreadable oracle never loses; the state-grower still stalls it."""
-    game = rps() if game is None else game
+    game = rps()
     oracle = OracleWinner()
     lines = [
         "the oracle's source is unreadable to rivals, while it simulates "

@@ -67,10 +67,10 @@ forward and no state (control, continuation and bindings, fuel counters
 excluded) can recur, except at ``loop``: a step there leaves the state as it
 was.  So when evaluation reaches ``loop`` with fuel left for one more step,
 the run can never halt, with or without fuel limits, and it stops with a
-two-step witness, provided the state fits ``memory_cap``; over the cap the
-level spins until its fuel is gone.  ``grow`` enlarges its state every step,
-so it never repeats within any finite state-size cap: it spends the level's
-remaining fuel at once.
+two-step witness.  ``grow`` enlarges its state every step, so it never
+repeats and no prover can decide it: it spends the level's remaining fuel at
+once.  So ``loop`` with fuel left for one more step is a proof; ``grow``
+never is.
 """
 from __future__ import annotations
 
@@ -83,8 +83,6 @@ from typing import Union
 from .classify import best_response
 from .errors import ParseError, RuntimeFault
 from .game_core import GameTable, Side
-
-DEFAULT_MEMORY_CAP = 65536
 
 _KEYWORDS = {
     "const", "bestresp", "sim", "match", "halted", "exhausted",
@@ -489,13 +487,10 @@ class EvalEnv:
     opponent_source: str
     self_source: str
     fuel: int
-    memory_cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
         if self.fuel < 0:
             raise ValueError("fuel must be non-negative")
-        if self.memory_cap < 1:
-            raise ValueError("memory_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -600,32 +595,6 @@ class _Level:
         self.shadowed = shadowed    # the live level this one hides under key
 
 
-def _est_size(state) -> int:
-    """Rough byte size of a machine state, used for the prover's cap.
-
-    Walks the state with an explicit stack, so the depth of a syntax tree is
-    not bounded by the interpreter's recursion limit.  A part reachable along
-    two paths is counted on each.
-    """
-    size = 0
-    stack = [state]
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, bool) or obj is None:
-            size += 16
-        elif isinstance(obj, int):
-            size += 28
-        elif isinstance(obj, str):
-            size += 49 + len(obj)
-        elif isinstance(obj, tuple):
-            size += 56 + 8 * len(obj)
-            stack.extend(obj)
-        else:  # syntax nodes and frames, all dataclasses
-            size += 48
-            stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
-    return size
-
-
 def _resolve(src: Src, lvl: _Level) -> _Source:
     if isinstance(src, SrcOpp):
         return lvl.opp
@@ -711,14 +680,12 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     lvl.control = ("value", _lookup(bindings, node.name))
                 elif isinstance(node, Loop):
                     # This step leaves the state as it was, so the next one
-                    # would repeat it: a proof, if the state fits the cap
-                    # and fuel is left to take that next step.  Only the
-                    # root's witness is reported, and it starts at step 0.
-                    size = _est_size((control, lvl.kont))
-                    if g < lvl.limit and size <= env.memory_cap:
+                    # would repeat it: a proof, if fuel is left to take that
+                    # next step.  Only the root's witness is reported, and
+                    # it starts at step 0.
+                    if g < lvl.limit:
                         pop(("proven", g, g + 1))
                     else:
-                        g = lvl.limit
                         pop(("exhausted",))
                 elif isinstance(node, Grow):
                     # Never halts and never repeats a state: spends the rest.
@@ -839,8 +806,8 @@ def prove_nonhalt(program: StrategyProgram | str, env: EvalEnv) -> tuple[int, in
     """State-repetition witness that the program never halts, if one is found.
 
     Returns a pair of step counters at which the machine state was identical,
-    or None when no repetition showed up within the fuel and state-size
-    budget.  None says nothing either way; a witness is conclusive.
+    or None when no repetition showed up within the fuel budget.  None says
+    nothing either way; a witness is conclusive.
     """
     try:
         result = evaluate(program, env)

@@ -2,13 +2,13 @@
 
 ``fingerprint_evaluate`` is the small-step evaluator as it was before
 non-halting came to be decided at the ``loop`` and ``grow`` nodes.  Every
-step it sizes the full level state and, when the state fits the memory cap,
-records it in a per-level ``seen`` dict; a repeated state ends the run as
-proven non-halting.  ``grow`` is a ``("grow", n)`` control state that takes
-one step per unit of fuel.  Tests compare ``opencomp.dsl.evaluate`` against
-it on kind, strategy, witness and ``fuel_used``.  Like the brute-force
-oracles in ``conftest.py`` it is kept for reference and is deliberately not
-optimised.
+step it records the full level state in a per-level ``seen`` dict; a
+repeated state ends the run as proven non-halting.  ``grow`` is a
+``("grow", n)`` control state that takes one step per unit of fuel, so it
+never repeats.  Tests compare ``opencomp.dsl.evaluate`` against it on kind,
+strategy, witness and ``fuel_used``.  Like the brute-force oracles in
+``conftest.py`` it is kept for reference and is deliberately not optimised,
+except that a state's key hashes each syntax node once per evaluation.
 """
 from __future__ import annotations
 
@@ -77,26 +77,31 @@ class _Level:
         self.seen: dict = {}
 
 
-def _est_size(obj, memo: dict) -> int:
-    """Rough byte size of a state component, used for the prover's cap."""
-    if isinstance(obj, bool) or obj is None:
-        return 16
-    if isinstance(obj, int):
-        return 28
-    if isinstance(obj, str):
-        return 49 + len(obj)
+_FRAMES = (_KBestResp, _KMatch, _KIfLeft, _KIfRight)
+
+
+def _state_key(obj, tokens: dict, known: dict):
+    """A key for a state component, equal exactly when the components are.
+
+    Tuples and continuation frames are built afresh as the machine steps, so
+    they are walked.  Anything else that is not a number or a string (syntax
+    nodes, simulation views) stands as the index of the first equal object
+    seen in ``tokens``, so each such object is hashed once, not on every
+    step.  ``known`` keeps each object alive, so its ``id`` is not reused.
+    """
     if isinstance(obj, tuple):
-        return 56 + 8 * len(obj) + sum(_est_size(x, memo) for x in obj)
-    # Syntax nodes, frames, SimOut: immutable, so memoize by identity.
-    cached = memo.get(id(obj))
-    if cached is not None:
-        return cached
-    fields = getattr(obj, "__dataclass_fields__", None)
-    if fields is None:
-        return 64
-    size = 48 + sum(_est_size(getattr(obj, f), memo) for f in fields)
-    memo[id(obj)] = size
-    return size
+        return tuple(_state_key(x, tokens, known) for x in obj)
+    if isinstance(obj, _FRAMES):
+        return (type(obj),) + tuple(
+            _state_key(getattr(obj, f), tokens, known)
+            for f in obj.__dataclass_fields__
+        )
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    hit = known.get(id(obj))
+    if hit is None:
+        hit = known[id(obj)] = (obj, tokens.setdefault(obj, len(tokens)))
+    return hit[1]
 
 
 def _lookup(bindings: tuple, name: str):
@@ -120,7 +125,8 @@ def fingerprint_evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalRe
     g = 0  # fuel consumed so far, shared by every nesting level
     parse_cache: dict[str, Expr | ParseError] = {}
     pretty_cache: dict[int, str] = {}
-    size_memo: dict[int, int] = {}
+    tokens: dict = {}
+    known: dict[int, tuple] = {}
     game = env.game
 
     root = _Level(
@@ -193,18 +199,13 @@ def fingerprint_evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalRe
         # future can depend on the fuel left, and structural evaluation
         # cannot revisit them anyway.
         if not (control[0] == "expr" and isinstance(control[1], Sim)):
-            if control[0] == "grow":
-                size = 100 + control[1] + _est_size(lvl.kont, size_memo)
-            else:
-                size = _est_size((control, lvl.kont), size_memo)
-            if size <= env.memory_cap:
-                key = (control, lvl.kont)
-                step_no = g - lvl.start_g + 1
-                first = lvl.seen.get(key)
-                if first is not None:
-                    pop(("proven", first, step_no))
-                    continue
-                lvl.seen[key] = step_no
+            key = _state_key((control, lvl.kont), tokens, known)
+            step_no = g - lvl.start_g + 1
+            first = lvl.seen.get(key)
+            if first is not None:
+                pop(("proven", first, step_no))
+                continue
+            lvl.seen[key] = step_no
 
         g += 1
         try:

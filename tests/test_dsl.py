@@ -14,14 +14,13 @@ from opencomp.dsl import (
 
 
 def env_for(opponent="const 1", me="const 1", fuel=1000, side=Side.ROW,
-            memory_cap=65536, game=None):
+            game=None):
     return EvalEnv(
         game=rps() if game is None else game,
         side=side,
         opponent_source=opponent,
         self_source=me,
         fuel=fuel,
-        memory_cap=memory_cap,
     )
 
 
@@ -241,10 +240,6 @@ class TestNonHalting:
         assert result.witness is None
         assert result.fuel_used == 700
 
-    def test_memory_cap_disables_the_prover(self):
-        result = evaluate("loop", env_for(fuel=50, memory_cap=1))
-        assert result.kind is EvalKind.FUEL_EXHAUSTED
-
     def test_prove_nonhalt(self):
         assert prove_nonhalt("loop", env_for()) == (1, 2)
         assert prove_nonhalt("const 1", env_for()) is None
@@ -382,10 +377,6 @@ class TestEnvValidation:
     def test_negative_fuel(self):
         with pytest.raises(ValueError):
             env_for(fuel=-1)
-
-    def test_zero_memory_cap(self):
-        with pytest.raises(ValueError):
-            env_for(memory_cap=0)
 
 
 _OPPONENTS = st.sampled_from(["const 1", "const 2", "loop", "grow", EXPLOITER_SOURCE])

@@ -2,8 +2,8 @@
 
 The library decides ``loop`` and ``grow`` at their own node, and spends the
 shared limit at once when a simulation repeats a live ancestor; the oracle
-in ``fingerprint_oracle.py`` sizes and hashes the whole state on every step
-and runs every level of a simulation tower.  They must agree on kind,
+in ``fingerprint_oracle.py`` hashes the whole state on every step and runs
+every level of a simulation tower.  They must agree on kind,
 strategy, witness and ``fuel_used`` everywhere, faults included.
 """
 import pytest
@@ -25,7 +25,6 @@ from test_dsl import env_for, program_trees
 _FUELS = st.one_of(
     st.sampled_from([0, 1, 2, 3, 5, 10, 50, 200, 1000]), st.integers(0, 300)
 )
-_CAPS = st.sampled_from([1, 60, 200, 65536])
 _OPPONENTS = st.one_of(
     st.sampled_from(["const 1", "const 2", "loop", "grow", EXPLOITER_SOURCE]),
     program_trees.map(pretty),
@@ -44,20 +43,20 @@ def _both(source, env):
     return _run(evaluate, source, env), _run(fingerprint_evaluate, source, env)
 
 
-@given(program_trees, _OPPONENTS, _FUELS, _CAPS)
+@given(program_trees, _OPPONENTS, _FUELS)
 @settings(max_examples=300, deadline=None)
-def test_agrees_with_the_fingerprint_oracle(tree, opponent, fuel, cap):
+def test_agrees_with_the_fingerprint_oracle(tree, opponent, fuel):
     source = pretty(tree)
-    env = env_for(opponent=opponent, me=source, fuel=fuel, memory_cap=cap)
+    env = env_for(opponent=opponent, me=source, fuel=fuel)
     new, old = _both(source, env)
     assert new == old
 
 
-@given(program_trees, _OPPONENTS, _FUELS, _CAPS)
+@given(program_trees, _OPPONENTS, _FUELS)
 @settings(max_examples=150, deadline=None)
-def test_cold_and_warm_parse_cache_agree_with_the_oracle(tree, opponent, fuel, cap):
+def test_cold_and_warm_parse_cache_agree_with_the_oracle(tree, opponent, fuel):
     source = pretty(tree)
-    env = env_for(opponent=opponent, me=source, fuel=fuel, memory_cap=cap)
+    env = env_for(opponent=opponent, me=source, fuel=fuel)
     expected = _run(fingerprint_evaluate, source, env)
     _parse_source.cache_clear()
     cold = _run(evaluate, source, env)
@@ -65,37 +64,49 @@ def test_cold_and_warm_parse_cache_agree_with_the_oracle(tree, opponent, fuel, c
     assert cold == warm == expected
 
 
-# A top-level `loop` state sizes to 365 under the prover's estimate.
-@pytest.mark.parametrize("source, fuel, cap, expected", [
+_IF_CHAIN = "if 1 == 1 then " * 300 + "const 1" + " else 2" * 300
+
+
+@pytest.mark.parametrize("source, fuel, expected", [
     # Fuel runs out on the step right after reaching `loop`.
-    ("loop", 1, 65536, (EvalKind.FUEL_EXHAUSTED, None, None, 1)),
-    ("if loop == 1 then 1 else 2", 2, 65536,
-     (EvalKind.FUEL_EXHAUSTED, None, None, 2)),
+    ("loop", 1, (EvalKind.FUEL_EXHAUSTED, None, None, 1)),
+    ("if loop == 1 then 1 else 2", 2, (EvalKind.FUEL_EXHAUSTED, None, None, 2)),
     # One more unit of fuel and the repeat is seen.
-    ("loop", 2, 65536, (EvalKind.PROVEN_NONHALTING, None, (1, 2), 1)),
-    ("if loop == 1 then 1 else 2", 3, 65536,
+    ("loop", 2, (EvalKind.PROVEN_NONHALTING, None, (1, 2), 1)),
+    ("if loop == 1 then 1 else 2", 3,
      (EvalKind.PROVEN_NONHALTING, None, (2, 3), 2)),
-    # The memory cap is inclusive; one byte under it, `loop` spins out.
-    ("loop", 40, 365, (EvalKind.PROVEN_NONHALTING, None, (1, 2), 1)),
-    ("loop", 40, 364, (EvalKind.FUEL_EXHAUSTED, None, None, 40)),
-    ("grow", 0, 65536, (EvalKind.FUEL_EXHAUSTED, None, None, 0)),
-    ("grow", 1, 65536, (EvalKind.FUEL_EXHAUSTED, None, None, 1)),
+    ("loop", 40, (EvalKind.PROVEN_NONHALTING, None, (1, 2), 1)),
+    ("grow", 0, (EvalKind.FUEL_EXHAUSTED, None, None, 0)),
+    ("grow", 1, (EvalKind.FUEL_EXHAUSTED, None, None, 1)),
     # A child caught at `loop` by its own budget reads as exhausted.
     ('match sim("loop", opp, 1) { halted(k) => k | exhausted => 2 }', 50,
-     65536, (EvalKind.HALTED, 2, None, 5)),
+     (EvalKind.HALTED, 2, None, 5)),
     ('match sim("loop", opp, 2) { halted(k) => k | exhausted => 2 }', 50,
-     65536, (EvalKind.HALTED, 2, None, 5)),
-    # A `loop` state holding a quote sizes to 976.  The oracle sizes the
-    # same node classes, so if a quote's text counted towards the size both
-    # sides would move together: only these pinned numbers would change.
-    ('if loop == 1 then sim("const 1", opp, 5) else 2', 40, 976,
+     (EvalKind.HALTED, 2, None, 5)),
+    # However large the state that `loop` leaves as it was, the repeat is a
+    # proof.
+    ('if loop == 1 then sim("const 1", opp, 5) else 2', 40,
      (EvalKind.PROVEN_NONHALTING, None, (2, 3), 2)),
-    ('if loop == 1 then sim("const 1", opp, 5) else 2', 40, 975,
-     (EvalKind.FUEL_EXHAUSTED, None, None, 40)),
+    (f'if loop == 1 then sim("{_IF_CHAIN}", opp, 5) else 2', 100_000,
+     (EvalKind.PROVEN_NONHALTING, None, (2, 3), 2)),
+], ids=[
+    # Pinned, so a row keeps its name when rows are added or removed.  The
+    # number before `expected` is the state-size cap the row once set.
+    "loop-1-65536-expected0",
+    "if loop == 1 then 1 else 2-2-65536-expected1",
+    "loop-2-65536-expected2",
+    "if loop == 1 then 1 else 2-3-65536-expected3",
+    "loop-40-365-expected4",
+    "grow-0-65536-expected6",
+    "grow-1-65536-expected7",
+    'match sim("loop", opp, 1) { halted(k) => k | exhausted => 2 }-50-65536-expected8',
+    'match sim("loop", opp, 2) { halted(k) => k | exhausted => 2 }-50-65536-expected9',
+    'if loop == 1 then sim("const 1", opp, 5) else 2-40-976-expected10',
+    "loop-before-a-300-deep-quote",
 ])
-def test_boundary_cases_match_the_oracle(source, fuel, cap, expected):
+def test_boundary_cases_match_the_oracle(source, fuel, expected):
     program = parse_program(source)
-    env = env_for(me=source, fuel=fuel, memory_cap=cap)
+    env = env_for(me=source, fuel=fuel)
     for _ in range(2):  # the second time with every quote's text built
         new, old = _both(program, env)
         assert new == old == expected
@@ -152,13 +163,12 @@ _TOWER_FUELS = st.one_of(
 )
 
 
-@given(tower_trees, _TOWER_OPPONENTS, _TOWER_FUELS, st.sampled_from([60, 65536]))
+@given(tower_trees, _TOWER_OPPONENTS, _TOWER_FUELS)
 @settings(max_examples=150, deadline=None)
-def test_towers_agree_with_the_fingerprint_oracle(tree, opponent, fuel, cap):
+def test_towers_agree_with_the_fingerprint_oracle(tree, opponent, fuel):
     source = pretty(tree)
     env = env_for(
-        opponent=source if opponent is None else opponent, me=source,
-        fuel=fuel, memory_cap=cap,
+        opponent=source if opponent is None else opponent, me=source, fuel=fuel
     )
     new, old = _both(source, env)
     assert new == old

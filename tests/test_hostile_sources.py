@@ -1,4 +1,4 @@
-"""Sources built to break the tokenizer or the prover's state sizing.
+"""Sources built to break the tokenizer, the parser or the prover.
 
 Each must fail as a positioned ParseError, or evaluate normally; inside
 ``sim`` an unparseable rival reads as ``exhausted`` and never takes the
@@ -69,6 +69,31 @@ def test_deep_tree_at_loop_is_proven_without_recursion():
     assert result.kind is EvalKind.PROVEN_NONHALTING
     assert result.witness == (2, 3)
     assert result.fuel_used == 2
+
+
+# A 35 KB entrant of 600 chained budgeted simulations of its rival, and a
+# 6.6 KB rival that stops at `loop` with a 300-deep `if` chain pending.  Each
+# simulation finds the rival's `loop` after two steps, however large the
+# state it leaves as it was, so the entrant pays five steps per link.
+_CHAINED_SIMS = (
+    "match sim(opp, self, 5) { halted(k) => k | exhausted => " * 600
+    + "const 1" + " }" * 600
+)
+_LOOP_BEFORE_A_DEEP_IF = (
+    "if loop == 1 then "
+    + "if 1 == 1 then " * 300 + "const 1" + " else 2" * 300
+    + " else 2"
+)
+
+
+def test_chained_sims_of_a_large_loop_state_are_proven_each_time():
+    env = env_for(
+        opponent=_LOOP_BEFORE_A_DEEP_IF, me=_CHAINED_SIMS, fuel=10_000
+    )
+    result = evaluate(_CHAINED_SIMS, env)
+    assert (result.kind, result.strategy, result.fuel_used) == (
+        EvalKind.HALTED, 1, 3001
+    )
 
 
 class _Publisher(Learner):
