@@ -196,6 +196,15 @@ class TournamentReport:
     universal_winner: str | None
 
 
+# The tally keys a result bumps for learner1 and learner2.
+_TALLY_KEYS = {
+    MatchResult.WIN1: ("wins", "losses"),
+    MatchResult.WIN2: ("losses", "wins"),
+    MatchResult.DRAW: ("draws", "draws"),
+    MatchResult.UNDECIDED: ("undecided", "undecided"),
+}
+
+
 def run_tournament(
     game: GameTable,
     learners: list[Learner],
@@ -240,35 +249,16 @@ def run_tournament(
         name: {"wins": 0, "draws": 0, "losses": 0, "undecided": 0}
         for name in names
     }
-    clean_sweep = {name: True for name in names}
-    played = {name: 0 for name in names}
     for record in records:
-        played[record.learner1] += 1
-        played[record.learner2] += 1
-        if record.result is MatchResult.WIN1:
-            tallies[record.learner1]["wins"] += 1
-            tallies[record.learner2]["losses"] += 1
-            clean_sweep[record.learner2] = False
-        elif record.result is MatchResult.WIN2:
-            tallies[record.learner2]["wins"] += 1
-            tallies[record.learner1]["losses"] += 1
-            clean_sweep[record.learner1] = False
-        elif record.result is MatchResult.DRAW:
-            tallies[record.learner1]["draws"] += 1
-            tallies[record.learner2]["draws"] += 1
-            clean_sweep[record.learner1] = False
-            clean_sweep[record.learner2] = False
-        else:
-            tallies[record.learner1]["undecided"] += 1
-            tallies[record.learner2]["undecided"] += 1
-            clean_sweep[record.learner1] = False
-            clean_sweep[record.learner2] = False
+        key1, key2 = _TALLY_KEYS[record.result]
+        tallies[record.learner1][key1] += 1
+        tallies[record.learner2][key2] += 1
 
-    universal = None
-    for name in names:
-        if played[name] > 0 and clean_sweep[name]:
-            universal = name
-            break
+    universal = next(
+        (name for name, tally in tallies.items()
+         if 0 < tally["wins"] == sum(tally.values())),
+        None,
+    )
 
     return TournamentReport(
         game_name=game.name,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotSymmetricError
-from .game_core import GameTable, Side, is_symmetric
+from .game_core import GameTable, Side
 
 
 class ClassKind(str, Enum):
@@ -147,7 +147,7 @@ def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
     # Antisymmetry is also why no path needs a check for repeated nodes: a
     # path of at most 5 nodes that closes a cycle and rises above its start
     # could only repeat a node by taking an edge in both directions.
-    if not (table.symmetric_flag and is_symmetric(table)):
+    if not table.symmetric_flag:
         raise NotSymmetricError("cycle search needs a symmetric table")
     n = table.rows
     # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.

@@ -523,37 +523,6 @@ class SimOut:
     value: int | None = None
 
 
-@dataclass(frozen=True)
-class _KBestResp:
-    pass
-
-
-@dataclass(frozen=True)
-class _KMatch:
-    var: str
-    on_halted: Expr
-    on_exhausted: Expr
-    bindings: tuple
-
-
-@dataclass(frozen=True)
-class _KIfLeft:
-    op: str
-    right: Expr
-    then: Expr
-    otherwise: Expr
-    bindings: tuple
-
-
-@dataclass(frozen=True)
-class _KIfRight:
-    op: str
-    left_value: int
-    then: Expr
-    otherwise: Expr
-    bindings: tuple
-
-
 class _FaultSignal(Exception):
     pass
 
@@ -586,7 +555,10 @@ class _Level:
     def __init__(self, control, side, opp: _Source, me: _Source, limit,
                  key=None, shadowed=None):
         self.control = control
-        self.kont: tuple = ()
+        # Pending (node, bindings, left) frames, innermost last: a BestResp,
+        # Match or If node, the bindings it was reached with, and the left
+        # value of an If whose left side is done (None otherwise).
+        self.kont: list = []
         self.side = side
         self.opp = opp
         self.me = me
@@ -646,7 +618,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         if not levels:
             final = result
             return
-        parent = levels[-1]
+        parent = levels[-1]  # its control is still the sim that ran ``done``
         if result[0] == "halted":
             parent.control = ("value", SimOut("halted", result[1]))
         else:
@@ -692,17 +664,13 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     g = lvl.limit
                     pop(("exhausted",))
                 elif isinstance(node, BestResp):
-                    lvl.kont = lvl.kont + (_KBestResp(),)
+                    lvl.kont.append((node, bindings, None))
                     lvl.control = ("expr", node.arg, bindings)
                 elif isinstance(node, Match):
-                    lvl.kont = lvl.kont + (
-                        _KMatch(node.var, node.on_halted, node.on_exhausted, bindings),
-                    )
+                    lvl.kont.append((node, bindings, None))
                     lvl.control = ("expr", node.scrutinee, bindings)
                 elif isinstance(node, If):
-                    lvl.kont = lvl.kont + (
-                        _KIfLeft(node.op, node.right, node.then, node.otherwise, bindings),
-                    )
+                    lvl.kont.append((node, bindings, None))
                     lvl.control = ("expr", node.left, bindings)
                 elif isinstance(node, Sim):
                     adversary = _resolve(node.adversary, lvl)
@@ -728,7 +696,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             # run would repeat the twin's descent until the
                             # shared limit stops it: spend that limit now.
                             g = child_limit
-                        lvl.control = ("await",)
                         child = _Level(
                             control=("expr", tree, ()),
                             side=child_side,
@@ -744,9 +711,8 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     raise _FaultSignal(f"unknown node {node!r}")
             else:  # a value meeting the top continuation frame
                 value = control[1]
-                frame = lvl.kont[-1]
-                lvl.kont = lvl.kont[:-1]
-                if isinstance(frame, _KBestResp):
+                node, bindings, left = lvl.kont.pop()
+                if isinstance(node, BestResp):
                     if not isinstance(value, int):
                         raise _FaultSignal("best response applied to a non-index")
                     opp_count = game.side_count(lvl.side.opposite)
@@ -755,38 +721,29 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             f"best response to out-of-range strategy {value}"
                         )
                     lvl.control = ("value", best_response(game, lvl.side, value))
-                elif isinstance(frame, _KMatch):
+                elif isinstance(node, Match):
                     if not isinstance(value, SimOut):
                         raise _FaultSignal("match on a non-simulation value")
                     if value.tag == "halted":
-                        bound = frame.bindings + ((frame.var, value.value),)
-                        lvl.control = ("expr", frame.on_halted, bound)
+                        bound = bindings + ((node.var, value.value),)
+                        lvl.control = ("expr", node.on_halted, bound)
                     else:
-                        lvl.control = ("expr", frame.on_exhausted, frame.bindings)
-                elif isinstance(frame, _KIfLeft):
-                    if not isinstance(value, int):
-                        raise _FaultSignal("comparison on a non-integer")
-                    lvl.kont = lvl.kont + (
-                        _KIfRight(frame.op, value, frame.then, frame.otherwise,
-                                  frame.bindings),
-                    )
-                    lvl.control = ("expr", frame.right, frame.bindings)
-                elif isinstance(frame, _KIfRight):
-                    if not isinstance(value, int):
-                        raise _FaultSignal("comparison on a non-integer")
-                    left = frame.left_value
-                    if frame.op == "==":
+                        lvl.control = ("expr", node.on_exhausted, bindings)
+                elif not isinstance(value, int):  # an If
+                    raise _FaultSignal("comparison on a non-integer")
+                elif left is None:
+                    lvl.kont.append((node, bindings, value))
+                    lvl.control = ("expr", node.right, bindings)
+                else:
+                    if node.op == "==":
                         taken = left == value
-                    elif frame.op == "<":
+                    elif node.op == "<":
                         taken = left < value
                     else:
                         taken = left > value
                     lvl.control = (
-                        "expr", frame.then if taken else frame.otherwise,
-                        frame.bindings,
+                        "expr", node.then if taken else node.otherwise, bindings
                     )
-                else:  # pragma: no cover
-                    raise _FaultSignal(f"unknown frame {frame!r}")
         except _FaultSignal as fault:
             pop(("fault", str(fault)))
 

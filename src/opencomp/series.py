@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .game_core import GameTable, is_symmetric
+from .game_core import GameTable
 
 
 class Aggregator(str, Enum):
@@ -70,21 +70,12 @@ def compose_series(
 
     if name is None:
         name = "series-" + "-".join(game.name for game in games)
-    first_game = games[0]
-    probe = GameTable(
-        name=name,
-        entries=entries,
-        symmetric_flag=False,
-        labels_rows=first_game.labels_rows,
-        labels_cols=first_game.labels_cols,
-    )
-    symmetric = all(g.symmetric_flag for g in games) and is_symmetric(probe)
-    if not symmetric:
-        return probe
+    # Both rules are odd functions of the layers, so antisymmetric layers
+    # give an antisymmetric result; GameTable checks it all the same.
     return GameTable(
         name=name,
         entries=entries,
-        symmetric_flag=True,
-        labels_rows=first_game.labels_rows,
-        labels_cols=first_game.labels_cols,
+        symmetric_flag=all(game.symmetric_flag for game in games),
+        labels_rows=games[0].labels_rows,
+        labels_cols=games[0].labels_cols,
     )

@@ -6,6 +6,8 @@ in ``fingerprint_oracle.py`` hashes the whole state on every step and runs
 every level of a simulation tower.  They must agree on kind,
 strategy, witness and ``fuel_used`` everywhere, faults included.
 """
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,51 @@ def test_boundary_cases_match_the_oracle(source, fuel, expected):
         new, old = _both(program, env)
         assert new == old == expected
         pretty(program.ast)
+
+
+# Chains whose continuation holds hundreds of frames at once, each cut by
+# fuel while the frames stack and while they unwind, and each run to its
+# end.  The left-nested ``if``
+# keeps frames whose left value is pending; the ``bestresp`` chain faults
+# on its innermost index (rps has three strategies) with 639 frames above
+# it; the ``match`` chain stacks its frames in the scrutinee, and each of
+# its arms picks the next simulation's budget.
+_DEEP = {
+    "if": "if " * 640 + "1" + " == 1 then 1 else 2" * 640,
+    "bestresp": "bestresp(" * 639 + "const 9" + ")" * 639,
+    "match": "match " * 600 + "sim(opp, self, 1)"
+    + " { halted(k) => sim(opp, self, 0) | exhausted => sim(opp, self, 1) }" * 599
+    + " { halted(k) => k | exhausted => 2 }",
+}
+
+
+@pytest.fixture
+def deep_hashing():
+    """Room for the oracle, which hashes a syntax tree one frame per level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * dsl._MAX_NESTING)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("chain, fuel, kind", [
+    ("if", 600, EvalKind.FUEL_EXHAUSTED),
+    ("if", 1000, EvalKind.FUEL_EXHAUSTED),
+    ("if", 3201, EvalKind.HALTED),
+    ("bestresp", 320, EvalKind.FUEL_EXHAUSTED),
+    ("bestresp", 640, EvalKind.FUEL_EXHAUSTED),
+    ("bestresp", 641, "fault"),
+    ("bestresp", 100_000, "fault"),
+    ("match", 300, EvalKind.FUEL_EXHAUSTED),
+    ("match", 1050, EvalKind.FUEL_EXHAUSTED),
+    ("match", 2101, EvalKind.HALTED),
+])
+def test_deep_continuations_match_the_oracle(deep_hashing, chain, fuel, kind):
+    source = _DEEP[chain]
+    program = parse_program(source)
+    new, old = _both(program, env_for(me=source, fuel=fuel))
+    assert new[0] == kind
+    assert new == old
 
 
 # Towers of mutual simulation: every program is built around a ``sim``, and
