@@ -24,8 +24,10 @@ from .arena import (
 )
 from .bundled import EXPLOITER_SOURCE, catalog_learners, rps
 from .classify import best_response
-from .dsl import EvalEnv, EvalKind, EvalResult, evaluate, parse_program
-from .errors import ParseError, RuntimeFault
+from .dsl import (
+    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, source_tree,
+)
+from .errors import RuntimeFault
 
 ORACLE_SOURCE = "oracle: simulates rivals with host resources; not a program."
 
@@ -69,9 +71,8 @@ class OracleWinner(Learner):
         self.source = ORACLE_SOURCE
 
     def play(self, env: EvalEnv) -> EvalResult:
-        try:
-            rival = parse_program(env.opponent_source)
-        except ParseError:
+        tree = source_tree(env.opponent_source)
+        if tree is None:
             return EvalResult(EvalKind.HALTED, strategy=1)
         rival_env = EvalEnv(
             game=env.game,
@@ -81,7 +82,7 @@ class OracleWinner(Learner):
             fuel=env.fuel,
         )
         try:
-            run = evaluate(rival, rival_env)
+            run = evaluate(StrategyProgram(env.opponent_source, tree), rival_env)
         except RuntimeFault as fault:
             return EvalResult(EvalKind.HALTED, strategy=1, fuel_used=fault.fuel_used)
         if run.kind is EvalKind.HALTED:

@@ -38,8 +38,9 @@ per evaluation: the trees of the 1024 most recently given texts of at most
 4096 characters (or the verdict that a text is not a program) are shared
 by every evaluation, so the cache holds a bounded amount of memory.  A
 longer text is parsed at most once per evaluation and dropped when the
-evaluation returns.  Trees are immutable and parsing costs no fuel, so
-sharing changes no result.
+evaluation returns.  ``source_tree`` reads a text through the same cache,
+and the host-level oracle in ``demos`` reads its rivals with it.  Trees are
+immutable and parsing costs no fuel, so sharing changes no result.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -416,6 +417,16 @@ def _parse_source(text: str) -> Expr | None:
         return None
 
 
+def source_tree(text: str) -> Expr | None:
+    """Syntax tree of a rival's published source, or None if the text is
+    not a program: read through the shared cache when it is short enough."""
+    # A longer text stays out of the shared cache, so the cache holds a
+    # bounded amount of memory.
+    if len(text) <= _MAX_CACHED_SOURCE:
+        return _parse_source(text)
+    return _parse_source.__wrapped__(text)
+
+
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     """Parse a learner file: first line ``learner <name>``, rest the program."""
     lines = text.splitlines()
@@ -523,6 +534,9 @@ class SimOut:
     value: int | None = None
 
 
+_EXHAUSTED = SimOut("exhausted")
+
+
 class _FaultSignal(Exception):
     pass
 
@@ -537,11 +551,9 @@ class _Given:
 
     @functools.cached_property
     def program(self) -> Expr | None:
-        # A longer text stays out of the shared cache, so the cache holds a
-        # bounded amount of memory; the holder still parses it only once.
-        if len(self.text) <= _MAX_CACHED_SOURCE:
-            return _parse_source(self.text)
-        return _parse_source.__wrapped__(self.text)
+        # Cached on the holder too, so even a text too long for the shared
+        # cache is parsed only once per evaluation.
+        return source_tree(self.text)
 
 
 _Source = Union[_Given, SrcQuoted]
@@ -568,9 +580,9 @@ class _Level:
 
 
 def _resolve(src: Src, lvl: _Level) -> _Source:
-    if isinstance(src, SrcOpp):
+    if type(src) is SrcOpp:
         return lvl.opp
-    if isinstance(src, SrcSelf):
+    if type(src) is SrcSelf:
         return lvl.me
     return src
 
@@ -622,7 +634,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         if result[0] == "halted":
             parent.control = ("value", SimOut("halted", result[1]))
         else:
-            parent.control = ("value", SimOut("exhausted"))
+            parent.control = ("value", _EXHAUSTED)
 
     while levels:
         lvl = levels[-1]
@@ -645,37 +657,18 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         g += 1
         try:
             if control[0] == "expr":
+                # Node types in order of how often a step meets them.
                 node, bindings = control[1], control[2]
-                if isinstance(node, Literal):
+                kind = type(node)
+                if kind is Literal:
                     lvl.control = ("value", node.value)
-                elif isinstance(node, Var):
-                    lvl.control = ("value", _lookup(bindings, node.name))
-                elif isinstance(node, Loop):
-                    # This step leaves the state as it was, so the next one
-                    # would repeat it: a proof, if fuel is left to take that
-                    # next step.  Only the root's witness is reported, and
-                    # it starts at step 0.
-                    if g < lvl.limit:
-                        pop(("proven", g, g + 1))
-                    else:
-                        pop(("exhausted",))
-                elif isinstance(node, Grow):
-                    # Never halts and never repeats a state: spends the rest.
-                    g = lvl.limit
-                    pop(("exhausted",))
-                elif isinstance(node, BestResp):
-                    lvl.kont.append((node, bindings, None))
-                    lvl.control = ("expr", node.arg, bindings)
-                elif isinstance(node, Match):
+                elif kind is Match:
                     lvl.kont.append((node, bindings, None))
                     lvl.control = ("expr", node.scrutinee, bindings)
-                elif isinstance(node, If):
-                    lvl.kont.append((node, bindings, None))
-                    lvl.control = ("expr", node.left, bindings)
-                elif isinstance(node, Sim):
+                elif kind is Sim:
                     adversary = _resolve(node.adversary, lvl)
                     target = _resolve(node.target, lvl)
-                    if isinstance(node.target, SrcOpp):
+                    if type(node.target) is SrcOpp:
                         child_side = lvl.side.opposite
                     else:
                         child_side = lvl.side
@@ -683,7 +676,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     if tree is None:
                         # A rival whose source is not a runnable program
                         # yields nothing observable.
-                        lvl.control = ("value", SimOut("exhausted"))
+                        lvl.control = ("value", _EXHAUSTED)
                     else:
                         if node.budget == "rest":
                             child_limit = lvl.limit
@@ -707,12 +700,56 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         )
                         live[key] = child
                         levels.append(child)
-                else:  # pragma: no cover
-                    raise _FaultSignal(f"unknown node {node!r}")
+                elif kind is BestResp:
+                    lvl.kont.append((node, bindings, None))
+                    lvl.control = ("expr", node.arg, bindings)
+                elif kind is If:
+                    lvl.kont.append((node, bindings, None))
+                    lvl.control = ("expr", node.left, bindings)
+                elif kind is Var:
+                    lvl.control = ("value", _lookup(bindings, node.name))
+                elif kind is Loop:
+                    # This step leaves the state as it was, so the next one
+                    # would repeat it: a proof, if fuel is left to take that
+                    # next step.  Only the root's witness is reported, and
+                    # it starts at step 0.
+                    if g < lvl.limit:
+                        pop(("proven", g, g + 1))
+                    else:
+                        pop(("exhausted",))
+                else:  # Grow
+                    # Never halts and never repeats a state: spends the rest.
+                    g = lvl.limit
+                    pop(("exhausted",))
             else:  # a value meeting the top continuation frame
                 value = control[1]
                 node, bindings, left = lvl.kont.pop()
-                if isinstance(node, BestResp):
+                kind = type(node)
+                if kind is Match:
+                    if not isinstance(value, SimOut):
+                        raise _FaultSignal("match on a non-simulation value")
+                    if value.tag == "halted":
+                        bound = bindings + ((node.var, value.value),)
+                        lvl.control = ("expr", node.on_halted, bound)
+                    else:
+                        lvl.control = ("expr", node.on_exhausted, bindings)
+                elif kind is If:
+                    if not isinstance(value, int):
+                        raise _FaultSignal("comparison on a non-integer")
+                    if left is None:
+                        lvl.kont.append((node, bindings, value))
+                        lvl.control = ("expr", node.right, bindings)
+                    else:
+                        if node.op == "==":
+                            taken = left == value
+                        elif node.op == "<":
+                            taken = left < value
+                        else:
+                            taken = left > value
+                        lvl.control = (
+                            "expr", node.then if taken else node.otherwise, bindings
+                        )
+                else:  # BestResp
                     if not isinstance(value, int):
                         raise _FaultSignal("best response applied to a non-index")
                     opp_count = game.side_count(lvl.side.opposite)
@@ -721,29 +758,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             f"best response to out-of-range strategy {value}"
                         )
                     lvl.control = ("value", best_response(game, lvl.side, value))
-                elif isinstance(node, Match):
-                    if not isinstance(value, SimOut):
-                        raise _FaultSignal("match on a non-simulation value")
-                    if value.tag == "halted":
-                        bound = bindings + ((node.var, value.value),)
-                        lvl.control = ("expr", node.on_halted, bound)
-                    else:
-                        lvl.control = ("expr", node.on_exhausted, bindings)
-                elif not isinstance(value, int):  # an If
-                    raise _FaultSignal("comparison on a non-integer")
-                elif left is None:
-                    lvl.kont.append((node, bindings, value))
-                    lvl.control = ("expr", node.right, bindings)
-                else:
-                    if node.op == "==":
-                        taken = left == value
-                    elif node.op == "<":
-                        taken = left < value
-                    else:
-                        taken = left > value
-                    lvl.control = (
-                        "expr", node.then if taken else node.otherwise, bindings
-                    )
         except _FaultSignal as fault:
             pop(("fault", str(fault)))
 

@@ -83,10 +83,15 @@ class GameTable:
             raise InvariantError(
                 f"table exceeds the {MAX_STRATEGIES}-strategies-per-side limit"
             )
-        # Checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
-        if not ((raw == -1) | (raw == 0) | (raw == 1)).all():
-            raise InvariantError("entries must be -1, 0 or +1")
-        arr = raw.astype(np.int8)
+        # Checked a block of rows at a time, so no full-size mask is built,
+        # and before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
+        step = max(1, _BLOCK_CELLS // nc)
+        arr = np.empty((nr, nc), dtype=np.int8)
+        for start in range(0, nr, step):
+            block = raw[start:start + step]
+            if not ((block == -1) | (block == 0) | (block == 1)).all():
+                raise InvariantError("entries must be -1, 0 or +1")
+            arr[start:start + step] = block
         if self.labels_rows is not None and len(self.labels_rows) != nr:
             raise InvariantError("labels_rows length does not match row count")
         if self.labels_cols is not None and len(self.labels_cols) != nc:
@@ -99,8 +104,12 @@ class GameTable:
         if self.symmetric_flag:
             if nr != nc:
                 raise InvariantError("symmetric table must be square")
-            if (arr != -arr.T).any():
-                raise InvariantError("symmetric table must be antisymmetric")
+            # Each block of rows against its mirror from the diagonal on,
+            # which covers every pair once.
+            for start in range(0, nr, step):
+                rows = arr[start:start + step, start:]
+                if (rows != -arr[start:, start:start + step].T).any():
+                    raise InvariantError("symmetric table must be antisymmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

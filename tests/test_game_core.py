@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from opencomp import (
     dice, enumerate_game_count, is_symmetric, outcome, parse_game, pennies,
     role_swapped, rps, serialize_game,
 )
+from opencomp import game_core
 from opencomp.game_core import is_label
 
 # Mostly words that can stand in a game file, often words that cannot:
@@ -73,6 +75,39 @@ class TestGameTable:
         entries = np.array([[0, 1], [1, 0]], dtype=np.int8)
         with pytest.raises(InvariantError):
             GameTable(name="bad", entries=entries, symmetric_flag=True)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 6), (3, 4), (5, 6), (6, 6)])
+    def test_checks_span_row_blocks(self, monkeypatch, i, j):
+        # Two rows per block: the flipped cell's mirror sits in another block
+        # unless the two share one, and the last block is a single row.
+        monkeypatch.setattr(game_core, "_BLOCK_CELLS", 2 * 7)
+        upper = np.triu(np.random.default_rng(1).integers(-1, 2, (7, 7)), 1)
+        entries = upper - upper.T
+        game = GameTable(name="ok", entries=entries, symmetric_flag=True)
+        assert game.entries.tolist() == entries.tolist()
+        broken = entries.copy()
+        broken[i, j] = 1 if broken[i, j] != 1 else 0
+        with pytest.raises(InvariantError, match="antisymmetric"):
+            GameTable(name="bad", entries=broken, symmetric_flag=True)
+        broken[j, i] = 2
+        with pytest.raises(InvariantError, match=r"entries must be -1, 0 or \+1"):
+            GameTable(name="bad", entries=broken, symmetric_flag=True)
+
+    def test_a_large_table_peaks_at_little_over_its_copy(self):
+        # The checks go a block of rows at a time, so beside the stored int8
+        # copy they hold no full-size mask or transposed temporary.
+        upper = np.triu(
+            np.random.default_rng(0).integers(-1, 2, (3000, 3000), dtype=np.int8), 1
+        )
+        entries = upper - upper.T
+        del upper
+        tracemalloc.start()
+        try:
+            GameTable(name="big", entries=entries, symmetric_flag=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * entries.nbytes
 
     def test_symmetric_flag_requires_square(self):
         entries = np.zeros((2, 3), dtype=np.int8)

@@ -11,8 +11,9 @@ import pytest
 
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
-    EXPLOITER_SOURCE, EvalKind, catalog_learners, evaluate, parse_program,
-    render_report, rps, run_tournament,
+    EXPLOITER_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind, EvalResult, OracleWinner,
+    ParseError, RuntimeFault, Side, best_response, catalog_learners, evaluate,
+    parse_program, pennies, render_report, rps, run_tournament,
 )
 from opencomp import dsl
 from opencomp.bundled import CATALOG
@@ -186,3 +187,64 @@ def test_a_wide_program_parses_no_quoted_text_when_it_runs(monkeypatch):
     result = evaluate(program, env_for(opponent="const 1", me=_WIDE, fuel=200_000))
     assert (result.kind, result.strategy) == (EvalKind.HALTED, 1)
     assert parses == []
+
+
+def _reparsing_oracle_play(env: EvalEnv) -> EvalResult:
+    """What ``OracleWinner.play`` returned when it parsed the rival's text
+    with ``parse_program`` on every play."""
+    try:
+        rival = parse_program(env.opponent_source)
+    except ParseError:
+        return EvalResult(EvalKind.HALTED, strategy=1)
+    rival_env = EvalEnv(
+        game=env.game, side=env.side.opposite, opponent_source=ORACLE_SOURCE,
+        self_source=env.opponent_source, fuel=env.fuel,
+    )
+    try:
+        run = evaluate(rival, rival_env)
+    except RuntimeFault as fault:
+        return EvalResult(EvalKind.HALTED, strategy=1, fuel_used=fault.fuel_used)
+    if run.kind is EvalKind.HALTED:
+        if not 1 <= run.strategy <= env.game.side_count(rival_env.side):
+            return EvalResult(EvalKind.HALTED, strategy=1, fuel_used=run.fuel_used)
+        reply = best_response(env.game, env.side, run.strategy)
+        return EvalResult(EvalKind.HALTED, strategy=reply, fuel_used=run.fuel_used)
+    if run.kind is EvalKind.PROVEN_NONHALTING:
+        return EvalResult(
+            EvalKind.HALTED, strategy=1, witness=run.witness, fuel_used=run.fuel_used
+        )
+    return EvalResult(EvalKind.FUEL_EXHAUSTED, fuel_used=run.fuel_used)
+
+
+_ORACLE_RIVALS = [source for _, source in CATALOG] + [
+    _rival_of_length(_MAX_CACHED_SOURCE + 1), _LONG_SELF_SIMULATING,
+    "const ²", ORACLE_SOURCE, "const 7",
+]
+
+
+@pytest.mark.parametrize("game", [rps(), pennies()], ids=["rps", "pennies"])
+@pytest.mark.parametrize("side", list(Side))
+def test_the_oracle_plays_as_when_it_reparsed_every_rival(game, side):
+    oracle = OracleWinner()
+    _parse_source.cache_clear()
+    for rival in _ORACLE_RIVALS * 2:  # a cold cache, then a warm one
+        env = EvalEnv(
+            game=game, side=side, opponent_source=rival,
+            self_source=oracle.source, fuel=2000,
+        )
+        assert oracle.play(env) == _reparsing_oracle_play(env), rival[:40]
+
+
+@pytest.mark.parametrize("rival", [EXPLOITER_SOURCE, _SELF_SIMULATING],
+                         ids=["exploiter", "self-simulating"])
+def test_the_oracle_parses_a_rival_once_across_plays(monkeypatch, rival):
+    parses = _count_parses(monkeypatch, rival)
+    oracle = OracleWinner()
+    env = EvalEnv(
+        game=rps(), side=Side.ROW, opponent_source=rival,
+        self_source=oracle.source, fuel=2000,
+    )
+    _parse_source.cache_clear()
+    results = {oracle.play(env) for _ in range(3)}
+    assert len(results) == 1
+    assert len(parses) == 1
