@@ -38,9 +38,18 @@ per evaluation: the trees of the 1024 most recently given texts of at most
 4096 characters (or the verdict that a text is not a program) are shared
 by every evaluation, so the cache holds a bounded amount of memory.  A
 longer text is parsed at most once per evaluation and dropped when the
-evaluation returns.  ``source_tree`` reads a text through the same cache,
-and the host-level oracle in ``demos`` reads its rivals with it.  Trees are
-immutable and parsing costs no fuel, so sharing changes no result.
+evaluation returns.  When the program run is ``self``'s own text, ``self``
+runs the program's tree and the text is not parsed again.  ``source_tree``
+reads a text through the same cache, and the host-level oracle in ``demos``
+reads its rivals with it.  Trees are immutable and parsing costs no fuel,
+so sharing changes no result.
+
+Best replies are read the same way.  Each ``GameTable`` keeps a memo of
+the replies ``bestresp`` has asked it for, keyed by seat and opponent
+index: at most one entry per strategy of each side, checked against the
+table's range before it is stored, and dropped with the table.  Every
+evaluation on a table shares it, and a reply is a pure function of the
+table's immutable entries, so a memo hit changes no result.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -560,13 +569,16 @@ _Source = Union[_Given, SrcQuoted]
 
 
 class _Level:
-    """One live evaluation: the top program or a nested simulation."""
+    """One live evaluation: the top program or a nested simulation.
 
-    __slots__ = ("control", "kont", "side", "opp", "me", "limit", "key", "shadowed")
+    ``evaluate`` runs the innermost level from locals; this record keeps
+    what a level needs again when a simulation it started ends.
+    """
 
-    def __init__(self, control, side, opp: _Source, me: _Source, limit,
+    __slots__ = ("kont", "side", "opp", "me", "limit", "key", "shadowed")
+
+    def __init__(self, side, opp: _Source, me: _Source, limit,
                  key=None, shadowed=None):
-        self.control = control
         # Pending (node, bindings, left) frames, innermost last: a BestResp,
         # Match or If node, the bindings it was reached with, and the left
         # value of an If whose left side is done (None otherwise).
@@ -607,170 +619,170 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         program = parse_program(program)
     g = 0  # fuel consumed so far, shared by every nesting level
     game = env.game
+    replies = game._replies  # (seat, opponent index) -> best reply
 
-    root = _Level(
-        control=("expr", program.ast, ()),
-        side=env.side,
-        opp=_Given(env.opponent_source),
-        me=_Given(env.self_source),
-        limit=env.fuel,
-    )
-    levels = [root]
+    me = _Given(env.self_source)
+    if program.source == env.self_source:
+        me.program = program.ast  # ``self`` needs no second parse
+    lvl = _Level(side=env.side, opp=_Given(env.opponent_source), me=me,
+                 limit=env.fuel)
+    levels = [lvl]
     # Deepest live simulation per (target, seat, adversary).  The root is
     # not entered: its program need not be ``env.self_source``.  Sources are
     # keyed by identity; every one stays alive until the evaluation returns.
     live: dict = {}
-    final = None
+    # The running level is ``lvl``, with its continuation, limit and seat in
+    # locals.  Its control is ``node`` under ``bindings``, or, when ``node``
+    # is None, the ``value`` the last step produced.
+    kont, limit, side = lvl.kont, lvl.limit, lvl.side
+    node, bindings, value = program.ast, (), None
 
-    def pop(result) -> None:
-        nonlocal final
-        done = levels.pop()
-        if done.key is not None:
-            live[done.key] = done.shadowed
-        if not levels:
-            final = result
-            return
-        parent = levels[-1]  # its control is still the sim that ran ``done``
-        if result[0] == "halted":
-            parent.control = ("value", SimOut("halted", result[1]))
-        else:
-            parent.control = ("value", _EXHAUSTED)
-
-    while levels:
-        lvl = levels[-1]
-        control = lvl.control
-
-        # A level that reached a bare value with nothing pending is done.
-        # Finishing costs no fuel.
-        if control[0] == "value" and not lvl.kont:
-            value = control[1]
-            if isinstance(value, SimOut):
-                pop(("fault", "program finished without a strategy index"))
-            else:
-                pop(("halted", value))
-            continue
-
-        if g >= lvl.limit:
-            pop(("exhausted",))
-            continue
-
-        g += 1
+    while True:
         try:
-            if control[0] == "expr":
-                # Node types in order of how often a step meets them.
-                node, bindings = control[1], control[2]
-                kind = type(node)
-                if kind is Literal:
-                    lvl.control = ("value", node.value)
-                elif kind is Match:
-                    lvl.kont.append((node, bindings, None))
-                    lvl.control = ("expr", node.scrutinee, bindings)
-                elif kind is Sim:
-                    adversary = _resolve(node.adversary, lvl)
-                    target = _resolve(node.target, lvl)
-                    if type(node.target) is SrcOpp:
-                        child_side = lvl.side.opposite
-                    else:
-                        child_side = lvl.side
-                    tree = target.program
-                    if tree is None:
-                        # A rival whose source is not a runnable program
-                        # yields nothing observable.
-                        lvl.control = ("value", _EXHAUSTED)
-                    else:
-                        if node.budget == "rest":
-                            child_limit = lvl.limit
-                        else:
-                            child_limit = min(lvl.limit, g + node.budget)
+            if node is not None:
+                if g >= limit:
+                    result = ("exhausted",)
+                else:
+                    g += 1
+                    # Node types in order of how often a step meets them.
+                    kind = type(node)
+                    if kind is Literal:
+                        value = node.value
+                        node = None
+                        continue
+                    if kind is Match:
+                        kont.append((node, bindings, None))
+                        node = node.scrutinee
+                        continue
+                    if kind is Sim:
+                        adversary = _resolve(node.adversary, lvl)
+                        target = _resolve(node.target, lvl)
+                        child_side = (
+                            side.opposite if type(node.target) is SrcOpp else side
+                        )
+                        tree = target.program
+                        if tree is None:
+                            # A rival whose source is not a runnable program
+                            # yields nothing observable.
+                            value = _EXHAUSTED
+                            node = None
+                            continue
+                        if node.budget != "rest":
+                            limit = min(limit, g + node.budget)
                         key = (id(target), child_side, id(adversary))
                         twin = live.get(key)
-                        if twin is not None and twin.limit == child_limit:
+                        if twin is not None and twin.limit == limit:
                             # The child starts in its twin's state, and its
                             # run would repeat the twin's descent until the
                             # shared limit stops it: spend that limit now.
-                            g = child_limit
-                        child = _Level(
-                            control=("expr", tree, ()),
-                            side=child_side,
-                            opp=adversary,
-                            me=target,
-                            limit=child_limit,
-                            key=key,
-                            shadowed=twin,
-                        )
-                        live[key] = child
-                        levels.append(child)
-                elif kind is BestResp:
-                    lvl.kont.append((node, bindings, None))
-                    lvl.control = ("expr", node.arg, bindings)
-                elif kind is If:
-                    lvl.kont.append((node, bindings, None))
-                    lvl.control = ("expr", node.left, bindings)
-                elif kind is Var:
-                    lvl.control = ("value", _lookup(bindings, node.name))
-                elif kind is Loop:
-                    # This step leaves the state as it was, so the next one
-                    # would repeat it: a proof, if fuel is left to take that
-                    # next step.  Only the root's witness is reported, and
-                    # it starts at step 0.
-                    if g < lvl.limit:
-                        pop(("proven", g, g + 1))
-                    else:
-                        pop(("exhausted",))
-                else:  # Grow
-                    # Never halts and never repeats a state: spends the rest.
-                    g = lvl.limit
-                    pop(("exhausted",))
-            else:  # a value meeting the top continuation frame
-                value = control[1]
-                node, bindings, left = lvl.kont.pop()
-                kind = type(node)
-                if kind is Match:
-                    if not isinstance(value, SimOut):
-                        raise _FaultSignal("match on a non-simulation value")
-                    if value.tag == "halted":
-                        bound = bindings + ((node.var, value.value),)
-                        lvl.control = ("expr", node.on_halted, bound)
-                    else:
-                        lvl.control = ("expr", node.on_exhausted, bindings)
-                elif kind is If:
-                    if not isinstance(value, int):
-                        raise _FaultSignal("comparison on a non-integer")
-                    if left is None:
-                        lvl.kont.append((node, bindings, value))
-                        lvl.control = ("expr", node.right, bindings)
-                    else:
+                            g = limit
+                        lvl = _Level(side=child_side, opp=adversary, me=target,
+                                     limit=limit, key=key, shadowed=twin)
+                        live[key] = lvl
+                        levels.append(lvl)
+                        kont, side = lvl.kont, child_side
+                        node, bindings = tree, ()
+                        continue
+                    if kind is BestResp:
+                        kont.append((node, bindings, None))
+                        node = node.arg
+                        continue
+                    if kind is If:
+                        kont.append((node, bindings, None))
+                        node = node.left
+                        continue
+                    if kind is Var:
+                        value = _lookup(bindings, node.name)
+                        node = None
+                        continue
+                    if kind is Loop:
+                        # This step leaves the state as it was, so the next
+                        # one would repeat it: a proof, if fuel is left to
+                        # take that next step.  Only the root's witness is
+                        # reported, and it starts at step 0.
+                        result = ("proven", g, g + 1) if g < limit else ("exhausted",)
+                    else:  # Grow
+                        # Never halts and never repeats a state: spends the
+                        # rest.
+                        g = limit
+                        result = ("exhausted",)
+            elif kont:  # a value meeting the top continuation frame
+                if g >= limit:
+                    result = ("exhausted",)
+                else:
+                    g += 1
+                    node, bindings, left = kont.pop()
+                    kind = type(node)
+                    if kind is Match:
+                        if not isinstance(value, SimOut):
+                            raise _FaultSignal("match on a non-simulation value")
+                        if value.tag == "halted":
+                            bindings = bindings + ((node.var, value.value),)
+                            node = node.on_halted
+                        else:
+                            node = node.on_exhausted
+                        continue
+                    if kind is If:
+                        if not isinstance(value, int):
+                            raise _FaultSignal("comparison on a non-integer")
+                        if left is None:
+                            kont.append((node, bindings, value))
+                            node = node.right
+                            continue
                         if node.op == "==":
                             taken = left == value
                         elif node.op == "<":
                             taken = left < value
                         else:
                             taken = left > value
-                        lvl.control = (
-                            "expr", node.then if taken else node.otherwise, bindings
-                        )
-                else:  # BestResp
+                        node = node.then if taken else node.otherwise
+                        continue
+                    # BestResp, read through the table's memo, which holds
+                    # only indices that passed the range check.
                     if not isinstance(value, int):
                         raise _FaultSignal("best response applied to a non-index")
-                    opp_count = game.side_count(lvl.side.opposite)
-                    if not 1 <= value <= opp_count:
-                        raise _FaultSignal(
-                            f"best response to out-of-range strategy {value}"
+                    reply = replies.get((side, value))
+                    if reply is None:
+                        if not 1 <= value <= game.side_count(side.opposite):
+                            raise _FaultSignal(
+                                f"best response to out-of-range strategy {value}"
+                            )
+                        reply = replies[side, value] = best_response(
+                            game, side, value
                         )
-                    lvl.control = ("value", best_response(game, lvl.side, value))
+                    value = reply
+                    node = None
+                    continue
+            elif isinstance(value, SimOut):
+                # A level that reached a bare value with nothing pending is
+                # done.  Finishing costs no fuel.
+                result = ("fault", "program finished without a strategy index")
+            else:
+                result = ("halted", value)
         except _FaultSignal as fault:
-            pop(("fault", str(fault)))
+            result = ("fault", str(fault))
 
-    assert final is not None
-    if final[0] == "halted":
-        return EvalResult(EvalKind.HALTED, strategy=final[1], fuel_used=g)
-    if final[0] == "exhausted":
+        # The running level has ended with ``result``: its parent, whose
+        # control is still the ``sim`` that started it, sees what it became.
+        levels.pop()
+        if lvl.key is not None:
+            live[lvl.key] = lvl.shadowed
+        if not levels:
+            break
+        lvl = levels[-1]
+        kont, limit, side = lvl.kont, lvl.limit, lvl.side
+        node = None
+        value = SimOut("halted", result[1]) if result[0] == "halted" else _EXHAUSTED
+
+    if result[0] == "halted":
+        return EvalResult(EvalKind.HALTED, strategy=result[1], fuel_used=g)
+    if result[0] == "exhausted":
         return EvalResult(EvalKind.FUEL_EXHAUSTED, fuel_used=g)
-    if final[0] == "proven":
+    if result[0] == "proven":
         return EvalResult(
-            EvalKind.PROVEN_NONHALTING, witness=(final[1], final[2]), fuel_used=g
+            EvalKind.PROVEN_NONHALTING, witness=(result[1], result[2]), fuel_used=g
         )
-    raise RuntimeFault(final[1], fuel_used=g)
+    raise RuntimeFault(result[1], fuel_used=g)
 
 
 def prove_nonhalt(program: StrategyProgram | str, env: EvalEnv) -> tuple[int, int] | None:

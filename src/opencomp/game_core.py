@@ -112,6 +112,10 @@ class GameTable:
                     raise InvariantError("symmetric table must be antisymmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        # (seat, opponent index) -> best reply, filled by ``dsl.evaluate``
+        # as its ``bestresp`` frames ask: at most rows + cols entries, and
+        # dropped with the table.
+        object.__setattr__(self, "_replies", {})
 
     @property
     def rows(self) -> int:

@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opencomp.dsl as dsl
+from conftest import random_symmetric_table, random_table
 from opencomp import (
-    EXPLOITER_SOURCE, EvalEnv, EvalKind, ParseError, RuntimeFault, Side,
-    evaluate, parse_learner_file, parse_program, pretty, prove_nonhalt, rps,
+    EXPLOITER_SOURCE, EvalEnv, EvalKind, GameTable, ParseError, RuntimeFault,
+    Side, evaluate, parse_learner_file, parse_program, pretty, prove_nonhalt,
+    role_swapped, rps,
 )
 from opencomp.dsl import (
     BestResp, Grow, If, Literal, Loop, Match, Sim, SrcOpp, SrcQuoted, SrcSelf,
@@ -371,6 +374,96 @@ class TestFaults:
             evaluate("bestresp(const 9)", env_for())
         except RuntimeFault as fault:
             assert 0 < fault.fuel_used <= 3
+
+
+def _scanned_reply(table: GameTable, side: Side, j: int) -> int:
+    """Best reply by a direct scan: the lowest index of the best payoff down
+    column ``j`` for the row seat, or across row ``j`` for the column seat."""
+    if side is Side.ROW:
+        line = table.entries[:, j - 1]
+        best = line.max()
+    else:
+        line = table.entries[j - 1, :]
+        best = line.min()
+    return int(np.flatnonzero(line == best)[0]) + 1
+
+
+def _played_reply(table: GameTable, side: Side, j: int) -> int:
+    result = evaluate(f"bestresp(const {j})", env_for(side=side, game=table))
+    assert result.kind is EvalKind.HALTED
+    return result.strategy
+
+
+def _memo_tables() -> list[GameTable]:
+    rng = np.random.default_rng(15)
+    tied = GameTable(name="tied", entries=np.array(
+        [[1, -1, -1, 0], [0, 1, 1, -1], [0, 1, 1, -1]], dtype=np.int8
+    ))
+    return [
+        *(random_table(rng, 3, 7) for _ in range(4)),
+        *(random_table(rng, 7, 3) for _ in range(2)),
+        *(random_symmetric_table(rng, 5) for _ in range(4)),
+        tied,
+    ]
+
+
+class TestBestReplyMemo:
+    """``bestresp`` frames read replies from a memo on each table."""
+
+    @pytest.mark.parametrize("table", _memo_tables())
+    def test_replies_match_a_direct_scan_cold_and_warm(self, table):
+        expected = {
+            (side, j): _scanned_reply(table, side, j)
+            for side in Side
+            for j in range(1, table.side_count(side.opposite) + 1)
+        }
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            played = {
+                (side, j): _played_reply(table, side, j) for side, j in expected
+            }
+            assert played == expected
+            assert len(table._replies) == table.rows + table.cols
+
+    def test_ties_go_to_the_lowest_index(self):
+        table = _memo_tables()[-1]
+        for _ in range(2):
+            # Rows 2 and 3 tie as the best reply to columns 2 and 3, and
+            # columns 2 and 3 tie as the best reply to row 1.
+            assert [_played_reply(table, Side.ROW, j) for j in (1, 2, 3, 4)] == [
+                1, 2, 2, 1,
+            ]
+            assert [_played_reply(table, Side.COL, i) for i in (1, 2, 3)] == [
+                2, 4, 4,
+            ]
+
+    def test_tables_of_one_shape_keep_their_own_replies(self):
+        rng = np.random.default_rng(7)
+        first = random_table(rng, 3, 7)
+        second = role_swapped(first)
+        pairs = [(side, j) for side in Side
+                 for j in range(1, first.side_count(side.opposite) + 1)]
+        differ = 0
+        for _ in range(2):
+            for side, j in pairs:
+                one = _played_reply(first, side, j)
+                two = _played_reply(second, side, j)
+                assert one == _scanned_reply(first, side, j)
+                assert two == _scanned_reply(second, side, j)
+                differ += one != two
+        assert differ > 0
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_out_of_range_still_faults_when_the_memo_is_warm(self, side):
+        table = _memo_tables()[0]
+        count = table.side_count(side.opposite)
+        for j in range(1, count + 1):
+            _played_reply(table, side, j)
+        for j in (0, count + 1, 10 ** 17):
+            with pytest.raises(RuntimeFault) as err:
+                evaluate(f"bestresp(const {j})", env_for(side=side, game=table))
+            assert str(err.value) == f"best response to out-of-range strategy {j}"
+            assert err.value.fuel_used == 3
+        assert len(table._replies) == count
 
 
 class TestEnvValidation:

@@ -248,3 +248,17 @@ def test_the_oracle_parses_a_rival_once_across_plays(monkeypatch, rival):
     results = {oracle.play(env) for _ in range(3)}
     assert len(results) == 1
     assert len(parses) == 1
+
+
+def test_the_oracle_parses_a_long_self_simulating_rival_once_per_play(monkeypatch):
+    # Too long for the shared cache, so each play parses it: once to read
+    # it, and not again for the `self` it simulates.
+    parses = _count_parses(monkeypatch, _LONG_SELF_SIMULATING)
+    oracle = OracleWinner()
+    env = EvalEnv(
+        game=rps(), side=Side.ROW, opponent_source=_LONG_SELF_SIMULATING,
+        self_source=oracle.source, fuel=2000,
+    )
+    results = {oracle.play(env) for _ in range(3)}
+    assert len(results) == 1
+    assert len(parses) == 3
