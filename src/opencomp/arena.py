@@ -165,7 +165,8 @@ def run_match(
     ``fuel2`` optionally grants the column seat a different budget, for
     handicap experiments; by default both sides get ``fuel``.
     """
-    mode = Mode(mode)
+    if type(mode) is not Mode:
+        mode = Mode(mode)
     env1 = EvalEnv(
         game=game, side=Side.ROW,
         opponent_source=learner2.source, self_source=learner1.source,

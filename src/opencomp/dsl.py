@@ -40,9 +40,11 @@ by every evaluation, so the cache holds a bounded amount of memory.  A
 longer text is parsed at most once per evaluation and dropped when the
 evaluation returns.  When the program run is ``self``'s own text, ``self``
 runs the program's tree and the text is not parsed again.  ``source_tree``
-reads a text through the same cache, and the host-level oracle in ``demos``
-reads its rivals with it.  Trees are immutable and parsing costs no fuel,
-so sharing changes no result.
+reads a text through the same cache: ``parse_learner_file`` reads a
+learner's program with it, so a learner runs the very tree its rivals
+simulate and a tournament parses each learner's text once, and the
+host-level oracle in ``demos`` reads its rivals with it.  Trees are
+immutable and parsing costs no fuel, so sharing changes no result.
 
 Best replies are read the same way.  Each ``GameTable`` keeps a memo of
 the replies ``bestresp`` has asked it for, keyed by seat and opponent
@@ -50,6 +52,32 @@ index: at most one entry per strategy of each side, checked against the
 table's range before it is stored, and dropped with the table.  Every
 evaluation on a table shares it, and a reply is a pure function of the
 table's immutable entries, so a memo hit changes no result.
+
+Simulations are tabled too.  A child sees only its target's tree, its
+adversary's tree, its seat, the table and the fuel ``a`` it may use, so
+its result (``halted(k)`` or ``exhausted``) and the fuel it spends are a
+function of those.  Each ``GameTable`` keeps the last finished run per
+(target, seat, adversary), a given source keyed by its text and a quoted
+program by identity (the record holds the quote, so the identity stays
+valid).  A record of a run that spent ``c`` fuel answers a budget ``a``
+without running the child:
+
+* every ``a < c`` as ``exhausted``, spending ``a``: the shorter run is the
+  longer one cut off;
+* a run that halted, or that ended strictly before its own limit (a fault
+  or a proof), answers every ``a >= c`` the same way, spending ``c``: no
+  limit was met, so a larger one changes nothing.  A proof's ``loop``
+  step with exactly ``c`` fuel ends as ``exhausted`` after ``c`` steps,
+  which is what the parent of a proof sees;
+* a run that did not halt and ended exactly at its limit answers only
+  ``a = c``.  It may have ended because of that limit:
+  ``sim("grow", self, rest)`` faults for free once ``grow`` has spent the
+  limit, at whatever limit it has.
+
+Any other budget runs the child, and its run replaces the record.  Only
+``sim`` children are tabled, not the top-level evaluation.  A table
+records at most 4096 keys, which bounds what a hostile rival minting
+quotes can make it hold, and the records are dropped with the table.
 
 Evaluation is small-step and deterministic; every step costs one unit of
 fuel from a single shared pool.  ``sim(target, adversary, budget)`` runs
@@ -62,14 +90,14 @@ out of fuel has by definition drained the caller's own pool, so the caller
 exhausts too.  This is what makes halting results stable under fuel
 increases, and what makes two mutual simulators burn all their fuel rather
 than bottom out.  The burn is not run level by level.  A ``sim`` whose
-target, seat and adversary (the same source objects) and limit equal a
-live ancestor's starts in that ancestor's state, and the machine reads the
-fuel counter only against limits (a nested level's witness reaches its
-parent as ``exhausted``), so the child would repeat the ancestor's descent
-until the shared limit stops it.  The limit is spent at once instead:
-every level that has it then holds a simulation's result and pops as
-exhausted or as a fault, as in the full descent, so the result and
-``fuel_used`` are unchanged.
+target, seat and adversary (the same text or the same quote, keyed as in
+the records above) and limit equal a live ancestor's starts in that
+ancestor's state, and the machine reads the fuel counter only against
+limits (a nested level's witness reaches its parent as ``exhausted``), so
+the child would repeat the ancestor's descent until the shared limit
+stops it.  The limit is spent at once instead: every level that has it
+then holds a simulation's result and pops as exhausted or as a fault, as
+in the full descent, so the result and ``fuel_used`` are unchanged.
 
 The two non-halting primitives are decided where they occur.  The language
 has no in-level recursion, so every other step moves the machine strictly
@@ -88,7 +116,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .classify import best_response
 from .errors import ParseError, RuntimeFault
@@ -177,7 +205,12 @@ Expr = Union[Literal, Var, BestResp, Sim, Match, If, Loop, Grow]
 
 @dataclass(frozen=True)
 class StrategyProgram:
-    """A parsed program together with the exact text it came from."""
+    """A parsed program together with the exact text it came from.
+
+    ``ast`` must be the parse of ``source``: when ``source`` is also the
+    evaluation's own text, ``sim(self, ...)`` runs ``ast``, and the game
+    table records those runs under the text for every later evaluation.
+    """
 
     source: str
     ast: Expr
@@ -187,8 +220,7 @@ class StrategyProgram:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "kw", "id", "int", "string", "sym", "eof"
     value: str
     line: int
@@ -209,6 +241,7 @@ _PARSE_CACHE_SIZE = 1024
 # characters: up to ~23 bytes of key and tree each (tracemalloc, five shapes
 # of source), ~97 MB for a full cache
 _MAX_CACHED_SOURCE = 4096
+_SIM_MEMO_SIZE = 4096  # simulation keys a table records
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -447,7 +480,12 @@ def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     body = "\n".join(lines[1:])
     if not body.strip():
         raise ParseError("learner file has no program text", line=2)
-    return header[1], parse_program(body)
+    # Read through the shared cache, so the learner runs the tree its rivals
+    # simulate and the text is parsed once.
+    tree = source_tree(body)
+    if tree is None:
+        return header[1], parse_program(body)  # raises the text's ParseError
+    return header[1], StrategyProgram(source=body, ast=tree)
 
 
 def pretty(node: Expr | Src) -> str:
@@ -575,9 +613,10 @@ class _Level:
     what a level needs again when a simulation it started ends.
     """
 
-    __slots__ = ("kont", "side", "opp", "me", "limit", "key", "shadowed")
+    __slots__ = ("kont", "side", "opp", "me", "limit", "start", "key",
+                 "shadowed")
 
-    def __init__(self, side, opp: _Source, me: _Source, limit,
+    def __init__(self, side, opp: _Source, me: _Source, limit, start=0,
                  key=None, shadowed=None):
         # Pending (node, bindings, left) frames, innermost last: a BestResp,
         # Match or If node, the bindings it was reached with, and the left
@@ -587,6 +626,7 @@ class _Level:
         self.opp = opp
         self.me = me
         self.limit = limit          # absolute step count this level may reach
+        self.start = start          # step count when this level began
         self.key = key              # (target, seat, adversary) of a simulation
         self.shadowed = shadowed    # the live level this one hides under key
 
@@ -620,6 +660,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     g = 0  # fuel consumed so far, shared by every nesting level
     game = env.game
     replies = game._replies  # (seat, opponent index) -> best reply
+    sims = game._sims  # (target, seat, adversary) -> finished simulation
 
     me = _Given(env.self_source)
     if program.source == env.self_source:
@@ -628,8 +669,10 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                  limit=env.fuel)
     levels = [lvl]
     # Deepest live simulation per (target, seat, adversary).  The root is
-    # not entered: its program need not be ``env.self_source``.  Sources are
-    # keyed by identity; every one stays alive until the evaluation returns.
+    # not entered: its program need not be ``env.self_source``.  A given
+    # source is keyed by its text, since equal texts start in equal states,
+    # and a quoted one by identity; every quote stays alive until the
+    # evaluation returns.
     live: dict = {}
     # The running level is ``lvl``, with its continuation, limit and seat in
     # locals.  Its control is ``node`` under ``bindings``, or, when ``node``
@@ -667,17 +710,36 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             value = _EXHAUSTED
                             node = None
                             continue
-                        if node.budget != "rest":
-                            limit = min(limit, g + node.budget)
-                        key = (id(target), child_side, id(adversary))
+                        room = limit - g  # the fuel the child may use
+                        if node.budget != "rest" and node.budget < room:
+                            room = node.budget
+                        key = (
+                            target.text if type(target) is _Given else id(target),
+                            child_side,
+                            adversary.text if type(adversary) is _Given
+                            else id(adversary),
+                        )
+                        # (fuel spent, what the parent saw, whether a larger
+                        # budget ends the same way, quotes kept alive)
+                        record = sims.get(key)
+                        if record is not None and (room <= record[0] or record[2]):
+                            if room < record[0]:  # cut off before its end
+                                g += room
+                                value = _EXHAUSTED
+                            else:
+                                g += record[0]
+                                value = record[1]
+                            node = None
+                            continue
+                        limit = g + room
                         twin = live.get(key)
+                        lvl = _Level(side=child_side, opp=adversary, me=target,
+                                     limit=limit, start=g, key=key, shadowed=twin)
                         if twin is not None and twin.limit == limit:
                             # The child starts in its twin's state, and its
                             # run would repeat the twin's descent until the
                             # shared limit stops it: spend that limit now.
                             g = limit
-                        lvl = _Level(side=child_side, opp=adversary, me=target,
-                                     limit=limit, key=key, shadowed=twin)
                         live[key] = lvl
                         levels.append(lvl)
                         kont, side = lvl.kont, child_side
@@ -762,17 +824,29 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         except _FaultSignal as fault:
             result = ("fault", str(fault))
 
-        # The running level has ended with ``result``: its parent, whose
-        # control is still the ``sim`` that started it, sees what it became.
+        # The running level has ended with ``result``.  If it is a
+        # simulation, its parent, whose control is still the ``sim`` that
+        # started it, sees what it became, and the table records it.
         levels.pop()
-        if lvl.key is not None:
-            live[lvl.key] = lvl.shadowed
         if not levels:
             break
+        key = lvl.key
+        live[key] = lvl.shadowed
+        if result[0] == "halted":
+            value, closed = SimOut("halted", result[1]), True
+        else:
+            # An end at the limit may have been forced by it.
+            value, closed = _EXHAUSTED, g < lvl.limit
+        if key in sims or len(sims) < _SIM_MEMO_SIZE:
+            # Keeps the quotes whose ids are in the key alive, and no given
+            # source's tree.
+            target, adversary = lvl.me, lvl.opp
+            sims[key] = (g - lvl.start, value, closed,
+                         target if type(target) is SrcQuoted else None,
+                         adversary if type(adversary) is SrcQuoted else None)
         lvl = levels[-1]
         kont, limit, side = lvl.kont, lvl.limit, lvl.side
         node = None
-        value = SimOut("halted", result[1]) if result[0] == "halted" else _EXHAUSTED
 
     if result[0] == "halted":
         return EvalResult(EvalKind.HALTED, strategy=result[1], fuel_used=g)

@@ -116,6 +116,15 @@ class GameTable:
         # as its ``bestresp`` frames ask: at most rows + cols entries, and
         # dropped with the table.
         object.__setattr__(self, "_replies", {})
+        # (target, seat, adversary) -> a finished ``sim`` run, kept by
+        # ``dsl.evaluate``: at most ``dsl._SIM_MEMO_SIZE`` entries, and
+        # dropped with the table.
+        object.__setattr__(self, "_sims", {})
+
+    def __getstate__(self):
+        # A copy or a pickle starts with no simulations recorded: their keys
+        # hold ids of quotes that the copy does not share.
+        return {**self.__dict__, "_sims": {}}
 
     @property
     def rows(self) -> int:
@@ -153,13 +162,18 @@ class GameTable:
     __hash__ = None  # type: ignore[assignment]
 
 
+# Outcome by cell value: a numpy cell hashes and compares as its int, and a
+# dict read is cheaper than the enum's own lookup.
+_OUTCOMES = {int(member): member for member in Outcome}
+
+
 def outcome(table: GameTable, i: int, j: int) -> Outcome:
     """Payoff to the first player when row ``i`` meets column ``j`` (1-based)."""
     if not 1 <= i <= table.rows:
         raise IndexError(f"row index {i} out of range 1..{table.rows}")
     if not 1 <= j <= table.cols:
         raise IndexError(f"column index {j} out of range 1..{table.cols}")
-    return Outcome(int(table.entries[i - 1, j - 1]))
+    return _OUTCOMES[table.entries[i - 1, j - 1]]
 
 
 def is_symmetric(table: GameTable) -> bool:

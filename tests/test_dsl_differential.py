@@ -6,7 +6,10 @@ in ``fingerprint_oracle.py`` hashes the whole state on every step and runs
 every level of a simulation tower.  They must agree on kind,
 strategy, witness and ``fuel_used`` everywhere, faults included.
 """
+import copy
+import pickle
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ import opencomp.dsl as dsl
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
     EXPLOITER_SOURCE, MIRROR_SOURCE, EvalKind, GameTable, RuntimeFault, Side,
-    evaluate, parse_program, pennies, pretty,
+    evaluate, parse_program, pennies, pretty, rps,
 )
 from opencomp.dsl import (
     BestResp, Grow, If, Literal, Loop, Match, Sim, SrcOpp, SrcQuoted, SrcSelf,
@@ -356,3 +359,171 @@ def test_a_mutual_simulation_standoff_builds_a_handful_of_levels(levels_built):
     assert result.kind is EvalKind.FUEL_EXHAUSTED
     assert result.fuel_used == 100_000
     assert len(levels_built) <= 4
+
+
+# Warm tables.  Each ``GameTable`` records the simulations its evaluations
+# finish, so a sequence of evaluations on one table reads runs that earlier
+# ones recorded.  The oracle keeps no record and runs each evaluation on a
+# fresh copy of the table.
+
+
+def _fresh(table: GameTable) -> GameTable:
+    """The same game with nothing recorded on it."""
+    return GameTable(name=table.name, entries=table.entries,
+                     symmetric_flag=table.symmetric_flag)
+
+
+def _on_warm_table(table, program, opponent, fuel, side):
+    """``evaluate`` on ``table``, checked against the oracle on a fresh copy."""
+    me = program if isinstance(program, str) else program.source
+    warm = _run(evaluate, program, env_for(
+        opponent=opponent, me=me, fuel=fuel, side=side, game=table))
+    cold = _run(fingerprint_evaluate, program, env_for(
+        opponent=opponent, me=me, fuel=fuel, side=side, game=_fresh(table)))
+    assert warm == cold
+    return warm
+
+
+_WARM_SOURCES = st.one_of(
+    program_trees.map(pretty),
+    tower_trees.map(pretty),
+    st.sampled_from([EXPLOITER_SOURCE, MIRROR_SOURCE, "const 2", "loop", "grow"]),
+)
+_WARM_PLAYS = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), _TOWER_FUELS, st.sampled_from(list(Side))
+)
+
+
+@given(
+    st.lists(_WARM_SOURCES, min_size=1, max_size=3),
+    st.lists(_WARM_PLAYS, min_size=2, max_size=8),
+    st.sampled_from(["rps", "asymmetric"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_sequence_on_one_table_agrees_with_the_oracle(sources, plays, game):
+    # A few sources meet each other again and again, in both seats and at
+    # many fuels.  Each is parsed once, so its quotes are the same objects
+    # from one evaluation to the next.
+    table = _fresh(rps() if game == "rps" else _ASYMMETRIC)
+    programs = [parse_program(source) for source in sources]
+    for me, opponent, fuel, side in plays:
+        program = programs[me % len(programs)]
+        _on_warm_table(table, program, sources[opponent % len(sources)], fuel, side)
+
+
+def _probe(budget: int) -> str:
+    """Simulates the opponent against itself with ``budget`` and shows the
+    result: its cost is the child's plus four steps."""
+    return f"match sim(opp, opp, {budget}) {{ halted(k) => k | exhausted => 0 }}"
+
+
+# Children that halt, prove, fault, end exactly at their limit (the bare
+# ``sim`` finishes for free on the exhausted view it gets when ``grow`` has
+# spent the limit), exhaust, or stand off against their own copy.
+_ENDINGS = [
+    "const 2",
+    "bestresp(const 1)",
+    "loop",
+    "if loop == 1 then 1 else 2",
+    "bestresp(const 9)",
+    'sim("grow", self, rest)',
+    "grow",
+    "match sim(opp, opp, 6) { halted(k) => k | exhausted => 3 }",
+    "match sim(opp, self, rest) { halted(k) => bestresp(k) | exhausted => 2 }",
+    EXPLOITER_SOURCE,
+    MIRROR_SOURCE,
+]
+
+
+@pytest.mark.parametrize("child", _ENDINGS)
+def test_budgets_around_a_recorded_end_agree_with_the_oracle(levels_built, child):
+    table = rps()
+    for side in Side:
+        # A generous budget records where the child ends: after c steps.
+        first = _on_warm_table(table, _probe(500), child, 1000, side)
+        ends = first[-1] - 4
+        for budget in (ends - 1, ends, ends + 1, ends + 2, 0, 500):
+            levels_built.clear()
+            _on_warm_table(table, _probe(budget), child, 1000, side)
+            if budget <= ends:
+                assert len(levels_built) == 1  # read from the record
+        # The record of the longest run answers every smaller budget.
+        budgets = {0, 1, ends // 3, ends // 2, ends - 1, ends}
+        levels_built.clear()
+        for budget in budgets:
+            _on_warm_table(table, _probe(budget), child, 1000, side)
+        assert len(levels_built) == len(budgets)
+
+
+_AT_LIMIT = (
+    "match sim(opp, self, 100) { halted(k) => k | exhausted => "
+    "match sim(opp, self, 200) { halted(j) => j | exhausted => const 1 } }"
+)
+
+
+def test_a_run_ended_at_its_limit_answers_no_larger_budget():
+    # `sim("grow", self, rest)` faults for free once `grow` has spent its
+    # limit, so the run with 100 fuel ends at 100, and the one with 200
+    # must run again to end at 200.
+    table = rps()
+    program = parse_program(_AT_LIMIT)
+    for side in Side:
+        for _ in range(2):  # cold, then with both runs recorded
+            result = _on_warm_table(
+                table, program, 'sim("grow", self, rest)', 1000, side
+            )
+            assert result == (EvalKind.HALTED, 1, None, 307)
+
+
+def _wide_quoting(leaves: int) -> str:
+    """A program that simulates ``leaves`` distinct quoted programs, each
+    once, in a balanced tree of ``if`` nodes; it halts with 1."""
+    checks = [
+        f'if match sim("const {i}", opp, 5) {{ halted(k) => k | exhausted => 0 }}'
+        f" == {i} then 1 else 2"
+        for i in range(1, leaves + 1)
+    ]
+    while len(checks) > 1:
+        checks = [
+            f"if {left} == 1 then {right} else 2"
+            for left, right in zip(checks[::2], checks[1::2])
+        ] + checks[len(checks) - len(checks) % 2:]
+    return checks[0]
+
+
+def test_the_record_stops_at_its_bound():
+    source = _wide_quoting(dsl._SIM_MEMO_SIZE + 100)
+    program = parse_program(source)
+    table = rps()
+    env = env_for(me=source, fuel=10 ** 6, game=table)
+    first = _run(evaluate, program, env)
+    assert len(table._sims) == dsl._SIM_MEMO_SIZE
+    # Now the first keys are read from the record and the last are run.
+    second = _run(evaluate, program, env)
+    assert len(table._sims) == dsl._SIM_MEMO_SIZE
+    assert first == second == _run(fingerprint_evaluate, program, env)
+    assert first[:2] == (EvalKind.HALTED, 1)
+
+
+def test_the_record_goes_with_its_table():
+    table = rps()
+    evaluate(EXPLOITER_SOURCE, env_for(me=EXPLOITER_SOURCE, game=table))
+    assert table._sims
+    ref = weakref.ref(table)
+    del table
+    assert ref() is None
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_table_starts_with_no_record(clone):
+    # The record keys quotes by identity, which a copy does not keep.
+    table = rps()
+    env = env_for(me=EXPLOITER_SOURCE, game=table)
+    evaluate(EXPLOITER_SOURCE, env)
+    twin = clone(table)
+    assert twin == table and table._sims and not twin._sims
+    assert evaluate(EXPLOITER_SOURCE, env_for(me=EXPLOITER_SOURCE, game=twin)) == (
+        evaluate(EXPLOITER_SOURCE, env)
+    )

@@ -1,8 +1,9 @@
 """The parse cache that every evaluation shares.
 
 ``sim`` reads the sources ``evaluate`` is given through one bounded cache
-per process, so a tournament parses each rival source once; a quoted
-program runs its own tree and never reaches the cache.  Sharing must change
+per process, and ``parse_learner_file`` reads learner files through it, so
+a tournament parses each rival source once; a quoted program runs its own
+tree and never reaches the cache.  Sharing must change
 no result: not when the cache is cold, not when a program quotes more texts
 than the cache holds, and not when the cached entry is a text that does not
 parse.
@@ -10,14 +11,18 @@ parse.
 import pytest
 
 from fingerprint_oracle import fingerprint_evaluate
+from conftest import REPO_ROOT
 from opencomp import (
     EXPLOITER_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind, EvalResult, OracleWinner,
     ParseError, RuntimeFault, Side, best_response, catalog_learners, evaluate,
-    parse_program, pennies, render_report, rps, run_tournament,
+    parse_learner_file, parse_program, pennies, render_report, rps, run_tournament,
 )
 from opencomp import dsl
 from opencomp.bundled import CATALOG
-from opencomp.dsl import _MAX_CACHED_SOURCE, _PARSE_CACHE_SIZE, _parse_source
+from opencomp.cli import dispatch
+from opencomp.dsl import (
+    _MAX_CACHED_SOURCE, _PARSE_CACHE_SIZE, _parse_source, source_tree,
+)
 from test_dsl import env_for
 from test_dsl_differential import _run
 from test_hostile_sources import _Publisher, _quote
@@ -262,3 +267,45 @@ def test_the_oracle_parses_a_long_self_simulating_rival_once_per_play(monkeypatc
     results = {oracle.play(env) for _ in range(3)}
     assert len(results) == 1
     assert len(parses) == 3
+
+
+def test_a_learner_file_shares_the_tree_its_rivals_simulate():
+    body = EXPLOITER_SOURCE
+    name, program = parse_learner_file(f"learner exploiter\n{body}\n")
+    assert (name, program.source) == ("exploiter", body)
+    assert program.ast is source_tree(body)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("learner bad\nmatch sim(opp, self, rest) { halted(k) => k }",
+     "expected '|', got '}' (line 1, col 45)", 1, 45),
+    ("learner bad\n\n  const 1 2",
+     "trailing content '2' after program (line 2, col 11)", 2, 11),
+    ('learner bad\nsim("const \u00b2", opp, 5)',
+     "inside quoted program: unexpected character '\u00b2' (line 1, col 7)"
+     " (line 1, col 5)", 1, 5),
+    ("learner bad\nconst", "const needs an integer (line 1, col 6)", 1, 6),
+])
+def test_a_bad_learner_file_still_reports_where_it_fails(text, message, line, column):
+    _parse_source.cache_clear()
+    for _ in range(2):  # the second time the cache holds the verdict
+        with pytest.raises(ParseError) as err:
+            parse_learner_file(text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            message, line, column
+        )
+
+
+def test_a_cli_tournament_parses_each_learner_text_once(monkeypatch):
+    paths = sorted(str(path) for path in (REPO_ROOT / "learners").glob("*.lrn"))
+    bodies = {
+        "\n".join(open(path).read().splitlines()[1:]) for path in paths
+    }
+    parses = _count_parses(monkeypatch, *bodies)
+    _parse_source.cache_clear()
+    code, report, _ = dispatch([
+        "tournament", "--game", str(REPO_ROOT / "games" / "rps.gm"),
+        "--learners", *paths, "--fuel", "10000",
+    ])
+    assert code == 0 and report.endswith("universal_winner=none\n")
+    assert len(parses) == len(bodies) == len(paths)
