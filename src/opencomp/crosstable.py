@@ -9,9 +9,13 @@ within a small tolerance.  A margin parameter decides how far from an even
 the margin can erase narrow intransitive cycles, which is the phenomenon
 the bundled engine table demonstrates.  Scores are plain ASCII numbers.
 
-Every table is converted whole, by one ``np.loadtxt`` call fed a line at a
-time, each line's name and cell count checked on the way.  Only a table that
-fails is scanned row by row and cell by cell, to report its first error.
+Every table's text is decoded whole, by one ``np.loadtxt`` call fed a line
+at a time, each line's name and cell count checked on the way.  Only a table
+that fails is scanned row by row and cell by cell, to report its first error.
+The complementarity check and the thresholding then go a block of rows at a
+time (``game_core.row_blocks``), each block against its mirror columns from
+the diagonal on, so beside the score matrix they hold only one block's
+temporaries and the int8 table being built.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ComplementarityViolation, ParseError
-from .game_core import GameTable, is_label
+from .game_core import GameTable, is_label, row_blocks
 
 _COMPLEMENT_TOL = 1e-6
 _BLANK_CELL = re.compile(r"(?<=,)\s+(?=,|$)")
@@ -36,8 +40,10 @@ class Crosstable:
     scores: np.ndarray
 
     def __post_init__(self):
+        names = tuple(self.names)  # so a caller's list cannot rename players
+        object.__setattr__(self, "names", names)
         scores = np.asarray(self.scores, dtype=np.float64)
-        n = len(self.names)
+        n = len(names)
         if scores.shape != (n, n):
             raise ValueError("scores must be square and match the name count")
         scores = scores.copy()
@@ -69,14 +75,19 @@ def parse_crosstable(text: str) -> Crosstable:
         )
 
     scores = _scores(names, lines[1:])
-    total = scores + scores.T
-    clash = np.argwhere(np.triu(np.abs(total - 1.0) > _COMPLEMENT_TOL, 1))
-    if clash.size:
-        a, b = clash[0]
-        raise ComplementarityViolation(
-            f"scores for {names[a]} vs {names[b]} sum to "
-            f"{total[a, b]:.6f}, expected 1"
-        )
+    del lines  # a copy of the text, freed before ``Crosstable`` copies the scores
+    # Each block of rows against its mirror columns from the diagonal on:
+    # the blocks go in row order, so the first clash found is the first in
+    # row-major order.  A pair with a NaN sums to NaN, which never clashes.
+    for start, stop in row_blocks(n, n):
+        total = scores[start:stop, start:] + scores[start:, start:stop].T
+        clash = np.argwhere(np.triu(np.abs(total - 1.0) > _COMPLEMENT_TOL, 1))
+        if clash.size:
+            i, j = clash[0]
+            raise ComplementarityViolation(
+                f"scores for {names[start + i]} vs {names[start + j]} sum to "
+                f"{total[i, j]:.6f}, expected 1"
+            )
     # Checked last: a name only matters once it becomes a game label, which
     # must read back from a game file.
     bad = next((name for name in names if not is_label(name)), None)
@@ -165,10 +176,16 @@ def to_game(
     if not 0.0 <= margin < 0.5:
         raise ValueError("margin must be in [0, 0.5)")
     s = crosstable.scores
-    score = np.where(np.isnan(s), 1.0 - s.T, s)  # NaN when both are absent
-    entries = np.triu(
-        np.where(score > 0.5 + margin, 1, np.where(score < 0.5 - margin, -1, 0)), 1
-    ).astype(np.int8)
+    n = len(s)
+    entries = np.zeros((n, n), dtype=np.int8)
+    # The upper triangle, a block of rows at a time against the mirror
+    # columns; a NaN score compares false both ways, so it is a draw.
+    for start, stop in row_blocks(n, n):
+        rows, mirror = s[start:stop, start:], s[start:, start:stop].T
+        score = np.where(np.isnan(rows), 1.0 - mirror, rows)
+        entry = (score > 0.5 + margin).view(np.int8)
+        entry -= (score < 0.5 - margin).view(np.int8)
+        entries[start:stop, start:] = np.triu(entry, 1)
     return GameTable(
         name=name,
         entries=entries - entries.T,

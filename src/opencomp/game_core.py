@@ -23,7 +23,8 @@ MAX_STRATEGIES = 10_000
 
 _ENTRY_TOKENS = ("+1", "0", "-1", "w", "d", "l")
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")  # whitespace beyond ASCII
-# Payoff cells decoded at a time, which bounds the decoder's scratch memory.
+# Cells checked or decoded at a time, which bounds the scratch memory of
+# every whole-table pass here and in ``crosstable``.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -33,6 +34,13 @@ class Outcome(IntEnum):
     LOSS = -1
     DRAW = 0
     WIN = 1
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of rows that cover a table of
+    the given shape, each of about ``_BLOCK_CELLS`` cells and at least one row."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    return [(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def is_label(text: str) -> bool:
@@ -85,13 +93,17 @@ class GameTable:
             )
         # Checked a block of rows at a time, so no full-size mask is built,
         # and before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
-        step = max(1, _BLOCK_CELLS // nc)
+        blocks = row_blocks(nr, nc)
         arr = np.empty((nr, nc), dtype=np.int8)
-        for start in range(0, nr, step):
-            block = raw[start:start + step]
+        for start, stop in blocks:
+            block = raw[start:stop]
             if not ((block == -1) | (block == 0) | (block == 1)).all():
                 raise InvariantError("entries must be -1, 0 or +1")
-            arr[start:start + step] = block
+            arr[start:stop] = block
+        # Kept as tuples, so a caller's list cannot relabel the table later.
+        for field in ("labels_rows", "labels_cols"):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, tuple(getattr(self, field)))
         if self.labels_rows is not None and len(self.labels_rows) != nr:
             raise InvariantError("labels_rows length does not match row count")
         if self.labels_cols is not None and len(self.labels_cols) != nc:
@@ -106,9 +118,9 @@ class GameTable:
                 raise InvariantError("symmetric table must be square")
             # Each block of rows against its mirror from the diagonal on,
             # which covers every pair once.
-            for start in range(0, nr, step):
-                rows = arr[start:start + step, start:]
-                if (rows != -arr[start:, start:start + step].T).any():
+            for start, stop in blocks:
+                rows = arr[start:stop, start:]
+                if (rows != -arr[start:, start:stop].T).any():
                     raise InvariantError("symmetric table must be antisymmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -121,10 +133,14 @@ class GameTable:
         # dropped with the table.
         object.__setattr__(self, "_sims", {})
 
-    def __getstate__(self):
-        # A copy or a pickle starts with no simulations recorded: their keys
-        # hold ids of quotes that the copy does not share.
-        return {**self.__dict__, "_sims": {}}
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, so they get their
+        # own read-only entries and empty memos (the simulation keys hold ids
+        # of quotes that a copy does not share).
+        return (type(self), (
+            self.name, self.entries, self.symmetric_flag,
+            self.labels_rows, self.labels_cols,
+        ))
 
     @property
     def rows(self) -> int:
@@ -267,9 +283,7 @@ def parse_game(text: str) -> GameTable:
             labels[keyword] = tuple(rest)
 
     entries = np.empty((nr, nc), dtype=np.int8)
-    step = max(1, _BLOCK_CELLS // nc)
-    for start in range(0, nr, step):
-        stop = min(start + step, nr)
+    for start, stop in row_blocks(nr, nc):
         block = lines[pos + start:pos + stop]
         entries[start:stop] = _payoff_rows(block, start, stop, nc)
     pos += nr

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencomp import (
-    ENGINES3_TEXT, ComplementarityViolation, ParseError, find_cycles,
-    ingest_crosstable, parse_crosstable, to_game,
+    ENGINES3_TEXT, ComplementarityViolation, Crosstable, ParseError,
+    find_cycles, ingest_crosstable, parse_crosstable, parse_game,
+    serialize_game, to_game,
 )
 
 
@@ -103,6 +106,37 @@ class TestParse:
     def test_complementarity_tolerates_rounding(self):
         table = parse_crosstable("names,A,B\nA,,0.5500004\nB,0.4499997,\n")
         assert table.scores[0, 1] == pytest.approx(0.5500004)
+
+    def test_names_given_as_a_list_are_kept_as_a_tuple(self):
+        names = ["A", "B"]
+        table = Crosstable(names=names, scores=[[np.nan, 0.7], [0.3, np.nan]])
+        names.append("C")
+        assert table.names == ("A", "B")
+        game = to_game(table, name="ab")
+        assert parse_game(serialize_game(game)) == game
+
+    def test_ingest_peaks_near_two_score_matrices(self):
+        # The decoded scores and the table's own copy of them; the checks
+        # and the thresholding hold only one block of rows beside them.
+        n = 400
+        rng = np.random.default_rng(0)
+        upper = np.triu(rng.integers(0, 1001, (n, n)), 1)
+        milli = upper + (1000 - upper.T) * np.tri(n, k=-1, dtype=int)
+        names = [f"e{a}" for a in range(n)]
+        lines = ["names," + ",".join(names)]
+        for a in range(n):
+            cells = [f"{milli[a, b] / 1000:.3f}" for b in range(n)]
+            cells[a] = ""
+            lines.append(",".join([names[a], *cells]))
+        text = "\n".join(lines) + "\n"
+        del lines
+        tracemalloc.start()
+        try:
+            ingest_crosstable(text, margin=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * np.dtype(np.float64).itemsize
 
 
 class TestToGame:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -464,6 +467,24 @@ class TestBestReplyMemo:
             assert str(err.value) == f"best response to out-of-range strategy {j}"
             assert err.value.fuel_used == 3
         assert len(table._replies) == count
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_is_built_afresh(self, clone):
+        # Through the constructor: read-only entries of its own and both
+        # memos empty, so nothing can change its entries under a reply.
+        table = _memo_tables()[-1]
+        for side in Side:
+            _played_reply(table, side, 1)
+        evaluate(EXPLOITER_SOURCE, env_for(me=EXPLOITER_SOURCE, game=table))
+        assert table._replies and table._sims
+        twin = clone(table)
+        assert twin == table
+        assert not twin.entries.flags.writeable
+        assert not twin._replies and not twin._sims
+        for side in Side:
+            assert _played_reply(twin, side, 1) == _scanned_reply(table, side, 1)
 
 
 class TestEnvValidation:

@@ -146,6 +146,17 @@ class TestGameTable:
         )
         assert relabeled != rps()
 
+    def test_labels_given_as_lists_are_kept_as_tuples(self):
+        rows, cols = ["R", "P", "S"], ["r", "p", "s"]
+        game = GameTable(
+            name="g", entries=rps().entries, labels_rows=rows, labels_cols=cols
+        )
+        rows.append("X")
+        cols[0] = "Y"
+        assert game.labels_rows == ("R", "P", "S")
+        assert game.labels_cols == ("r", "p", "s")
+        assert parse_game(serialize_game(game)) == game
+
     def test_opposite_side(self):
         assert Side.ROW.opposite is Side.COL
         assert Side.COL.opposite is Side.ROW

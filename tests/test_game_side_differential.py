@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 import game_side_oracle as oracle
 from conftest import game_tables, symmetric_tables
 from opencomp import (
-    GameTable, ParseError, find_cycles, is_strongly_intransitive,
-    parse_crosstable, parse_game, rps, serialize_game, to_game,
+    ComplementarityViolation, GameTable, ParseError, find_cycles,
+    is_strongly_intransitive, parse_crosstable, parse_game, rps, serialize_game,
+    to_game,
 )
 from opencomp import crosstable, game_core
 from opencomp.game_core import is_label
@@ -472,6 +473,45 @@ def test_game_rows_across_block_boundaries(monkeypatch, rows_per_block):
         want = _outcome(oracle.parse_game, bad)
         assert want[0] is ParseError
         assert _outcome(parse_game, bad) == want
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+def test_crosstable_rows_across_block_boundaries(monkeypatch, rows_per_block):
+    """With a block of one, two or seven rows, the complementarity check and
+    the thresholding of a 120-engine table span many blocks.  A clash in the
+    first row of a later block, or the first of two clashes in row-major
+    order, must be reported as the oracle reports it, and absent and
+    one-sided pairs in later blocks must threshold as the oracle does."""
+    monkeypatch.setattr(game_core, "_BLOCK_CELLS", rows_per_block * _N)
+    k = 3 * rows_per_block  # the first row of the fourth block
+    sparse = [
+        _set(k, k + 1, ""), _set(k + 1, k, ""),  # absent
+        _set(k, _N - 1, ""), _set(_N - 1, k, "0.250"),  # only the lower side
+        _set(k + 1, _N - 2, "0.750"), _set(_N - 2, k + 1, ""),  # only the upper
+        _set(_N - 2, _N - 1, ""), _set(_N - 1, _N - 2, "0.900"),
+    ]
+    clashes = [
+        [_set(k, k + 2, "0.4", "0.5")],
+        [_set(rows_per_block, _N - 1, "0.4", "0.5")],
+        # Row-major, the far clash in the earlier row comes first, though
+        # its lower cell sits in the last block.
+        [_set(k + 1, k + 2, "0.4", "0.5"), _set(k, _N - 1, "0.3", "0.5")],
+        [_set(k + 2, k + 1, "0.4", "0.5"), _set(_N - 1, k, "0.3", "0.5")],
+    ]
+    for edits in [sparse, *clashes]:
+        cells = _score_cells(_N, seed=6)
+        for edit in edits:
+            edit(cells)
+        text = _crosstable_text(cells)
+        new = _outcome(parse_crosstable, text)
+        old = _outcome(oracle.parse_crosstable, text)
+        assert _same_crosstable(new, old)
+        if edits is sparse:
+            for margin in (0.0, 0.01, 0.3):
+                game = to_game(new[1], margin=margin)
+                assert game == oracle.to_game(old[1], margin=margin)
+        else:
+            assert new[0] is ComplementarityViolation
 
 
 # ---------------------------------------------------------------------------
