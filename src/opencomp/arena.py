@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dsl import (
-    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, parse_program,
+    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, shared_program,
 )
 from .errors import RuntimeFault
 from .game_core import GameTable, Side, outcome
@@ -62,7 +62,7 @@ class ProgramLearner(Learner):
 
     def __init__(self, name: str, program: StrategyProgram | str):
         if isinstance(program, str):
-            program = parse_program(program)
+            program = shared_program(program)
         self.name = name
         self.program = program
         self.source = program.source
@@ -226,6 +226,9 @@ def run_tournament(
     names = [learner.name for learner in learners]
     if len(set(names)) != len(names):
         raise ValueError("learner names must be unique")
+    # Checked before pairing, so it holds even when no match is played.
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
 
     if game.symmetric_flag:
         pairs = [

@@ -4,11 +4,13 @@ Every subcommand reads files named on the command line (bundled game names
 work as a convenience where a game is expected), writes a deterministic
 report to stdout, and exits 0.  Bad invocations exit 1, malformed input
 files exit 2, and a failed --assert-class check exits 3.  ``dispatch`` is
-the testable core: it never raises and never touches real stdio.
+the testable core: it never raises and never touches real stdio, and it
+returns the text of --help with exit 0.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -42,6 +44,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """``--help`` was asked for; carries the help text."""
+
+
 class _DataError(ValueError):
     """Bad input caught by the CLI itself; exits 2 like the library's data errors."""
 
@@ -49,6 +55,10 @@ class _DataError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        # The help action prints and then exits; stop it before either.
+        raise _Help(self.format_help())
 
 
 def _load_game(spec: str) -> GameTable:
@@ -71,6 +81,9 @@ def _load_learner(path: str) -> ProgramLearner:
     return ProgramLearner(name, program)
 
 
+# Built once per process: ``parse_args`` keeps nothing between calls, and
+# building the tree costs about as much as a whole catalog tournament runs.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opencomp", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -237,6 +250,8 @@ def dispatch(argv: list[str]) -> tuple[int, str, str]:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         return 1, "", str(exc)
+    except _Help as exc:
+        return 0, str(exc), ""
     if args.command is None:
         return 1, "", parser.format_usage()
     handler = _HANDLERS[args.command]

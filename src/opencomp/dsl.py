@@ -40,8 +40,9 @@ by every evaluation, so the cache holds a bounded amount of memory.  A
 longer text is parsed at most once per evaluation and dropped when the
 evaluation returns.  When the program run is ``self``'s own text, ``self``
 runs the program's tree and the text is not parsed again.  ``source_tree``
-reads a text through the same cache: ``parse_learner_file`` reads a
-learner's program with it, so a learner runs the very tree its rivals
+reads a text through the same cache: ``shared_program`` reads a learner's
+program with it, for ``parse_learner_file`` and for an ``arena``
+``ProgramLearner`` given text, so a learner runs the very tree its rivals
 simulate and a tournament parses each learner's text once, and the
 host-level oracle in ``demos`` reads its rivals with it.  Trees are
 immutable and parsing costs no fuel, so sharing changes no result.
@@ -469,6 +470,15 @@ def source_tree(text: str) -> Expr | None:
     return _parse_source.__wrapped__(text)
 
 
+def shared_program(text: str) -> StrategyProgram:
+    """``parse_program``, with the tree read through the shared cache, so it
+    is the very tree a rival's ``sim`` runs; raises the same ``ParseError``."""
+    tree = source_tree(text)
+    if tree is None:
+        return parse_program(text)  # raises the text's ParseError
+    return StrategyProgram(source=text, ast=tree)
+
+
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     """Parse a learner file: first line ``learner <name>``, rest the program."""
     lines = text.splitlines()
@@ -480,12 +490,7 @@ def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     body = "\n".join(lines[1:])
     if not body.strip():
         raise ParseError("learner file has no program text", line=2)
-    # Read through the shared cache, so the learner runs the tree its rivals
-    # simulate and the text is parsed once.
-    tree = source_tree(body)
-    if tree is None:
-        return header[1], parse_program(body)  # raises the text's ParseError
-    return header[1], StrategyProgram(source=body, ast=tree)
+    return header[1], shared_program(body)
 
 
 def pretty(node: Expr | Src) -> str:
@@ -593,14 +598,19 @@ class _Given:
     it.  Like ``SrcQuoted``, it is a source whose ``program`` is its tree,
     or None when the text is not a program."""
 
+    __slots__ = ("text", "program")
+
     def __init__(self, text: str):
         self.text = text
 
-    @functools.cached_property
-    def program(self) -> Expr | None:
-        # Cached on the holder too, so even a text too long for the shared
-        # cache is parsed only once per evaluation.
-        return source_tree(self.text)
+    def __getattr__(self, name):
+        # Reached only while ``program`` is unset.  The tree is kept on the
+        # holder too, so even a text too long for the shared cache is parsed
+        # only once per evaluation.
+        if name != "program":
+            raise AttributeError(name)
+        self.program = tree = source_tree(self.text)
+        return tree
 
 
 _Source = Union[_Given, SrcQuoted]
@@ -665,8 +675,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     me = _Given(env.self_source)
     if program.source == env.self_source:
         me.program = program.ast  # ``self`` needs no second parse
-    lvl = _Level(side=env.side, opp=_Given(env.opponent_source), me=me,
-                 limit=env.fuel)
+    lvl = _Level(env.side, _Given(env.opponent_source), me, env.fuel)
     levels = [lvl]
     # Deepest live simulation per (target, seat, adversary).  The root is
     # not entered: its program need not be ``env.self_source``.  A given
@@ -733,8 +742,8 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             continue
                         limit = g + room
                         twin = live.get(key)
-                        lvl = _Level(side=child_side, opp=adversary, me=target,
-                                     limit=limit, start=g, key=key, shadowed=twin)
+                        lvl = _Level(child_side, adversary, target, limit, g,
+                                     key, twin)
                         if twin is not None and twin.limit == limit:
                             # The child starts in its twin's state, and its
                             # run would repeat the twin's descent until the

@@ -58,7 +58,10 @@ class Side(str, Enum):
 
     @property
     def opposite(self) -> "Side":
-        return Side.COL if self is Side.ROW else Side.ROW
+        return _OPPOSITE[self]
+
+
+_OPPOSITE = {Side.ROW: Side.COL, Side.COL: Side.ROW}
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +75,9 @@ class GameTable:
     table must be square and antisymmetric (``entries[i][j] == -entries[j][i]``,
     so the diagonal is all zero).  Asymmetric tables carry no such constraint;
     in particular a strategy may beat its own mirror there.
+
+    ``rows`` and ``cols``, the strategy counts of the two seats, are plain
+    ints set at construction.
     """
 
     name: str
@@ -124,6 +130,8 @@ class GameTable:
                     raise InvariantError("symmetric table must be antisymmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "rows", nr)
+        object.__setattr__(self, "cols", nc)
         # (seat, opponent index) -> best reply, filled by ``dsl.evaluate``
         # as its ``bestresp`` frames ask: at most rows + cols entries, and
         # dropped with the table.
@@ -141,14 +149,6 @@ class GameTable:
             self.name, self.entries, self.symmetric_flag,
             self.labels_rows, self.labels_cols,
         ))
-
-    @property
-    def rows(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.entries.shape[1])
 
     def row_name(self, i: int) -> str:
         """Label of 1-based row ``i`` if the table has labels, else the index."""

@@ -159,6 +159,12 @@ class TestTournament:
         with pytest.raises(ValueError):
             run_tournament(rps(), learners, fuel=10)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_negative_fuel_is_rejected_with_no_match_to_play(self, count):
+        learners = [ProgramLearner("only", "const 1")][:count]
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+            run_tournament(rps(), learners, fuel=-1)
+
     def test_single_learner_is_a_degenerate_tournament(self):
         report = run_tournament(rps(), [ProgramLearner("only", "const 1")], fuel=10)
         assert report.records == ()

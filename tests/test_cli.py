@@ -7,7 +7,7 @@ import pytest
 
 from conftest import REPO_ROOT
 from opencomp import serialize_game, rps
-from opencomp.cli import dispatch
+from opencomp.cli import _build_parser, dispatch, main
 
 
 def run(*argv):
@@ -233,6 +233,16 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert "NaN" in err
 
+    @pytest.mark.parametrize("learners", [
+        ["loop.lrn"], ["loop.lrn", "const_rock.lrn"],
+    ], ids=["one", "two"])
+    def test_negative_fuel_is_a_data_error(self, repo_root, learners):
+        code, out, err = run(
+            "tournament", "--game", "rps", "--fuel", "-1", "--learners",
+            *(str(repo_root / "learners" / name) for name in learners),
+        )
+        assert (code, out, err) == (2, "", "error: fuel must be non-negative\n")
+
     def test_dispatch_never_raises(self):
         for argv in (
             ["classify", "--game"],
@@ -242,6 +252,54 @@ class TestErrorHandling:
         ):
             code, _, _ = dispatch(argv)
             assert code in (1, 2, 3)
+
+
+class TestHelp:
+    # The text's width follows COLUMNS, so only its content is checked.
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: opencomp [-h]"),
+        (["tournament", "-h"], "usage: opencomp tournament [-h]"),
+    ])
+    def test_help_is_returned_not_printed(self, capsys, argv, usage):
+        code, out, err = dispatch(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_prints_the_help_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr() == (dispatch(["--help"])[1], "")
+
+
+class TestSharedParser:
+    def test_one_parser_serves_every_call(self):
+        assert _build_parser() is _build_parser()
+
+    def test_it_keeps_no_state_between_calls(self, repo_root):
+        usage_error = ["tournament", "--game", "rps"]
+        calls = [
+            usage_error,
+            ["tournament", "--game", "rps", "--fuel", "50",
+             "--learners", *(str(repo_root / "learners" / name)
+                             for name in ("loop.lrn", "const_rock.lrn"))],
+            usage_error,
+            ["--help"],
+            ["series", "--game", "rps", "--game", "rps", "--aggregate", "lex"],
+            ["series", "--game", "rps"],
+            ["tournament", "-h"],
+            [],
+        ]
+        shared = [dispatch(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(dispatch(argv))
+        assert shared == fresh
+        assert shared[0] == shared[2] and shared[0][0] == 1
+        assert shared[1][0] == 0
+        assert shared[3][0] == 0 and shared[3][1].startswith("usage: opencomp")
 
 
 def _module_env() -> dict[str, str]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 import warnings
 
@@ -13,6 +15,8 @@ from opencomp import (
     role_swapped, rps, serialize_game,
 )
 from opencomp import game_core
+from opencomp.crosstable import parse_crosstable, to_game
+from opencomp.series import compose_series
 from opencomp.game_core import is_label
 
 # Mostly words that can stand in a game file, often words that cannot:
@@ -160,6 +164,27 @@ class TestGameTable:
     def test_opposite_side(self):
         assert Side.ROW.opposite is Side.COL
         assert Side.COL.opposite is Side.ROW
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_opposite_twice_is_the_same_side(self, side):
+        assert side.opposite.opposite is side
+
+    @pytest.mark.parametrize("build", [
+        lambda: GameTable("direct", np.zeros((2, 5), dtype=np.int8)),
+        lambda: parse_game(serialize_game(pennies())),
+        lambda: to_game(parse_crosstable("names,A,B,C\nA,,0.7,0.2\nB,0.3,,\nC,0.8,,\n")),
+        lambda: compose_series([dice(), role_swapped(dice())]),
+    ], ids=["direct", "parse_game", "to_game", "compose_series"])
+    @pytest.mark.parametrize("clone", [
+        lambda table: table, copy.copy, copy.deepcopy,
+        lambda table: pickle.loads(pickle.dumps(table)),
+    ], ids=["original", "copy", "deepcopy", "pickle"])
+    def test_seat_counts_match_the_entries(self, build, clone):
+        game = clone(build())
+        n_rows, n_cols = game.entries.shape
+        assert (game.rows, game.cols) == (n_rows, n_cols)
+        assert (game.side_count(Side.ROW), game.side_count(Side.COL)) == (n_rows, n_cols)
+        assert type(game.rows) is int and type(game.cols) is int
 
 
 class TestOutcome:

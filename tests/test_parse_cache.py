@@ -14,8 +14,9 @@ from fingerprint_oracle import fingerprint_evaluate
 from conftest import REPO_ROOT
 from opencomp import (
     EXPLOITER_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind, EvalResult, OracleWinner,
-    ParseError, RuntimeFault, Side, best_response, catalog_learners, evaluate,
-    parse_learner_file, parse_program, pennies, render_report, rps, run_tournament,
+    ParseError, ProgramLearner, RuntimeFault, Side, best_response, build_defiance,
+    build_exploiter, catalog_learners, evaluate, parse_learner_file,
+    parse_program, pennies, render_report, rps, run_tournament,
 )
 from opencomp import dsl
 from opencomp.bundled import CATALOG
@@ -274,6 +275,34 @@ def test_a_learner_file_shares_the_tree_its_rivals_simulate():
     name, program = parse_learner_file(f"learner exploiter\n{body}\n")
     assert (name, program.source) == ("exploiter", body)
     assert program.ast is source_tree(body)
+
+
+def test_a_program_learner_shares_the_tree_its_rivals_simulate():
+    for learner in (
+        ProgramLearner("x", EXPLOITER_SOURCE),
+        build_exploiter("b200", sim_budget=200),
+        build_defiance(),
+    ):
+        assert learner.program.ast is source_tree(learner.source)
+
+
+@pytest.mark.parametrize("text", [
+    "match sim(opp, self, rest) { halted(k) => k }",
+    "\n  const 1 2",
+    'sim("const \u00b2", opp, 5)',
+    "const",
+    "",
+])
+def test_a_bad_program_learner_text_reports_as_parse_program_does(text):
+    with pytest.raises(ParseError) as expected:
+        parse_program(text)
+    _parse_source.cache_clear()
+    for _ in range(2):  # the second time the cache holds the verdict
+        with pytest.raises(ParseError) as err:
+            ProgramLearner("bad", text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            str(expected.value), expected.value.line, expected.value.column
+        )
 
 
 @pytest.mark.parametrize("text, message, line, column", [
