@@ -7,7 +7,7 @@ evaluates a few programs by hand and watches the fuel meter.
 """
 from opencomp import (
     EXPLOITER_SOURCE, EvalEnv, RuntimeFault, Side, evaluate, parse_program,
-    pretty, prove_nonhalt, rps,
+    pretty, rps,
 )
 
 
@@ -74,7 +74,7 @@ def main():
     print("child is cut off at 50 steps and the exhausted branch runs.")
 
     print("\n=== proofs and pretty-printing ===\n")
-    witness = prove_nonhalt("loop", env("const 1", "loop"))
+    witness = evaluate("loop", env("const 1", "loop")).witness
     print("witness for loop:", witness)
     tree = parse_program("match sim( opp,self , rest){halted(k)=>k|exhausted=>2}")
     print("canonical form:  ", pretty(tree.ast))

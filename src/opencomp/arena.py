@@ -10,6 +10,7 @@ leaves room for mutually-simulating programs to force a standoff.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -230,23 +231,12 @@ def run_tournament(
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
 
-    if game.symmetric_flag:
-        pairs = [
-            (i, j)
-            for i in range(len(learners))
-            for j in range(i + 1, len(learners))
-        ]
-    else:
-        pairs = [
-            (i, j)
-            for i in range(len(learners))
-            for j in range(len(learners))
-            if i != j
-        ]
-
+    pairs = (
+        itertools.combinations if game.symmetric_flag else itertools.permutations
+    )(learners, 2)
     records = [
-        run_match(game, learners[i], learners[j], fuel=fuel, mode=mode)
-        for i, j in pairs
+        run_match(game, first, second, fuel=fuel, mode=mode)
+        for first, second in pairs
     ]
 
     tallies = {

@@ -30,22 +30,23 @@ per level, such as ``pretty``, can recurse through every tree the parser
 builds.  Tree ``==`` and ``hash`` take about two frames per level and can
 pass the default recursion limit near the bound.
 
-A quoted program runs as its own syntax tree and is never parsed again.
-The two sources ``evaluate`` is given, the opponent's and its own, are
-parsed when a ``sim`` first runs them, and every level of the simulation
-tower keeps the tree it got.  They are parsed once per process, not once
-per evaluation: the trees of the 1024 most recently given texts of at most
-4096 characters (or the verdict that a text is not a program) are shared
-by every evaluation, so the cache holds a bounded amount of memory.  A
-longer text is parsed at most once per evaluation and dropped when the
-evaluation returns.  When the program run is ``self``'s own text, ``self``
-runs the program's tree and the text is not parsed again.  ``source_tree``
-reads a text through the same cache: ``shared_program`` reads a learner's
-program with it, for ``parse_learner_file`` and for an ``arena``
-``ProgramLearner`` given text, so a learner runs the very tree its rivals
-simulate and a tournament parses each learner's text once, and the
-host-level oracle in ``demos`` reads its rivals with it.  Trees are
-immutable and parsing costs no fuel, so sharing changes no result.
+A quoted program runs as its own syntax tree, kept with the text it was
+parsed from, and is never parsed again.  The two sources ``evaluate`` is
+given, the opponent's and its own, are parsed when a ``sim`` first runs
+them, and every level of the simulation tower keeps the tree it got.  They
+are parsed once per process, not once per evaluation: the trees of the
+1024 most recently given texts of at most 4096 characters (or the verdict
+that a text is not a program) are shared by every evaluation, so the cache
+holds a bounded amount of memory.  A longer text is parsed at most once
+per evaluation and dropped when the evaluation returns.  When the program
+run is ``self``'s own text, ``self`` runs the program's tree and the text
+is not parsed again.  ``source_tree`` reads a text through the same cache:
+``shared_program`` reads a learner's program with it, for
+``parse_learner_file`` and for an ``arena`` ``ProgramLearner`` given text,
+so a learner runs the very tree its rivals simulate and a tournament
+parses each learner's text once, and the host-level oracle in ``demos``
+reads its rivals with it.  Trees are immutable and parsing costs no fuel,
+so sharing changes no result.
 
 Best replies are read the same way.  Each ``GameTable`` keeps a memo of
 the replies ``bestresp`` has asked it for, keyed by seat and opponent
@@ -58,10 +59,11 @@ Simulations are tabled too.  A child sees only its target's tree, its
 adversary's tree, its seat, the table and the fuel ``a`` it may use, so
 its result (``halted(k)`` or ``exhausted``) and the fuel it spends are a
 function of those.  Each ``GameTable`` keeps the last finished run per
-(target, seat, adversary), a given source keyed by its text and a quoted
-program by identity (the record holds the quote, so the identity stays
-valid).  A record of a run that spent ``c`` fuel answers a budget ``a``
-without running the child:
+(target, seat, adversary), every source keyed by its text: the text
+``evaluate`` was given, or the text between a quote's quotes.  Equal texts
+parse to equal trees, since nesting depth only decides whether a parse
+fails, so sources of equal text share a record.  A record of a run that
+spent ``c`` fuel answers a budget ``a`` without running the child:
 
 * every ``a < c`` as ``exhausted``, spending ``a``: the shorter run is the
   longer one cut off;
@@ -91,14 +93,14 @@ out of fuel has by definition drained the caller's own pool, so the caller
 exhausts too.  This is what makes halting results stable under fuel
 increases, and what makes two mutual simulators burn all their fuel rather
 than bottom out.  The burn is not run level by level.  A ``sim`` whose
-target, seat and adversary (the same text or the same quote, keyed as in
-the records above) and limit equal a live ancestor's starts in that
-ancestor's state, and the machine reads the fuel counter only against
-limits (a nested level's witness reaches its parent as ``exhausted``), so
-the child would repeat the ancestor's descent until the shared limit
-stops it.  The limit is spent at once instead: every level that has it
-then holds a simulation's result and pops as exhausted or as a fault, as
-in the full descent, so the result and ``fuel_used`` are unchanged.
+target, seat and adversary (keyed by text, as in the records above) and
+limit equal a live ancestor's starts in that ancestor's state, and the
+machine reads the fuel counter only against limits (a nested level's
+witness reaches its parent as ``exhausted``), so the child would repeat
+the ancestor's descent until the shared limit stops it.  The limit is
+spent at once instead: every level that has it then holds a simulation's
+result and pops as exhausted or as a fault, as in the full descent, so
+the result and ``fuel_used`` are unchanged.
 
 The two non-halting primitives are decided where they occur.  The language
 has no in-level recursion, so every other step moves the machine strictly
@@ -115,7 +117,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Union
 
@@ -161,7 +163,18 @@ class SrcSelf:
 
 @dataclass(frozen=True)
 class SrcQuoted:
-    program: "Expr"  # ``sim`` runs a quote's tree as it runs a ``_Given``'s
+    """A quoted program: its tree, which ``sim`` runs as it runs a
+    ``_Given``'s, and the unescaped text between the quotes, which parses to
+    that tree and keys ``sim``'s records.  Quotes are equal when their trees
+    are, so the text takes no part in ``==``, ``hash`` or ``repr``.  A quote
+    built by hand gets ``pretty(program)`` as its text."""
+
+    program: "Expr"
+    text: str = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.text is None:
+            object.__setattr__(self, "text", pretty(self.program))
 
 
 Src = Union[SrcOpp, SrcSelf, SrcQuoted]
@@ -239,8 +252,9 @@ _ESCAPE = re.compile(r"\\(.)")
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
 _PARSE_CACHE_SIZE = 1024
-# characters: up to ~23 bytes of key and tree each (tracemalloc, five shapes
-# of source), ~97 MB for a full cache
+# characters: up to ~23 bytes of key and tree each (tracemalloc, thirteen
+# shapes of source; quotes, which keep their text, reach ~19 nested six
+# deep), ~97 MB for a full cache
 _MAX_CACHED_SOURCE = 4096
 _SIM_MEMO_SIZE = 4096  # simulation keys a table records
 
@@ -415,7 +429,7 @@ class _Parser:
                 raise ParseError(
                     f"inside quoted program: {exc}", line=tok.line, column=tok.col
                 ) from None
-            return SrcQuoted(inner)
+            return SrcQuoted(inner, tok.value)
         raise self.fail("expected opp, self or a quoted program")
 
     def budget(self) -> int | str:
@@ -595,8 +609,8 @@ class _FaultSignal(Exception):
 
 class _Given:
     """A source text handed to ``evaluate``, parsed when a ``sim`` first runs
-    it.  Like ``SrcQuoted``, it is a source whose ``program`` is its tree,
-    or None when the text is not a program."""
+    it.  Like ``SrcQuoted``, it is a source with a ``text`` and a
+    ``program``, its tree, or None when the text is not a program."""
 
     __slots__ = ("text", "program")
 
@@ -677,11 +691,9 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         me.program = program.ast  # ``self`` needs no second parse
     lvl = _Level(env.side, _Given(env.opponent_source), me, env.fuel)
     levels = [lvl]
-    # Deepest live simulation per (target, seat, adversary).  The root is
-    # not entered: its program need not be ``env.self_source``.  A given
-    # source is keyed by its text, since equal texts start in equal states,
-    # and a quoted one by identity; every quote stays alive until the
-    # evaluation returns.
+    # Deepest live simulation per (target, seat, adversary), each source
+    # keyed by its text, as in the record.  The root is not entered: its
+    # program need not be ``env.self_source``.
     live: dict = {}
     # The running level is ``lvl``, with its continuation, limit and seat in
     # locals.  Its control is ``node`` under ``bindings``, or, when ``node``
@@ -722,14 +734,9 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         room = limit - g  # the fuel the child may use
                         if node.budget != "rest" and node.budget < room:
                             room = node.budget
-                        key = (
-                            target.text if type(target) is _Given else id(target),
-                            child_side,
-                            adversary.text if type(adversary) is _Given
-                            else id(adversary),
-                        )
+                        key = (target.text, child_side, adversary.text)
                         # (fuel spent, what the parent saw, whether a larger
-                        # budget ends the same way, quotes kept alive)
+                        # budget ends the same way)
                         record = sims.get(key)
                         if record is not None and (room <= record[0] or record[2]):
                             if room < record[0]:  # cut off before its end
@@ -847,12 +854,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             # An end at the limit may have been forced by it.
             value, closed = _EXHAUSTED, g < lvl.limit
         if key in sims or len(sims) < _SIM_MEMO_SIZE:
-            # Keeps the quotes whose ids are in the key alive, and no given
-            # source's tree.
-            target, adversary = lvl.me, lvl.opp
-            sims[key] = (g - lvl.start, value, closed,
-                         target if type(target) is SrcQuoted else None,
-                         adversary if type(adversary) is SrcQuoted else None)
+            sims[key] = (g - lvl.start, value, closed)
         lvl = levels[-1]
         kont, limit, side = lvl.kont, lvl.limit, lvl.side
         node = None
@@ -866,19 +868,3 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             EvalKind.PROVEN_NONHALTING, witness=(result[1], result[2]), fuel_used=g
         )
     raise RuntimeFault(result[1], fuel_used=g)
-
-
-def prove_nonhalt(program: StrategyProgram | str, env: EvalEnv) -> tuple[int, int] | None:
-    """State-repetition witness that the program never halts, if one is found.
-
-    Returns a pair of step counters at which the machine state was identical,
-    or None when no repetition showed up within the fuel budget.  None says
-    nothing either way; a witness is conclusive.
-    """
-    try:
-        result = evaluate(program, env)
-    except RuntimeFault:
-        return None
-    if result.kind is EvalKind.PROVEN_NONHALTING:
-        return result.witness
-    return None

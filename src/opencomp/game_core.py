@@ -136,15 +136,15 @@ class GameTable:
         # as its ``bestresp`` frames ask: at most rows + cols entries, and
         # dropped with the table.
         object.__setattr__(self, "_replies", {})
-        # (target, seat, adversary) -> a finished ``sim`` run, kept by
-        # ``dsl.evaluate``: at most ``dsl._SIM_MEMO_SIZE`` entries, and
-        # dropped with the table.
+        # (target text, seat, adversary text) -> a finished ``sim`` run,
+        # kept by ``dsl.evaluate``: at most ``dsl._SIM_MEMO_SIZE`` entries,
+        # and dropped with the table.
         object.__setattr__(self, "_sims", {})
 
     def __reduce__(self):
-        # Copies and pickles go through the constructor, so they get their
-        # own read-only entries and empty memos (the simulation keys hold ids
-        # of quotes that a copy does not share).
+        # Copies and pickles go through the constructor, so their entries
+        # are read-only too, which a copied array would not be.  Their memos
+        # start empty.
         return (type(self), (
             self.name, self.entries, self.symmetric_flag,
             self.labels_rows, self.labels_cols,
@@ -190,13 +190,6 @@ def outcome(table: GameTable, i: int, j: int) -> Outcome:
     if not 1 <= j <= table.cols:
         raise IndexError(f"column index {j} out of range 1..{table.cols}")
     return _OUTCOMES[table.entries[i - 1, j - 1]]
-
-
-def is_symmetric(table: GameTable) -> bool:
-    """Whether the matrix itself is square and antisymmetric (ignores the flag)."""
-    if table.rows != table.cols:
-        return False
-    return bool((table.entries == -table.entries.T).all())
 
 
 def role_swapped(table: GameTable) -> GameTable:

@@ -55,17 +55,6 @@ class MixedStrategy:
         weights[strategy - 1] = 1.0
         return MixedStrategy(weights)
 
-    def support(self) -> tuple[int, ...]:
-        """1-based indices played with positive probability."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.weights > 1e-12))
-
-
-def expected_payoff(game: GameTable, p1: MixedStrategy, p2: MixedStrategy) -> float:
-    """Expected player-1 payoff when both sides mix."""
-    if p1.weights.size != game.rows or p2.weights.size != game.cols:
-        raise ValueError("mixture sizes must match the table")
-    return float(p1.weights @ game.entries.astype(np.float64) @ p2.weights)
-
 
 def exploitability(game: GameTable, p1: MixedStrategy, p2: MixedStrategy) -> float:
     """How far the profile is from mutual best response, never negative.

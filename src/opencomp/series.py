@@ -20,15 +20,12 @@ from .game_core import GameTable
 class Aggregator(str, Enum):
     """How a vector of win/draw/loss outcomes collapses to one outcome.
 
-    SUM_SIGN: sign of the summed payoffs.  MAJORITY: compare win and loss
-    counts.  With payoffs in {-1, 0, +1} these two always agree, since the
-    sum is exactly wins minus losses; both are provided because reports
-    name the rule that was asked for.  LEX: the first non-draw game decides,
-    all draws is a draw.
+    SUM_SIGN: sign of the summed payoffs, which with payoffs in
+    {-1, 0, +1} is also the majority of wins over losses.  LEX: the first
+    non-draw game decides, all draws is a draw.
     """
 
     SUM_SIGN = "sum"
-    MAJORITY = "majority"
     LEX = "lex"
 
 

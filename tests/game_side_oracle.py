@@ -6,7 +6,9 @@ cell in Python, before whole-row and whole-table numpy operations replaced
 those loops.  ``is_strongly_intransitive`` is copied verbatim from the
 version that took one ``argmax`` per row and per column, and
 ``find_cycles_walk`` is the recursive walk over per-strategy successor
-arrays that the bit-packed cycle listing replaced, renamed only.  Tests
+arrays that the bit-packed cycle listing replaced, renamed only.
+``is_symmetric``, which they call, moved here verbatim from ``game_core``,
+where nothing called it once ``find_cycles`` trusted the table's flag.  Tests
 compare the library's functions against them on outputs, exception types,
 messages and line numbers, and against the walk's memory peak.  Like the
 brute-force oracles in ``conftest.py`` they are kept for reference and are
@@ -21,7 +23,7 @@ from opencomp.errors import (
     ComplementarityViolation, InvariantError, NotSymmetricError, ParseError,
 )
 from opencomp.classify import SIWitnesses
-from opencomp.game_core import MAX_STRATEGIES, GameTable, is_symmetric
+from opencomp.game_core import MAX_STRATEGIES, GameTable
 
 _COMPLEMENT_TOL = 1e-6
 _ENTRY_TOKENS = {"+1": 1, "0": 0, "-1": -1, "w": 1, "d": 0, "l": -1}
@@ -254,6 +256,13 @@ def serialize_game(table: GameTable) -> str:
         cells = " ".join(_ENTRY_TEXT[int(v)] for v in table.entries[i])
         out.append(f"row {i + 1}: {cells}")
     return "\n".join(out) + "\n"
+
+
+def is_symmetric(table: GameTable) -> bool:
+    """Whether the matrix itself is square and antisymmetric (ignores the flag)."""
+    if table.rows != table.cols:
+        return False
+    return bool((table.entries == -table.entries.T).all())
 
 
 def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:

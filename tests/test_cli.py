@@ -178,6 +178,13 @@ class TestErrorHandling:
         assert code == 1
         assert "invalid choice" in err
 
+    def test_aggregate_takes_sum_or_lex(self):
+        code, _, err = run(
+            "series", "--game", "rps", "--game", "rps", "--aggregate", "majority"
+        )
+        assert code == 1
+        assert "invalid choice: 'majority'" in err
+
     def test_missing_required_flag(self):
         code, _, err = run("classify")
         assert code == 1

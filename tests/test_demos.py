@@ -4,8 +4,8 @@ from opencomp import (
     ORACLE_SOURCE, EvalEnv, EvalKind, MatchResult, Mode, OracleWinner,
     ParseError, ProgramLearner, Side, SideOutcome, build_defiance,
     build_exploiter, catalog_learners, demo_exploiter,
-    demo_exploiter_exploited, demo_no_universal, demo_oracle, parse_program,
-    prove_nonhalt, rps, run_all_demos, run_match,
+    demo_exploiter_exploited, demo_no_universal, demo_oracle, evaluate,
+    parse_program, rps, run_all_demos, run_match,
 )
 
 HALTING_CATALOG = (
@@ -76,7 +76,8 @@ class TestDefiance:
             game=rps(), side=Side.ROW, opponent_source="const 1",
             self_source="grow", fuel=3000,
         )
-        assert prove_nonhalt("grow", env) is None
+        result = evaluate("grow", env)
+        assert (result.kind, result.witness) == (EvalKind.FUEL_EXHAUSTED, None)
 
     def test_no_catalog_learner_defeats_the_grower_in_strict_mode(self):
         grower = build_defiance("grow2")

@@ -10,8 +10,8 @@ import opencomp.dsl as dsl
 from conftest import random_symmetric_table, random_table
 from opencomp import (
     EXPLOITER_SOURCE, EvalEnv, EvalKind, GameTable, ParseError, RuntimeFault,
-    Side, evaluate, parse_learner_file, parse_program, pretty, prove_nonhalt,
-    role_swapped, rps,
+    Side, evaluate, parse_learner_file, parse_program, pretty, role_swapped,
+    rps,
 )
 from opencomp.dsl import (
     BestResp, Grow, If, Literal, Loop, Match, Sim, SrcOpp, SrcQuoted, SrcSelf,
@@ -247,13 +247,19 @@ class TestNonHalting:
         assert result.fuel_used == 700
 
     def test_prove_nonhalt(self):
-        assert prove_nonhalt("loop", env_for()) == (1, 2)
-        assert prove_nonhalt("const 1", env_for()) is None
-        assert prove_nonhalt("grow", env_for(fuel=200)) is None
-        assert prove_nonhalt("k", env_for()) is None
+        proven = evaluate("loop", env_for())
+        assert (proven.kind, proven.witness) == (
+            EvalKind.PROVEN_NONHALTING, (1, 2)
+        )
+        halted = evaluate("const 1", env_for())
+        assert (halted.kind, halted.witness) == (EvalKind.HALTED, None)
+        grown = evaluate("grow", env_for(fuel=200))
+        assert (grown.kind, grown.witness) == (EvalKind.FUEL_EXHAUSTED, None)
+        with pytest.raises(RuntimeFault):
+            evaluate("k", env_for())
 
     def test_witness_steps_are_ordered(self):
-        witness = prove_nonhalt("loop", env_for())
+        witness = evaluate("loop", env_for()).witness
         assert witness[0] < witness[1]
 
 
@@ -539,16 +545,16 @@ class TestMachineProperties:
     @settings(max_examples=100, deadline=None)
     def test_proofs_are_sound_at_ten_times_the_fuel(self, tree, opponent, fuel):
         source = pretty(tree)
-        witness = prove_nonhalt(
+        first = _outcome_key(
             source, env_for(opponent=opponent, me=source, fuel=fuel)
         )
-        if witness is None:
+        if first[0] != "proven":
             return
         check = _outcome_key(
             source, env_for(opponent=opponent, me=source, fuel=10 * fuel)
         )
         assert check[0] != "halted"
-        assert check == ("proven", witness)
+        assert check == first
 
     @given(program_trees, _OPPONENTS, st.integers(0, 300))
     @settings(max_examples=80, deadline=None)

@@ -518,7 +518,7 @@ def test_the_record_goes_with_its_table():
     copy.copy, copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table)),
 ], ids=["copy", "deepcopy", "pickle"])
 def test_a_copied_table_starts_with_no_record(clone):
-    # The record keys quotes by identity, which a copy does not keep.
+    # A copy is built through the constructor, with its own empty memos.
     table = rps()
     env = env_for(me=EXPLOITER_SOURCE, game=table)
     evaluate(EXPLOITER_SOURCE, env)
@@ -527,3 +527,29 @@ def test_a_copied_table_starts_with_no_record(clone):
     assert evaluate(EXPLOITER_SOURCE, env_for(me=EXPLOITER_SOURCE, game=twin)) == (
         evaluate(EXPLOITER_SOURCE, env)
     )
+
+
+# Every source is keyed by its text, so sources of equal text share a
+# record however they were written.
+_PROBED = "match sim(opp, self, 9) { halted(k) => bestresp(k) | exhausted => 2 }"
+# ``_probe(30)`` with the probed text quoted in place of ``opp``.
+_QUOTING = f'match sim("{_PROBED}", opp, 30) {{ halted(k) => k | exhausted => 0 }}'
+
+
+def test_separately_parsed_quotes_of_one_text_share_a_record(levels_built):
+    table = rps()
+    for _ in range(2):
+        levels_built.clear()
+        _on_warm_table(table, parse_program(_QUOTING), "const 1", 1000, Side.ROW)
+    # The second parse's quote reads what the first one's run recorded.
+    assert len(levels_built) == 1
+
+
+def test_a_quote_and_a_given_source_of_one_text_share_a_record(levels_built):
+    table = rps()
+    # The opponent's text, simulated at COL against itself...
+    _on_warm_table(table, _probe(30), _PROBED, 1000, Side.ROW)
+    levels_built.clear()
+    # ...and the same text quoted at COL, against the same opponent.
+    _on_warm_table(table, _QUOTING, _PROBED, 1000, Side.COL)
+    assert len(levels_built) == 1

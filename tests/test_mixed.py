@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_fictitious_play, game_tables, grid_maxmin
 from opencomp import (
-    GameTable, MixedStrategy, dice, expected_payoff, exploitability,
+    GameTable, MixedStrategy, dice, exploitability,
     fictitious_play, pennies, rps,
 )
 
@@ -23,7 +23,6 @@ class TestMixedStrategy:
     def test_pure(self):
         mix = MixedStrategy.pure(3, 2)
         assert mix.weights.tolist() == [0.0, 1.0, 0.0]
-        assert mix.support() == (2,)
 
     def test_pure_range_checked(self):
         with pytest.raises(IndexError):
@@ -53,7 +52,6 @@ class TestMixedStrategy:
 class TestPayoffAndExploitability:
     def test_uniform_rps_is_balanced(self):
         uniform = MixedStrategy.uniform(3)
-        assert expected_payoff(rps(), uniform, uniform) == pytest.approx(0.0)
         assert exploitability(rps(), uniform, uniform) == pytest.approx(0.0)
 
     def test_pure_rock_is_exploitable(self):
@@ -63,8 +61,6 @@ class TestPayoffAndExploitability:
         assert exploitability(rps(), rock, uniform) == pytest.approx(1.0)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            expected_payoff(rps(), MixedStrategy.uniform(2), MixedStrategy.uniform(3))
         with pytest.raises(ValueError):
             exploitability(rps(), MixedStrategy.uniform(3), MixedStrategy.uniform(4))
 

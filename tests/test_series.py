@@ -34,12 +34,6 @@ class TestCompose:
         assert not combined.entries.any()
         assert combined.symmetric_flag
 
-    def test_majority_agrees_with_sum_sign(self):
-        games = [rps(), dice3(), role_swapped(rps())]
-        by_sum = compose_series(games, Aggregator.SUM_SIGN, name="x")
-        by_majority = compose_series(games, Aggregator.MAJORITY, name="x")
-        assert np.array_equal(by_sum.entries, by_majority.entries)
-
     def test_lex_takes_the_first_decisive_game(self):
         combined = compose_series([rps(), dice3()], Aggregator.LEX)
         assert np.array_equal(combined.entries, rps().entries)
@@ -64,8 +58,9 @@ class TestCompose:
             compose_series(games, "sum").entries,
             compose_series(games, Aggregator.SUM_SIGN).entries,
         )
-        with pytest.raises(ValueError):
-            compose_series(games, "best_of")
+        for unknown in ("best_of", "majority"):
+            with pytest.raises(ValueError):
+                compose_series(games, unknown)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -88,18 +83,6 @@ class TestCompose:
     def test_default_name_concatenates(self):
         assert compose_series([rps(), rps()]).name == "series-rps-rps"
         assert compose_series([rps(), rps()], name="pair").name == "pair"
-
-    @given(st.lists(game_tables(max_side=4), min_size=2, max_size=4))
-    @settings(max_examples=60)
-    def test_sum_equals_majority_in_general(self, games):
-        shaped = [
-            GameTable(name=f"g{i}", entries=np.resize(
-                game.entries, games[0].entries.shape).astype(np.int8))
-            for i, game in enumerate(games)
-        ]
-        by_sum = compose_series(shaped, Aggregator.SUM_SIGN, name="x")
-        by_majority = compose_series(shaped, Aggregator.MAJORITY, name="x")
-        assert np.array_equal(by_sum.entries, by_majority.entries)
 
     @given(st.lists(game_tables(max_side=3), min_size=1, max_size=3))
     @settings(max_examples=60)
