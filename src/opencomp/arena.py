@@ -2,11 +2,14 @@
 
 A learner publishes source text and, when asked, evaluates to a strategy
 for its seat.  The arena runs both sides with the rival's published source
-visible, then scores the pair of evaluation outcomes.  Non-halting rivals
-can still lose: a learner that halts beats one whose non-halting was proven,
-and in deadline mode it also beats one that merely ran out of fuel.  In
-strict mode running out of fuel is never punished by itself, which is what
-leaves room for mutually-simulating programs to force a standoff.
+visible and records how each side's play ended as an ``EvalKind``: one of
+the three kinds ``evaluate`` returns, RuntimeFault if the play raised, or
+InvalidStrategy if it halted on a number that is not a strategy of its
+seat.  Then it scores the pair of outcomes.  Non-halting rivals can still
+lose: a learner that halts beats one whose non-halting was proven, and in
+deadline mode it also beats one that merely ran out of fuel.  In strict
+mode running out of fuel is never punished by itself, which is what leaves
+room for mutually-simulating programs to force a standoff.
 """
 from __future__ import annotations
 
@@ -19,14 +22,6 @@ from .dsl import (
 )
 from .errors import RuntimeFault
 from .game_core import GameTable, Side, outcome
-
-
-class SideOutcome(str, Enum):
-    HALTED = "Halted"
-    FUEL_EXHAUSTED = "FuelExhausted"
-    PROVEN_NONHALTING = "ProvenNonHalting"
-    RUNTIME_FAULT = "RuntimeFault"
-    INVALID_STRATEGY = "InvalidStrategy"
 
 
 class MatchResult(str, Enum):
@@ -46,9 +41,10 @@ class Learner:
 
     ``source`` is what opponents get to simulate.  ``play`` receives the
     full environment (game, seat, both sources, fuel) and returns an
-    evaluation result; it may raise RuntimeFault.  Subclasses are free to
-    compute however they like, the published text does not have to be
-    runnable.
+    evaluation result of one of the first three kinds (Halted,
+    FuelExhausted, ProvenNonHalting), or raises RuntimeFault.  Subclasses
+    are free to compute however they like, the published text does not
+    have to be runnable.
     """
 
     name: str
@@ -77,7 +73,7 @@ class ProgramLearner(Learner):
 
 @dataclass(frozen=True)
 class SideRecord:
-    outcome: SideOutcome
+    outcome: EvalKind
     strategy: int | None
     witness: tuple[int, int] | None
     fuel_used: int
@@ -96,22 +92,17 @@ def _run_side(learner: Learner, env: EvalEnv) -> SideRecord:
     try:
         res = learner.play(env)
     except RuntimeFault as fault:
-        return SideRecord(SideOutcome.RUNTIME_FAULT, None, None, fault.fuel_used)
-    if res.kind is EvalKind.HALTED:
+        return SideRecord(EvalKind.RUNTIME_FAULT, None, None, fault.fuel_used)
+    kind, strategy = res.kind, None
+    if kind is EvalKind.HALTED:
+        strategy = res.strategy
         limit = env.game.side_count(env.side)
-        if not isinstance(res.strategy, int) or not 1 <= res.strategy <= limit:
-            return SideRecord(
-                SideOutcome.INVALID_STRATEGY, None, res.witness, res.fuel_used
-            )
-        return SideRecord(SideOutcome.HALTED, res.strategy, res.witness, res.fuel_used)
-    if res.kind is EvalKind.FUEL_EXHAUSTED:
-        return SideRecord(SideOutcome.FUEL_EXHAUSTED, None, res.witness, res.fuel_used)
-    return SideRecord(
-        SideOutcome.PROVEN_NONHALTING, None, res.witness, res.fuel_used
-    )
+        if not isinstance(strategy, int) or not 1 <= strategy <= limit:
+            kind, strategy = EvalKind.INVALID_STRATEGY, None
+    return SideRecord(kind, strategy, res.witness, res.fuel_used)
 
 
-_BAD = frozenset({SideOutcome.RUNTIME_FAULT, SideOutcome.INVALID_STRATEGY})
+_BAD = frozenset({EvalKind.RUNTIME_FAULT, EvalKind.INVALID_STRATEGY})
 
 
 def adjudicate(
@@ -135,19 +126,19 @@ def adjudicate(
         return MatchResult.WIN2
     if tag2 in _BAD:
         return MatchResult.WIN1
-    if tag1 is SideOutcome.HALTED and tag2 is SideOutcome.HALTED:
+    if tag1 is EvalKind.HALTED and tag2 is EvalKind.HALTED:
         value = outcome(game, side1.strategy, side2.strategy)
         if value > 0:
             return MatchResult.WIN1
         if value < 0:
             return MatchResult.WIN2
         return MatchResult.DRAW
-    if tag1 is SideOutcome.HALTED:
-        if tag2 is SideOutcome.PROVEN_NONHALTING or mode is Mode.DEADLINE:
+    if tag1 is EvalKind.HALTED:
+        if tag2 is EvalKind.PROVEN_NONHALTING or mode is Mode.DEADLINE:
             return MatchResult.WIN1
         return MatchResult.UNDECIDED
-    if tag2 is SideOutcome.HALTED:
-        if tag1 is SideOutcome.PROVEN_NONHALTING or mode is Mode.DEADLINE:
+    if tag2 is EvalKind.HALTED:
+        if tag1 is EvalKind.PROVEN_NONHALTING or mode is Mode.DEADLINE:
             return MatchResult.WIN2
         return MatchResult.UNDECIDED
     return MatchResult.UNDECIDED

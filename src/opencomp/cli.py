@@ -61,23 +61,22 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
+def _read(what: str, path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise _DataError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_game(spec: str) -> GameTable:
     builder = _BUILTIN_GAMES.get(spec)
     if builder is not None and not Path(spec).exists():
         return builder()
-    try:
-        text = Path(spec).read_text()
-    except OSError as exc:
-        raise _DataError(f"cannot read game file {spec}: {exc}") from None
-    return parse_game(text)
+    return parse_game(_read("game file", spec))
 
 
 def _load_learner(path: str) -> ProgramLearner:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _DataError(f"cannot read learner file {path}: {exc}") from None
-    name, program = parse_learner_file(text)
+    name, program = parse_learner_file(_read("learner file", path))
     return ProgramLearner(name, program)
 
 
@@ -214,10 +213,7 @@ def _cmd_maxmin(args) -> tuple[int, str, str]:
 
 
 def _cmd_crosstable(args) -> tuple[int, str, str]:
-    try:
-        text = Path(args.path).read_text()
-    except OSError as exc:
-        raise _DataError(f"cannot read crosstable {args.path}: {exc}") from None
+    text = _read("crosstable", args.path)
     game = ingest_crosstable(text, margin=args.margin, name=args.name)
     return 0, serialize_game(game), ""
 

@@ -19,8 +19,8 @@ it to a standoff.
 from __future__ import annotations
 
 from .arena import (
-    Learner, Mode, ProgramLearner, render_match, render_report, run_match,
-    run_tournament,
+    Learner, MatchResult, Mode, ProgramLearner, render_match, render_report,
+    run_match, run_tournament,
 )
 from .bundled import EXPLOITER_SOURCE, catalog_learners, rps
 from .classify import best_response
@@ -41,12 +41,9 @@ def build_exploiter(
     simulation; give it an integer budget to make the simulation's failure
     observable, at the price of predictability to others.
     """
-    if sim_budget is None:
-        return ProgramLearner(name, EXPLOITER_SOURCE)
-    source = (
-        f"match sim(opp, self, {sim_budget}) "
-        "{ halted(k) => bestresp(k) | exhausted => const 1 }"
-    )
+    source = EXPLOITER_SOURCE
+    if sim_budget is not None:
+        source = source.replace("rest", str(sim_budget))
     return ProgramLearner(name, source)
 
 
@@ -84,23 +81,14 @@ class OracleWinner(Learner):
         try:
             run = evaluate(StrategyProgram(env.opponent_source, tree), rival_env)
         except RuntimeFault as fault:
-            return EvalResult(EvalKind.HALTED, strategy=1, fuel_used=fault.fuel_used)
-        if run.kind is EvalKind.HALTED:
-            limit = env.game.side_count(rival_env.side)
-            if not 1 <= run.strategy <= limit:
-                return EvalResult(
-                    EvalKind.HALTED, strategy=1, fuel_used=run.fuel_used
-                )
+            run = EvalResult(EvalKind.RUNTIME_FAULT, fuel_used=fault.fuel_used)
+        if run.kind is EvalKind.FUEL_EXHAUSTED:
+            return run
+        reply = 1
+        if (run.kind is EvalKind.HALTED
+                and 1 <= run.strategy <= env.game.side_count(rival_env.side)):
             reply = best_response(env.game, env.side, run.strategy)
-            return EvalResult(
-                EvalKind.HALTED, strategy=reply, fuel_used=run.fuel_used
-            )
-        if run.kind is EvalKind.PROVEN_NONHALTING:
-            return EvalResult(
-                EvalKind.HALTED, strategy=1,
-                witness=run.witness, fuel_used=run.fuel_used,
-            )
-        return EvalResult(EvalKind.FUEL_EXHAUSTED, fuel_used=run.fuel_used)
+        return EvalResult(EvalKind.HALTED, reply, run.witness, run.fuel_used)
 
     def __repr__(self):
         return f"OracleWinner({self.name!r})"
@@ -135,7 +123,7 @@ def demo_exploiter(fuel: int = 3000) -> str:
     for rival in beatable:
         record = run_match(game, exploiter, rival, fuel=fuel, mode=Mode.STRICT)
         lines.append(render_match(record))
-        if record.result.value == "Win1":
+        if record.result is MatchResult.WIN1:
             wins += 1
     lines.append(f"exploiter_wins={wins}/{len(beatable)}")
     return "\n".join(lines) + "\n"
@@ -159,13 +147,14 @@ def demo_exploiter_exploited(fuel: int = 2000) -> str:
         game, budgeted, open_ended,
         fuel=10 * fuel, fuel2=fuel, mode=Mode.DEADLINE,
     )
+    defeated = "true" if decided.result is MatchResult.WIN1 else "false"
     lines = [
         "two open-budget exploiters drown simulating each other:",
         render_match(stalled),
         "a budgeted exploiter with more fuel halts first and wins under "
         "deadline rules:",
         render_match(decided),
-        f"exploiter_defeated={'true' if decided.result.value == 'Win1' else 'false'}",
+        f"exploiter_defeated={defeated}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -183,9 +172,9 @@ def demo_oracle(fuel: int = 3000) -> str:
     for rival in catalog_learners():
         record = run_match(game, oracle, rival, fuel=fuel, mode=Mode.STRICT)
         lines.append(render_match(record))
-        if record.result.value == "Win2":
+        if record.result is MatchResult.WIN2:
             losses += 1
-        if record.result.value == "Undecided":
+        if record.result is MatchResult.UNDECIDED:
             undecided += 1
     lines.append(f"oracle_losses={losses} oracle_undecided={undecided}")
     return "\n".join(lines) + "\n"

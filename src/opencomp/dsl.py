@@ -550,9 +550,19 @@ def pretty(node: Expr | Src) -> str:
 
 
 class EvalKind(str, Enum):
+    """How one side's play ended.
+
+    ``evaluate`` returns only the first three kinds (or raises
+    RuntimeFault).  The arena sets the other two on a side's record: a
+    play that raised RuntimeFault, and a Halted play whose strategy is not
+    an int in ``1..side_count`` for its seat.
+    """
+
     HALTED = "Halted"
     FUEL_EXHAUSTED = "FuelExhausted"
     PROVEN_NONHALTING = "ProvenNonHalting"
+    RUNTIME_FAULT = "RuntimeFault"
+    INVALID_STRATEGY = "InvalidStrategy"
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from opencomp import (
-    MatchResult, Mode, ProgramLearner, SideOutcome, adjudicate,
+    EvalKind, MatchResult, Mode, ProgramLearner, adjudicate,
     catalog_learners, pennies, render_match, render_report, rps, run_match,
     run_tournament,
 )
@@ -14,11 +14,11 @@ def record(tag, strategy=None):
     return SideRecord(outcome=tag, strategy=strategy, witness=None, fuel_used=0)
 
 
-HALT = SideOutcome.HALTED
-EXH = SideOutcome.FUEL_EXHAUSTED
-PROV = SideOutcome.PROVEN_NONHALTING
-FAULT = SideOutcome.RUNTIME_FAULT
-INV = SideOutcome.INVALID_STRATEGY
+HALT = EvalKind.HALTED
+EXH = EvalKind.FUEL_EXHAUSTED
+PROV = EvalKind.PROVEN_NONHALTING
+FAULT = EvalKind.RUNTIME_FAULT
+INV = EvalKind.INVALID_STRATEGY
 
 
 class TestAdjudication:
@@ -74,6 +74,13 @@ class TestAdjudication:
             game, record(HALT, 1), record(EXH), Mode.STRICT
         ) is MatchResult.UNDECIDED
 
+    def test_outcome_spellings(self):
+        # Reports and benchmark records print these strings.
+        assert [kind.value for kind in EvalKind] == [
+            "Halted", "FuelExhausted", "ProvenNonHalting", "RuntimeFault",
+            "InvalidStrategy",
+        ]
+
 
 class TestRunMatch:
     def test_seating_on_an_asymmetric_game(self):
@@ -86,7 +93,7 @@ class TestRunMatch:
         seven = ProgramLearner("seven", "const 7")
         rock = ProgramLearner("rock", "const 1")
         match = run_match(rps(), seven, rock, fuel=10)
-        assert match.side1.outcome is SideOutcome.INVALID_STRATEGY
+        assert match.side1.outcome is EvalKind.INVALID_STRATEGY
         assert match.result is MatchResult.WIN2
 
     def test_two_invalid_plays_cancel(self):
@@ -99,14 +106,14 @@ class TestRunMatch:
         broken = ProgramLearner("broken", "k")
         rock = ProgramLearner("rock", "const 1")
         match = run_match(rps(), broken, rock, fuel=10)
-        assert match.side1.outcome is SideOutcome.RUNTIME_FAULT
+        assert match.side1.outcome is EvalKind.RUNTIME_FAULT
         assert match.result is MatchResult.WIN2
 
     def test_proof_beats_nothing_but_is_beaten(self):
         spinner = ProgramLearner("spinner", "loop")
         rock = ProgramLearner("rock", "const 1")
         match = run_match(rps(), spinner, rock, fuel=100)
-        assert match.side1.outcome is SideOutcome.PROVEN_NONHALTING
+        assert match.side1.outcome is EvalKind.PROVEN_NONHALTING
         assert match.side1.witness == (1, 2)
         assert match.result is MatchResult.WIN2
 
@@ -116,7 +123,7 @@ class TestRunMatch:
         match = run_match(
             rps(), rock, slow, fuel=10, fuel2=0, mode=Mode.DEADLINE
         )
-        assert match.side2.outcome is SideOutcome.FUEL_EXHAUSTED
+        assert match.side2.outcome is EvalKind.FUEL_EXHAUSTED
         assert match.result is MatchResult.WIN1
 
     def test_mode_accepts_strings(self):

@@ -190,10 +190,16 @@ class TestErrorHandling:
         assert code == 1
         assert "--game" in err
 
-    def test_missing_file(self):
-        code, _, err = run("classify", "--game", "/no/such/file.gm")
+    @pytest.mark.parametrize("argv, what, path", [
+        (("classify", "--game", "/no/such/file.gm"), "game file", "/no/such/file.gm"),
+        (("arena", "--game", "rps", "--p1", "/no/such/p1.lrn", "--p2", "/no/such/p2.lrn"),
+         "learner file", "/no/such/p1.lrn"),
+        (("crosstable", "/no/such/table.csv"), "crosstable", "/no/such/table.csv"),
+    ], ids=["game", "learner", "crosstable"])
+    def test_missing_file(self, argv, what, path):
+        code, _, err = run(*argv)
         assert code == 2
-        assert "cannot read" in err
+        assert err.startswith(f"error: cannot read {what} {path}:")
 
     def test_malformed_game_file(self, tmp_path):
         bad = tmp_path / "bad.gm"

@@ -2,7 +2,7 @@ import pytest
 
 from opencomp import (
     ORACLE_SOURCE, EvalEnv, EvalKind, MatchResult, Mode, OracleWinner,
-    ParseError, ProgramLearner, Side, SideOutcome, build_defiance,
+    ParseError, ProgramLearner, Side, build_defiance,
     build_exploiter, catalog_learners, demo_exploiter,
     demo_exploiter_exploited, demo_no_universal, demo_oracle, evaluate,
     parse_program, rps, run_all_demos, run_match,
@@ -30,15 +30,15 @@ class TestExploiter:
 
     def test_stalls_against_the_grower_in_strict_mode(self):
         match = run_match(rps(), build_exploiter(), build_defiance(), fuel=2000)
-        assert match.side1.outcome is SideOutcome.FUEL_EXHAUSTED
+        assert match.side1.outcome is EvalKind.FUEL_EXHAUSTED
         assert match.result is MatchResult.UNDECIDED
 
     def test_two_exploiters_stall_each_other(self):
         match = run_match(
             rps(), build_exploiter("a"), build_exploiter("b"), fuel=2000
         )
-        assert match.side1.outcome is SideOutcome.FUEL_EXHAUSTED
-        assert match.side2.outcome is SideOutcome.FUEL_EXHAUSTED
+        assert match.side1.outcome is EvalKind.FUEL_EXHAUSTED
+        assert match.side2.outcome is EvalKind.FUEL_EXHAUSTED
         assert match.result is MatchResult.UNDECIDED
 
     def test_budgeted_exploiter_with_extra_fuel_wins_by_deadline(self):
@@ -49,8 +49,8 @@ class TestExploiter:
             rps(), budgeted, plain, fuel=10 * fuel, fuel2=fuel,
             mode=Mode.DEADLINE,
         )
-        assert match.side1.outcome is SideOutcome.HALTED
-        assert match.side2.outcome is SideOutcome.FUEL_EXHAUSTED
+        assert match.side1.outcome is EvalKind.HALTED
+        assert match.side2.outcome is EvalKind.FUEL_EXHAUSTED
         assert match.result is MatchResult.WIN1
 
     def test_budgeted_exploiter_needs_the_extra_fuel(self):
@@ -68,6 +68,14 @@ class TestExploiter:
             rps(), budgeted, plain, fuel=10 * fuel, fuel2=fuel, mode=Mode.STRICT
         )
         assert match.result is MatchResult.UNDECIDED
+
+    @pytest.mark.parametrize("budget", [0, 200, 1000])
+    def test_budgeted_source_spells_the_budget_into_the_program(self, budget):
+        # Sources key the simulation records, so the text must not drift.
+        assert build_exploiter(sim_budget=budget).source == (
+            f"match sim(opp, self, {budget}) "
+            "{ halted(k) => bestresp(k) | exhausted => const 1 }"
+        )
 
 
 class TestDefiance:

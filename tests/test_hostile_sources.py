@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from opencomp import (
     EXPLOITER_SOURCE, EvalKind, EvalResult, Learner, MatchResult, ParseError,
-    ProgramLearner, SideOutcome, catalog_learners, evaluate, parse_program,
+    ProgramLearner, catalog_learners, evaluate, parse_program,
     pretty, rps, run_match, run_tournament,
 )
 from opencomp.dsl import _MAX_NESTING
@@ -117,7 +117,7 @@ def test_exploiter_reads_a_hostile_rival_as_exhausted(text):
         rps(), ProgramLearner("exploiter", EXPLOITER_SOURCE),
         _Publisher("hostile", text), fuel=1000,
     )
-    assert record.side1.outcome is SideOutcome.HALTED
+    assert record.side1.outcome is EvalKind.HALTED
     assert record.side1.strategy == 1
 
 
@@ -135,7 +135,7 @@ def test_catalog_tournament_with_a_deep_nesting_entrant_completes():
     assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
     (record,) = [r for r in report.records if r.learner1 == "exploiter"]
     assert record.learner2 == "deep"
-    assert record.side1.outcome is SideOutcome.HALTED
+    assert record.side1.outcome is EvalKind.HALTED
     assert record.side1.strategy == 1  # read the rival as exhausted
     assert record.result is MatchResult.DRAW
 

@@ -225,6 +225,7 @@ def _reparsing_oracle_play(env: EvalEnv) -> EvalResult:
 _ORACLE_RIVALS = [source for _, source in CATALOG] + [
     _rival_of_length(_MAX_CACHED_SOURCE + 1), _LONG_SELF_SIMULATING,
     "const ²", ORACLE_SOURCE, "const 7",
+    "bestresp(const 9)", "k",  # both raise RuntimeFault
 ]
 
 
