@@ -10,8 +10,12 @@ the margin can erase narrow intransitive cycles, which is the phenomenon
 the bundled engine table demonstrates.  Scores are plain ASCII numbers.
 
 Every table's text is decoded whole, by one ``np.loadtxt`` call fed a line
-at a time, each line's name and cell count checked on the way.  Only a table
-that fails is scanned row by row and cell by cell, to report its first error.
+at a time: each line's name is checked and split off with one
+``str.partition``, and its blank cells become ``nan`` in one ``str.replace``
+(two, only where blanks sit side by side).  A wrong cell count stops
+``np.loadtxt``, or fails the final shape check when every row has it.  Only
+a table that fails is scanned row by row and cell by cell, to report its
+first error.
 The complementarity check and the thresholding then go a block of rows at a
 time (``game_core.row_blocks``), each block against its mirror columns from
 the diagonal on, so beside the score matrix they hold only one block's
@@ -29,7 +33,7 @@ from .errors import ComplementarityViolation, ParseError
 from .game_core import GameTable, is_label, row_blocks
 
 _COMPLEMENT_TOL = 1e-6
-_BLANK_CELL = re.compile(r"(?<=,)\s+(?=,|$)")
+_BLANK_CELL = re.compile(r"(?<=,)\s+(?=,)")
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ def parse_crosstable(text: str) -> Crosstable:
     and do not sum to 1 within tolerance.
     """
     numbered = enumerate(text.splitlines(), start=1)
-    lines = [(lineno, line) for lineno, line in numbered if line.strip()]
+    lines = [(lineno, line) for lineno, line in numbered if line and not line.isspace()]
     if not lines:
         raise ParseError("empty crosstable")
     header_line, header = lines[0]
@@ -105,27 +109,36 @@ def _scores(names: tuple[str, ...], rows: list[tuple[int, str]]) -> np.ndarray:
     filled = 0
 
     def nan_filled():
-        # A row with a wrong name or cell count stops the call.  Blank cells,
-        # the last one behind a sentinel ",", become "nan"; their count tells
-        # them from a literal nan, an error.  Within a line, ASCII text holds
-        # no whitespace but " ", "\t" and "\x1f".
+        # A row with a wrong name stops the call, and so does a cell count
+        # that differs from the first row's; the shape check below catches a
+        # count that is wrong in every row.  Blank cells, framed by a comma
+        # on each side, become "nan"; their count tells them from a literal
+        # nan, an error.  Within a line, ASCII text holds no whitespace but
+        # " ", "\t" and "\x1f".
         nonlocal filled
         for name, (_, line) in zip(names, rows):
-            if line.count(",") != n or line[:line.index(",")].strip() != name:
+            head, comma, cells = line.partition(",")
+            if not comma or head.strip() != name:
                 raise ValueError(f"row {name!r} is malformed")
-            if not line.isascii() or " " in line or "\t" in line or "\x1f" in line:
-                line = _BLANK_CELL.sub("", line)
-            full = (line + ",").replace(",,", ",nan,").replace(",,", ",nan,")[:-1]
-            filled += (len(full) - len(line)) // 3
-            yield full
+            framed = f",{cells},"
+            if not cells.isascii() or " " in cells or "\t" in cells or "\x1f" in cells:
+                framed = _BLANK_CELL.sub("", framed)
+            full = framed.replace(",,", ",nan,")
+            if ",," in full:  # two blanks side by side
+                full = full.replace(",,", ",nan,")
+            filled += (len(full) - len(framed)) // 3
+            yield full[1:-1]
 
     try:
         scores = np.loadtxt(
-            nan_filled(), delimiter=",", comments=None,
-            usecols=range(1, n + 1), max_rows=n, ndmin=2,
+            nan_filled(), delimiter=",", comments=None, max_rows=n, ndmin=2
         )
         in_range = np.count_nonzero((scores >= 0) & (scores <= 1))
-        if in_range + filled == n * n and np.isnan(np.diagonal(scores)).all():
+        if (
+            scores.shape == (n, n)
+            and in_range + filled == n * n
+            and np.isnan(np.diagonal(scores)).all()
+        ):
             return scores
     except ValueError:
         pass

@@ -244,7 +244,7 @@ class _Token(NamedTuple):
 # Alternatives in priority order.  Digits and letters are spelled out:
 # ``\d`` and ``\w`` would also match other scripts' digits and letters.
 _TOKEN = re.compile(r"""
-    (?P<blank>[ \t\r]+) | (?P<newline>\n)
+    (?P<blank>[ \t\r\n]+)
   | (?P<string>"(?P<body>[^"\\]*(?:\\["\\][^"\\]*)*)(?P<close>"?))
   | (?P<sym>=>|==|[(){},|<>]) | (?P<int>[0-9]+) | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
 """, re.VERBOSE)
@@ -295,7 +295,7 @@ def _tokenize(text: str) -> list[_Token]:
             )
         elif kind == "word":
             kind = "kw" if value in _KEYWORDS else "id"
-        if kind not in ("blank", "newline"):
+        if kind != "blank":
             tokens.append(_Token(kind, value, start_line, col))
         pos = end
     tokens.append(_Token("eof", "", line, n - line_start + 1))

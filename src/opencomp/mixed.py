@@ -9,10 +9,20 @@ one rounding favours.  For zero-sum games the empirical mixtures approach
 the maxmin value; the per-round play itself may cycle forever
 (rock-paper-scissors famously does), which is exactly the behavior the
 intransitive examples lean on.
+
+Play is not stepped a round at a time but a run of rounds at a time: while
+both replies stay the same, the sums move by fixed steps, so the round at
+which a rival reply takes over is solved for in integers, and the gap never
+rises within the run, so its best round and its first round within the
+tolerance are found by bisection.  A run costs a few numpy calls over one
+row and one column, and runs are few: 316 in 100,000 rounds of
+rock-paper-scissors.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +100,12 @@ def fictitious_play(
     Both players start having played strategy 1 once.  Stops early when the
     empirical profile's exploitability drops to ``tol``; otherwise runs the
     full iteration count and reports the lowest-exploitability profile
-    encountered, with ``converged`` False.  Deterministic throughout.
+    encountered, with ``converged`` False.  Deterministic throughout.  The
+    cost grows with the number of runs of equal replies, not of rounds.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    iterations = operator.index(iterations)
     if math.isnan(tol):
         raise ValueError("tol must be a number, not NaN")
     payoff = game.entries
@@ -105,30 +117,70 @@ def fictitious_play(
     row_sums = payoff[:, 0].astype(np.int64)
     col_sums = payoff[0].astype(np.int64)
 
-    best = None  # (exploitability, p1 counts, p2 counts, value)
-    for t in range(1, iterations + 1):
-        # Both counts sum to t: exact integers and one rounding each, so
-        # equal gaps compare equal and an exactly even value reads as 0.
-        gap = max(0.0, (int(row_sums.max()) - int(col_sums.min())) / t)
+    t, best = 1, None  # (exploitability, round, p1 counts, p2 counts, row sums)
+    while t <= iterations and (best is None or best[0] > tol):
+        # One run: rounds t to stop - 1, all with the same two replies.
+        # Through it the top row sum and the bottom column sum both move by
+        # payoff[reply1, reply2] a round, so the gap's numerator is fixed and
+        # the gap, numerator / round, never rises: the run's best round is
+        # its last, or its first within tol, which ends the play.
+        reply1, reply2 = int(np.argmax(row_sums)), int(np.argmin(col_sums))
+        column = payoff[:, reply2].astype(np.int64)
+        row = payoff[reply1].astype(np.int64)
+        length = _held(row_sums, column, reply1, iterations + 1 - t)
+        stop = t + _held(-col_sums, -row, reply2, length)
+        numerator = int(row_sums[reply1]) - int(col_sums[reply2])
+        stop = min(stop, _first_within(numerator, t, stop, tol) + 1)
+        # Exact integers and one rounding, so equal gaps compare equal.
+        gap = numerator / (stop - 1)
         if best is None or gap < best[0]:
-            value = int(counts1 @ row_sums) / (t * t)
-            best = (gap, counts1.copy(), counts2.copy(), value)
-        if gap <= tol:
-            break
-        reply1 = int(np.argmax(row_sums))
-        reply2 = int(np.argmin(col_sums))
-        counts1[reply1] += 1
-        counts2[reply2] += 1
-        row_sums += payoff[:, reply2]
-        col_sums += payoff[reply1]
+            # The first round with that gap: rounding can give a few.
+            at = _first_within(numerator, t, stop, gap)
+            p1, p2 = counts1.copy(), counts2.copy()
+            p1[reply1] += at - t
+            p2[reply2] += at - t
+            best = (gap, at, p1, p2, row_sums + (at - t) * column)
+        counts1[reply1] += stop - t
+        counts2[reply2] += stop - t
+        row_sums += (stop - t) * column
+        col_sums += (stop - t) * row
+        t = stop
 
     # The first gap within tol is below every earlier one, so it is the best.
-    gap, counts1, counts2, value = best
+    gap, t, counts1, counts2, row_sums = best
+    converged = gap <= tol
+    # counts1 @ row_sums in Python ints, which cannot overflow; an exactly
+    # even value reads as 0.
+    value = sum(map(operator.mul, counts1.tolist(), row_sums.tolist())) / (t * t)
     return FictitiousPlayResult(
         p1=MixedStrategy(counts1 / counts1.sum()),
         p2=MixedStrategy(counts2 / counts2.sum()),
         value=value,
         exploitability=gap,
-        iterations=t,
-        converged=gap <= tol,
+        iterations=t if converged else iterations,
+        converged=converged,
+    )
+
+
+def _held(sums: np.ndarray, gains: np.ndarray, reply: int, rounds: int) -> int:
+    """Rounds, at most ``rounds``, for which ``reply`` stays the first
+    maximum of ``sums`` while every round adds ``gains`` to them.
+
+    A rival d behind that gains r > 0 a round takes over after ceil(d / r)
+    rounds if it comes before ``reply``, since ties go to the lower index,
+    and after ceil((d + 1) / r) if it comes after.
+    """
+    trail = sums - sums[reply]
+    trail[reply + 1:] -= 1
+    rise = gains - gains[reply]
+    gaining = rise > 0
+    np.floor_divide(trail, rise, out=trail, where=gaining)
+    return -int(trail.max(where=gaining, initial=-rounds))
+
+
+def _first_within(numerator: int, start: int, stop: int, bound: float) -> int:
+    """The first round t in ``start..stop - 1`` whose gap, numerator / t, is
+    at most ``bound``, or ``stop`` if none is; the gap never rises with t."""
+    return bisect.bisect_left(
+        range(stop), -bound, start, key=lambda t: -(numerator / t)
     )

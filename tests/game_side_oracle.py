@@ -8,13 +8,17 @@ version that took one ``argmax`` per row and per column, and
 ``find_cycles_walk`` is the recursive walk over per-strategy successor
 arrays that the bit-packed cycle listing replaced, renamed only.
 ``is_symmetric``, which they call, moved here verbatim from ``game_core``,
-where nothing called it once ``find_cycles`` trusted the table's flag.  Tests
-compare the library's functions against them on outputs, exception types,
-messages and line numbers, and against the walk's memory peak.  Like the
-brute-force oracles in ``conftest.py`` they are kept for reference and are
-deliberately not optimised.
+where nothing called it once ``find_cycles`` trusted the table's flag.
+``fictitious_play`` is copied verbatim from the version that played one
+round of numpy calls at a time, before whole runs of equal replies were
+taken at once.  Tests compare the library's functions against them on
+outputs, exception types, messages and line numbers, and against the walk's
+memory peak.  Like the brute-force oracles in ``conftest.py`` they are kept
+for reference and are deliberately not optimised.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from opencomp.errors import (
 )
 from opencomp.classify import SIWitnesses
 from opencomp.game_core import MAX_STRATEGIES, GameTable
+from opencomp.mixed import FictitiousPlayResult, MixedStrategy
 
 _COMPLEMENT_TOL = 1e-6
 _ENTRY_TOKENS = {"+1": 1, "0": 0, "-1": -1, "w": 1, "d": 0, "l": -1}
@@ -351,3 +356,57 @@ def is_strongly_intransitive(table: GameTable) -> tuple[bool, SIWitnesses | None
         j + 1: int(np.argmax(entries[:, j] == 1)) + 1 for j in range(table.cols)
     }
     return True, SIWitnesses(beats_row, beats_col)
+
+
+def fictitious_play(
+    game: GameTable,
+    iterations: int = 100_000,
+    tol: float = 1e-2,
+) -> FictitiousPlayResult:
+    """Run simultaneous fictitious play and report the best profile seen.
+
+    Both players start having played strategy 1 once.  Stops early when the
+    empirical profile's exploitability drops to ``tol``; otherwise runs the
+    full iteration count and reports the lowest-exploitability profile
+    encountered, with ``converged`` False.  Deterministic throughout.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, not NaN")
+    payoff = game.entries
+
+    counts1 = np.zeros(game.rows, dtype=np.int64)
+    counts2 = np.zeros(game.cols, dtype=np.int64)
+    counts1[0] = counts2[0] = 1
+    # Exact running totals: payoff @ counts2 and counts1 @ payoff.
+    row_sums = payoff[:, 0].astype(np.int64)
+    col_sums = payoff[0].astype(np.int64)
+
+    best = None  # (exploitability, p1 counts, p2 counts, value)
+    for t in range(1, iterations + 1):
+        # Both counts sum to t: exact integers and one rounding each, so
+        # equal gaps compare equal and an exactly even value reads as 0.
+        gap = max(0.0, (int(row_sums.max()) - int(col_sums.min())) / t)
+        if best is None or gap < best[0]:
+            value = int(counts1 @ row_sums) / (t * t)
+            best = (gap, counts1.copy(), counts2.copy(), value)
+        if gap <= tol:
+            break
+        reply1 = int(np.argmax(row_sums))
+        reply2 = int(np.argmin(col_sums))
+        counts1[reply1] += 1
+        counts2[reply2] += 1
+        row_sums += payoff[:, reply2]
+        col_sums += payoff[reply1]
+
+    # The first gap within tol is below every earlier one, so it is the best.
+    gap, counts1, counts2, value = best
+    return FictitiousPlayResult(
+        p1=MixedStrategy(counts1 / counts1.sum()),
+        p2=MixedStrategy(counts2 / counts2.sum()),
+        value=value,
+        exploitability=gap,
+        iterations=t,
+        converged=gap <= tol,
+    )

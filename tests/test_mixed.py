@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_fictitious_play, game_tables, grid_maxmin
+import game_side_oracle as oracle
+from conftest import exact_fictitious_play, game_tables, grid_maxmin, symmetric_tables
 from opencomp import (
     GameTable, MixedStrategy, dice, exploitability,
     fictitious_play, pennies, rps,
@@ -148,3 +149,103 @@ class TestFictitiousPlay:
             oracle = grid_maxmin(game, step=100)
             result = fictitious_play(game, iterations=20_000, tol=1e-9)
             assert abs(result.value - oracle) <= 1e-2 + 1e-9
+
+
+def _seeded_table(rows: int, cols: int, seed: int) -> GameTable:
+    entries = np.random.default_rng(seed).integers(-1, 2, (rows, cols))
+    return GameTable(name=f"seeded{rows}x{cols}", entries=entries)
+
+
+_INF = float("inf")
+# Tables of every shape: small drawn ones, whose many zeros tie replies,
+# and seeded ones up to 40 strategies a side.
+_TABLES = st.one_of(
+    game_tables(max_side=8),
+    symmetric_tables(max_side=8),
+    st.builds(_seeded_symmetric, st.integers(3, 40), st.integers(0, 2**32 - 1)),
+    st.builds(
+        _seeded_table, st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1)
+    ),
+)
+# Edge tolerances: none reachable, every one, the smallest floats (where a
+# closed form K / tol overflows or lands near 1e300), and ordinary ones.
+_TOLS = st.one_of(
+    st.sampled_from([0.0, -1.0, -_INF, _INF, 5e-324, 1e-300, 1e-2, 0.05]),
+    st.floats(0.0, 1.0),
+)
+
+
+def _assert_same_play(new, old):
+    assert np.array_equal(new.p1.weights, old.p1.weights)
+    assert np.array_equal(new.p2.weights, old.p2.weights)
+    assert new.value == old.value
+    assert new.exploitability == old.exploitability
+    assert new.iterations == old.iterations and type(new.iterations) is int
+    assert new.converged == old.converged
+
+
+class TestRunsMatchTheRoundLoop:
+    """``fictitious_play`` takes a run of equal replies at a time; the round
+    loop it replaced (``game_side_oracle.fictitious_play``) must give the
+    same result, field for field."""
+
+    @given(_TABLES, st.integers(1, 600), _TOLS)
+    @settings(max_examples=150, deadline=None)
+    @example(rps(), 1, 0.0)
+    @example(rps(), 2000, 1e-300)
+    @example(pennies(), 2000, 5e-324)
+    @example(dice(), 300, _INF)
+    def test_agrees_with_the_round_loop(self, game, iterations, tol):
+        _assert_same_play(
+            fictitious_play(game, iterations, tol),
+            oracle.fictitious_play(game, iterations, tol),
+        )
+
+    @given(_TABLES, st.integers(1, 600), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_tolerance_equal_to_a_gap_reached(self, game, iterations, data):
+        # The best gap of the first rounds is a gap some round reaches
+        # exactly; with it as tol, play must stop at that round.
+        rounds = data.draw(st.integers(1, iterations))
+        tol = oracle.fictitious_play(game, rounds, -_INF).exploitability
+        new = fictitious_play(game, iterations, tol)
+        _assert_same_play(new, oracle.fictitious_play(game, iterations, tol))
+        assert new.converged and new.iterations <= rounds
+
+    @pytest.mark.parametrize("game", [rps(), pennies(), dice()], ids=lambda g: g.name)
+    def test_long_plays_on_the_bundled_games(self, game):
+        # Runs grow longer the longer play goes on.
+        _assert_same_play(
+            fictitious_play(game, 10_000, 0.0), oracle.fictitious_play(game, 10_000, 0.0)
+        )
+
+    def test_a_settled_play_past_2_to_the_53_rounds(self):
+        # From round 2 on both players play strategy 2 for good and the gap
+        # is 2 / t.  So far out, the last few rounds' gaps round to one
+        # float, and the best profile is the first of them, as the round
+        # loop would keep it; its value, near -1, sums products near 2**112.
+        game = GameTable(name="settled", entries=np.array([[-1, -1], [0, -1]]))
+        n = 2**56
+        first = n
+        while 2 / (first - 1) == 2 / n:
+            first -= 1
+        assert first < n
+        counts1, counts2 = np.array([1, first - 1]), np.array([2, first - 2])
+        result = fictitious_play(game, n, -1.0)
+        assert np.array_equal(result.p1.weights, MixedStrategy(counts1 / first).weights)
+        assert np.array_equal(result.p2.weights, MixedStrategy(counts2 / first).weights)
+        assert result.value == (-first + (first - 1) * (2 - first)) / first**2
+        assert result.exploitability == 2 / first
+        assert (result.iterations, result.converged) == (n, False)
+
+    def test_non_integer_iterations(self):
+        # Pinned as the round loop had it: a float count is a TypeError,
+        # a bool is a count.
+        for play in (fictitious_play, oracle.fictitious_play):
+            with pytest.raises(TypeError):
+                play(rps(), iterations=10.0)
+        _assert_same_play(
+            fictitious_play(rps(), iterations=True),
+            oracle.fictitious_play(rps(), iterations=True),
+        )
+        assert fictitious_play(rps(), iterations=True).iterations == 1

@@ -3,6 +3,7 @@
 Both must give the same tokens (kind, value, line, column), or fail with
 the same ``ParseError`` message, line and column.
 """
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,3 +48,15 @@ def _tokens(tokenize, text):
 @settings(max_examples=400, deadline=None)
 def test_agrees_with_the_tokenizer_oracle(text):
     assert _tokens(_tokenize, text) == _tokens(oracle_tokenize, text)
+
+
+@pytest.mark.parametrize("blank", ["\n" * 100_000, "\r\n\t " * 25_000 + "\n\t\r  \n"],
+                         ids=["newlines", "mixed"])
+@pytest.mark.parametrize("fault", ["?", '"open', '"\\q"'],
+                         ids=["character", "unterminated", "escape"])
+def test_errors_after_a_long_blank_run_keep_their_position(blank, fault):
+    # A whitespace run is one token; line and column still count every break.
+    text = "const 1" + blank + "  " + fault
+    tokens = _tokens(_tokenize, text)
+    assert tokens[0] == "error" and tokens[2] > 25_000
+    assert tokens == _tokens(oracle_tokenize, text)
