@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dsl import (
-    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, shared_program,
+    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, parse_program,
 )
 from .errors import RuntimeFault
 from .game_core import GameTable, Side, outcome
@@ -59,7 +59,7 @@ class ProgramLearner(Learner):
 
     def __init__(self, name: str, program: StrategyProgram | str):
         if isinstance(program, str):
-            program = shared_program(program)
+            program = parse_program(program)
         self.name = name
         self.program = program
         self.source = program.source

@@ -31,22 +31,20 @@ builds.  Tree ``==`` and ``hash`` take about two frames per level and can
 pass the default recursion limit near the bound.
 
 A quoted program runs as its own syntax tree, kept with the text it was
-parsed from, and is never parsed again.  The two sources ``evaluate`` is
-given, the opponent's and its own, are parsed when a ``sim`` first runs
-them, and every level of the simulation tower keeps the tree it got.  They
-are parsed once per process, not once per evaluation: the trees of the
-1024 most recently given texts of at most 4096 characters (or the verdict
-that a text is not a program) are shared by every evaluation, so the cache
-holds a bounded amount of memory.  A longer text is parsed at most once
-per evaluation and dropped when the evaluation returns.  When the program
-run is ``self``'s own text, ``self`` runs the program's tree and the text
-is not parsed again.  ``source_tree`` reads a text through the same cache:
-``shared_program`` reads a learner's program with it, for
-``parse_learner_file`` and for an ``arena`` ``ProgramLearner`` given text,
-so a learner runs the very tree its rivals simulate and a tournament
-parses each learner's text once, and the host-level oracle in ``demos``
-reads its rivals with it.  Trees are immutable and parsing costs no fuel,
-so sharing changes no result.
+parsed from, and is never parsed again.  Every other text is read through
+``source_tree``, one cache per process from text to tree (or to the
+verdict that the text is not a program): ``parse_program``, and so
+``parse_learner_file`` and an ``arena`` ``ProgramLearner`` given text; the
+two sources ``evaluate`` is given, its opponent's and its own, read when a
+``sim`` first runs them; and the rivals of the host-level oracle in
+``demos``.  So a learner runs the very tree its rivals simulate, and each
+text is parsed at most once per process while it fits the cache.  The
+cache holds at most ``_PARSE_CACHE_CHARS`` characters, each entry charged
+its length and a fixed cost.  When a new text would pass that bound the
+cache starts afresh; a text longer than the whole bound is then held alone
+until the next new text arrives, so no text is refused for its length.
+Trees are immutable and parsing costs no fuel, so sharing changes no
+result.
 
 Best replies are read the same way.  Each ``GameTable`` keeps a memo of
 the replies ``bestresp`` has asked it for, keyed by seat and opponent
@@ -115,7 +113,6 @@ never is.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -219,12 +216,7 @@ Expr = Union[Literal, Var, BestResp, Sim, Match, If, Loop, Grow]
 
 @dataclass(frozen=True)
 class StrategyProgram:
-    """A parsed program together with the exact text it came from.
-
-    ``ast`` must be the parse of ``source``: when ``source`` is also the
-    evaluation's own text, ``sim(self, ...)`` runs ``ast``, and the game
-    table records those runs under the text for every later evaluation.
-    """
+    """A parsed program together with the exact text it came from."""
 
     source: str
     ast: Expr
@@ -251,11 +243,13 @@ _TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r"\\(.)")
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
-_PARSE_CACHE_SIZE = 1024
-# characters: up to ~23 bytes of key and tree each (tracemalloc, thirteen
-# shapes of source; quotes, which keep their text, reach ~19 nested six
-# deep), ~97 MB for a full cache
-_MAX_CACHED_SOURCE = 4096
+# Characters of text the parse cache holds, each entry charged 32 more for
+# its fixed cost.  Key and tree take up to ~22 bytes per charged character
+# (tracemalloc, nineteen shapes of source; short texts stay under 12, as
+# 5,000 "const i" take ~195 bytes each), ~92 MB for a full cache.  Quotes
+# keep their text, one copy per level: a body quoted 4 deep reaches ~29,
+# 8 deep ~32.
+_PARSE_CACHE_CHARS = 1 << 22
 _SIM_MEMO_SIZE = 4096  # simulation keys a table records
 
 
@@ -457,40 +451,44 @@ def _parse(text: str, depth: int) -> Expr:
 
 
 def parse_program(text: str) -> StrategyProgram:
-    """Parse ``text`` into a program; errors carry line and column."""
-    return StrategyProgram(source=text, ast=_parse(text, 0))
+    """Parse ``text`` into a program; errors carry line and column.
+
+    The tree is read through the shared cache, so it is the very tree a
+    rival's ``sim`` runs when it simulates ``text``.
+    """
+    tree = source_tree(text)
+    if tree is None:
+        _parse(text, 0)  # raises the text's ParseError
+    return StrategyProgram(source=text, ast=tree)
 
 
 # Shared by every evaluation in the process: trees are immutable, and
 # parsing is a pure function of the text that costs no fuel, so a cache hit
 # cannot change a result.
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
-def _parse_source(text: str) -> Expr | None:
-    """Syntax tree of a source given to ``evaluate``, or None if the text
-    is not a program."""
-    try:
-        return _parse(text, 0)
-    except ParseError:
-        return None
+_trees: dict[str, Expr | None] = {}
+_held = 0  # characters charged for the texts in ``_trees``
 
 
 def source_tree(text: str) -> Expr | None:
-    """Syntax tree of a rival's published source, or None if the text is
-    not a program: read through the shared cache when it is short enough."""
-    # A longer text stays out of the shared cache, so the cache holds a
-    # bounded amount of memory.
-    if len(text) <= _MAX_CACHED_SOURCE:
-        return _parse_source(text)
-    return _parse_source.__wrapped__(text)
-
-
-def shared_program(text: str) -> StrategyProgram:
-    """``parse_program``, with the tree read through the shared cache, so it
-    is the very tree a rival's ``sim`` runs; raises the same ``ParseError``."""
-    tree = source_tree(text)
-    if tree is None:
-        return parse_program(text)  # raises the text's ParseError
-    return StrategyProgram(source=text, ast=tree)
+    """Syntax tree of a program text, or None if the text is not a program:
+    parsed once, then read from the shared cache while the text is held."""
+    global _held
+    try:
+        return _trees[text]
+    except KeyError:
+        pass
+    try:
+        tree = _parse(text, 0)
+    except ParseError:
+        tree = None
+    cost = len(text) + 32  # 32 characters for the entry's fixed cost
+    if _held + cost > _PARSE_CACHE_CHARS:
+        # Start afresh; a text over the whole budget is then held alone.
+        _trees.clear()
+        _held = 0
+    _trees[text] = tree
+    _held += cost
+    return tree
 
 
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
@@ -504,7 +502,7 @@ def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     body = "\n".join(lines[1:])
     if not body.strip():
         raise ParseError("learner file has no program text", line=2)
-    return header[1], shared_program(body)
+    return header[1], parse_program(body)
 
 
 def pretty(node: Expr | Src) -> str:
@@ -629,8 +627,8 @@ class _Given:
 
     def __getattr__(self, name):
         # Reached only while ``program`` is unset.  The tree is kept on the
-        # holder too, so even a text too long for the shared cache is parsed
-        # only once per evaluation.
+        # holder too, so an evaluation keeps it even if the shared cache
+        # starts afresh while it runs.
         if name != "program":
             raise AttributeError(name)
         self.program = tree = source_tree(self.text)
@@ -696,10 +694,8 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     replies = game._replies  # (seat, opponent index) -> best reply
     sims = game._sims  # (target, seat, adversary) -> finished simulation
 
-    me = _Given(env.self_source)
-    if program.source == env.self_source:
-        me.program = program.ast  # ``self`` needs no second parse
-    lvl = _Level(env.side, _Given(env.opponent_source), me, env.fuel)
+    lvl = _Level(env.side, _Given(env.opponent_source), _Given(env.self_source),
+                 env.fuel)
     levels = [lvl]
     # Deepest live simulation per (target, seat, adversary), each source
     # keyed by its text, as in the record.  The root is not entered: its

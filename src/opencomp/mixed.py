@@ -102,10 +102,13 @@ def fictitious_play(
     full iteration count and reports the lowest-exploitability profile
     encountered, with ``converged`` False.  Deterministic throughout.  The
     cost grows with the number of runs of equal replies, not of rounds.
+    ``iterations`` is at most 2**63 - 2, the most that bisection can index.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
     iterations = operator.index(iterations)
+    if iterations > 2**63 - 2:  # range(iterations + 1) must fit a C ssize_t
+        raise ValueError(f"iterations must be at most {2**63 - 2}")
     if math.isnan(tol):
         raise ValueError("tol must be a number, not NaN")
     payoff = game.entries

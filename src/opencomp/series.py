@@ -32,7 +32,6 @@ class Aggregator(str, Enum):
 def compose_series(
     games: Sequence[GameTable] | Iterable[GameTable],
     aggregator: Aggregator | str = Aggregator.SUM_SIGN,
-    name: str | None = None,
 ) -> GameTable:
     """Collapse games played in a fixed order into one table.
 
@@ -44,7 +43,7 @@ def compose_series(
     games = list(games)
     if not games:
         raise ValueError("a series needs at least one game")
-    if len(games) == 1 and name is None:
+    if len(games) == 1:
         return games[0]
     rows, cols = games[0].rows, games[0].cols
     for game in games[1:]:
@@ -65,12 +64,10 @@ def compose_series(
         entries = np.sign(stack.sum(axis=0))
     entries = entries.astype(np.int8)
 
-    if name is None:
-        name = "series-" + "-".join(game.name for game in games)
     # Both rules are odd functions of the layers, so antisymmetric layers
     # give an antisymmetric result; GameTable checks it all the same.
     return GameTable(
-        name=name,
+        name="series-" + "-".join(game.name for game in games),
         entries=entries,
         symmetric_flag=all(game.symmetric_flag for game in games),
         labels_rows=games[0].labels_rows,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from opencomp import GameTable
+from opencomp import GameTable, dsl
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +22,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture
 def repo_root() -> Path:
     return REPO_ROOT
+
+
+def empty_parse_cache() -> None:
+    """Empty the parse cache that every evaluation shares, so that parse
+    counts start cold."""
+    dsl._trees.clear()
+    dsl._held = 0
 
 
 # --------------------------------------------------------------------------

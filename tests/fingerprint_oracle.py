@@ -9,6 +9,7 @@ never repeats.  Tests compare ``opencomp.dsl.evaluate`` against it on kind,
 strategy, witness and ``fuel_used``.  Like the brute-force oracles in
 ``conftest.py`` it is kept for reference and is deliberately not optimised,
 except that a state's key hashes each syntax node once per evaluation.
+It parses every text itself, not through the library's parse cache.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from opencomp.classify import best_response
 from opencomp.dsl import (
     BestResp, EvalEnv, EvalKind, EvalResult, Expr, Grow, If, Literal, Loop,
     Match, ParseError, Sim, SimOut, Src, SrcOpp, SrcSelf, StrategyProgram,
-    Var, parse_program, pretty,
+    Var, _parse, pretty,
 )
 from opencomp.errors import RuntimeFault
 
@@ -121,7 +122,7 @@ def fingerprint_evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalRe
     the game is the caller's job.
     """
     if isinstance(program, str):
-        program = parse_program(program)
+        program = StrategyProgram(program, _parse(program, 0))
     g = 0  # fuel consumed so far, shared by every nesting level
     parse_cache: dict[str, Expr | ParseError] = {}
     pretty_cache: dict[int, str] = {}
@@ -144,7 +145,7 @@ def fingerprint_evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalRe
         hit = parse_cache.get(text)
         if hit is None:
             try:
-                hit = parse_program(text).ast
+                hit = _parse(text, 0)
             except ParseError as exc:
                 hit = exc
             parse_cache[text] = hit

@@ -246,6 +246,12 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert "NaN" in err
 
+    @pytest.mark.parametrize("iters", [2**63 - 1, 2**63, 10**20])
+    def test_maxmin_names_the_largest_count(self, iters):
+        code, out, err = run("maxmin", "--game", "dice", "--iters", str(iters))
+        assert (code, out) == (2, "")
+        assert err == "error: iterations must be at most 9223372036854775806\n"
+
     @pytest.mark.parametrize("learners", [
         ["loop.lrn"], ["loop.lrn", "const_rock.lrn"],
     ], ids=["one", "two"])

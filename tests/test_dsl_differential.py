@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import opencomp.dsl as dsl
+from conftest import empty_parse_cache
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
     EXPLOITER_SOURCE, MIRROR_SOURCE, EvalKind, GameTable, RuntimeFault, Side,
@@ -25,7 +26,7 @@ from opencomp import (
 )
 from opencomp.dsl import (
     BestResp, Grow, If, Literal, Loop, Match, Sim, SrcOpp, SrcQuoted, SrcSelf,
-    Var, _parse_source,
+    Var,
 )
 from test_dsl import env_for, program_trees
 
@@ -65,7 +66,7 @@ def test_cold_and_warm_parse_cache_agree_with_the_oracle(tree, opponent, fuel):
     source = pretty(tree)
     env = env_for(opponent=opponent, me=source, fuel=fuel)
     expected = _run(fingerprint_evaluate, source, env)
-    _parse_source.cache_clear()
+    empty_parse_cache()
     cold = _run(evaluate, source, env)
     warm = _run(evaluate, source, env)
     assert cold == warm == expected

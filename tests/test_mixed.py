@@ -134,6 +134,16 @@ class TestFictitiousPlay:
         with pytest.raises(ValueError):
             fictitious_play(rps(), iterations=0)
 
+    def test_the_largest_count_is_accepted(self):
+        # dice settles on its top face, so no bisection runs long
+        result = fictitious_play(dice(), iterations=2**63 - 2, tol=1e-300)
+        assert (result.iterations, result.converged) == (2**63 - 2, False)
+
+    @pytest.mark.parametrize("iterations", [2**63 - 1, 2**63, 10**20])
+    def test_a_larger_count_is_rejected_up_front(self, iterations):
+        with pytest.raises(ValueError, match="at most 9223372036854775806$"):
+            fictitious_play(dice(), iterations=iterations, tol=1e-300)
+
     def test_nan_tolerance_rejected(self):
         # no gap is ever <= NaN, so the run would silently use every round
         with pytest.raises(ValueError, match="NaN"):

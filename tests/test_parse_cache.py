@@ -1,29 +1,30 @@
 """The parse cache that every evaluation shares.
 
-``sim`` reads the sources ``evaluate`` is given through one bounded cache
-per process, and ``parse_learner_file`` reads learner files through it, so
-a tournament parses each rival source once; a quoted program runs its own
-tree and never reaches the cache.  Sharing must change
-no result: not when the cache is cold, not when a program quotes more texts
-than the cache holds, and not when the cached entry is a text that does not
-parse.
+``parse_program``, and ``sim`` for the sources ``evaluate`` is given, read
+every program text through one cache per process, bounded by the
+characters it holds, so a tournament parses each rival source once,
+however long; a quoted program runs its own tree and never reaches the
+cache.  Sharing must change no result: not when the cache is cold, not when
+a program quotes thousands of texts, not when the cached entry is a text
+that does not parse, and not when a text is larger than the whole cache.
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingerprint_oracle import fingerprint_evaluate
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, empty_parse_cache
 from opencomp import (
-    EXPLOITER_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind, EvalResult, OracleWinner,
-    ParseError, ProgramLearner, RuntimeFault, Side, best_response, build_defiance,
-    build_exploiter, catalog_learners, evaluate, parse_learner_file,
-    parse_program, pennies, render_report, rps, run_tournament,
+    EXPLOITER_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind, EvalResult, Mode,
+    OracleWinner, ParseError, ProgramLearner, RuntimeFault, Side, best_response,
+    build_defiance, build_exploiter, catalog_learners, evaluate,
+    parse_learner_file, parse_program, pennies, render_report, rps,
+    run_tournament,
 )
 from opencomp import dsl
 from opencomp.bundled import CATALOG
 from opencomp.cli import dispatch
-from opencomp.dsl import (
-    _MAX_CACHED_SOURCE, _PARSE_CACHE_SIZE, _parse_source, source_tree,
-)
+from opencomp.dsl import Literal, source_tree
 from test_dsl import env_for
 from test_dsl_differential import _run
 from test_hostile_sources import _Publisher, _quote
@@ -53,94 +54,12 @@ def _wide_source(leaves: int) -> str:
     return checks[0]
 
 
-_WIDE = _wide_source(_PARSE_CACHE_SIZE)
-
-
-@pytest.mark.parametrize("me, opponent, strategy", [
-    (_WIDE, "const 1", 1),
-    # the rival halts with 1, so the exploiter plays its best response
-    (EXPLOITER_SOURCE, _WIDE, 2),
-], ids=["wide-program", "exploiter-vs-wide-rival"])
-def test_evicting_trees_mid_evaluation_matches_the_oracle(me, opponent, strategy):
-    # More quoted texts than the cache holds, so sharing trees through the
-    # cache would evict them mid-evaluation; none is read through it, and
-    # `_WIDE` itself is over the length bound.
-    env = env_for(opponent=opponent, me=me, fuel=200_000)
-    _parse_source.cache_clear()
-    result = _run(evaluate, me, env)
-    assert _parse_source.cache_info().misses == 0
-    assert result == _run(fingerprint_evaluate, me, env)
-    assert result[:2] == (EvalKind.HALTED, strategy)
-
-
-def test_a_cached_parse_error_pins_no_frames():
-    # The cache stores None for a text that does not parse, not the error.
-    _parse_source.cache_clear()
-    assert _parse_source('sim("const ²", opp, 5)') is None
-    assert _parse_source('sim("const ²", opp, 5)') is None
-    assert _parse_source.cache_info()[:2] == (1, 1)  # hits, misses
-
-
-def test_an_unparseable_rival_reads_as_exhausted_every_time():
-    env = env_for(opponent="const ²", me=EXPLOITER_SOURCE)
-    _parse_source.cache_clear()
-    first = evaluate(EXPLOITER_SOURCE, env)
-    second = evaluate(EXPLOITER_SOURCE, env)
-    assert _parse_source.cache_info().hits > 0
-    assert first == second
-    assert (first.kind, first.strategy) == (EvalKind.HALTED, 1)
-
-
-def test_a_tournament_with_an_unparseable_rival_repeats_its_report():
-    def play():
-        entrants = catalog_learners() + [_Publisher("garbled", "const ²")]
-        report = run_tournament(rps(), entrants, fuel=10_000)
-        assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
-        return render_report(report)
-
-    _parse_source.cache_clear()
-    assert play() == play()
-
-
-def test_a_tournament_parses_each_simulated_source_once():
-    # The catalog simulates only `opp` and `self`, and the exploiter
-    # simulates every entrant, so the simulated texts are the sources.
-    sources = {source for _, source in CATALOG}
-    _parse_source.cache_clear()
-    run_tournament(rps(), catalog_learners(), fuel=10_000)
-    first = _parse_source.cache_info()
-    assert first.misses == len(sources)
-    assert first.currsize == len(sources)
-    run_tournament(rps(), catalog_learners(), fuel=10_000)
-    second = _parse_source.cache_info()
-    assert second.misses == first.misses
-    assert second.hits > first.hits
-
-
-def _rival_of_length(length: int) -> str:
-    """A rival that takes a few dozen steps and halts with 2, padded out to
-    exactly ``length`` characters."""
-    body = "if const 1 == const 2 then const 3 else " * 40 + "const 2"
-    return body + " " * (length - len(body))
-
-
-@pytest.mark.parametrize("length, cached", [
-    (_MAX_CACHED_SOURCE, 1), (_MAX_CACHED_SOURCE + 1, 0), (40 * _MAX_CACHED_SOURCE, 0),
-])
-def test_only_sources_within_the_bound_are_cached(length, cached):
-    # The exploiter simulates only its rival, and the rival simulates nothing.
-    env = env_for(opponent=_rival_of_length(length), me=EXPLOITER_SOURCE, fuel=10_000)
-    _parse_source.cache_clear()
-    result = _run(evaluate, EXPLOITER_SOURCE, env)
-    assert _parse_source.cache_info().currsize == cached
-    assert result == _run(fingerprint_evaluate, EXPLOITER_SOURCE, env)
-    assert result[:2] == (EvalKind.HALTED, 3)
-
-
-# Runs itself against its opponent with all the fuel that is left, so every
-# other step simulates its own text again until the pool is drained.
-_SELF_SIMULATING = "match sim(self, opp, rest) { halted(k) => k | exhausted => const 1 }"
-_LONG_SELF_SIMULATING = _SELF_SIMULATING + " " * (5 * _MAX_CACHED_SOURCE)
+_LEAVES = 1024
+_WIDE = _wide_source(_LEAVES)
+_WIDE_QUOTES = [
+    text for i in range(1, _LEAVES + 1)
+    for text in (f"const {i}", _run_quoted(f"const {i}", 5))
+]
 
 
 def _count_parses(monkeypatch, *texts: str) -> list[int]:
@@ -158,37 +77,201 @@ def _count_parses(monkeypatch, *texts: str) -> list[int]:
     return calls
 
 
-def test_a_long_self_simulating_rival_is_parsed_once_per_evaluation(monkeypatch):
+@pytest.mark.parametrize("me, opponent, strategy", [
+    (_WIDE, "const 1", 1),
+    # the rival halts with 1, so the exploiter plays its best response
+    (EXPLOITER_SOURCE, _WIDE, 2),
+], ids=["wide-program", "exploiter-vs-wide-rival"])
+def test_evicting_trees_mid_evaluation_matches_the_oracle(
+    monkeypatch, me, opponent, strategy
+):
+    # Thousands of quoted texts: if quotes were read through the cache,
+    # reading one could evict another mid-evaluation.  Each runs its own
+    # tree instead, so once both sources are read no quote is parsed.
+    env = env_for(opponent=opponent, me=me, fuel=200_000)
+    empty_parse_cache()
+    program = parse_program(me)
+    parse_program(opponent)
+    parses = _count_parses(monkeypatch, *_WIDE_QUOTES)
+    result = _run(evaluate, program, env)
+    assert parses == []
+    assert result == _run(fingerprint_evaluate, me, env)
+    assert result[:2] == (EvalKind.HALTED, strategy)
+
+
+def test_a_cached_parse_error_pins_no_frames(monkeypatch):
+    # The cache stores None for a text that does not parse, not the error.
+    text = 'sim("const ²", opp, 5)'
+    parses = _count_parses(monkeypatch, text)
+    empty_parse_cache()
+    assert source_tree(text) is None
+    assert source_tree(text) is None
+    assert len(parses) == 1
+    assert dsl._trees == {text: None}
+
+
+def test_an_unparseable_rival_reads_as_exhausted_every_time(monkeypatch):
+    env = env_for(opponent="const ²", me=EXPLOITER_SOURCE)
+    parses = _count_parses(monkeypatch, "const ²")
+    empty_parse_cache()
+    first = evaluate(EXPLOITER_SOURCE, env)
+    second = evaluate(EXPLOITER_SOURCE, env)
+    assert len(parses) == 1
+    assert first == second
+    assert (first.kind, first.strategy) == (EvalKind.HALTED, 1)
+
+
+def test_a_tournament_with_an_unparseable_rival_repeats_its_report():
+    def play():
+        entrants = catalog_learners() + [_Publisher("garbled", "const ²")]
+        report = run_tournament(rps(), entrants, fuel=10_000)
+        assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
+        return render_report(report)
+
+    empty_parse_cache()
+    assert play() == play()
+
+
+def test_a_tournament_parses_each_simulated_source_once(monkeypatch):
+    # The catalog simulates only `opp` and `self`, and the exploiter
+    # simulates every entrant, so the simulated texts are the sources.
+    sources = {source for _, source in CATALOG}
+    parses = _count_parses(monkeypatch, *sources)
+    empty_parse_cache()
+    run_tournament(rps(), catalog_learners(), fuel=10_000)
+    assert len(parses) == len(sources)
+    assert set(dsl._trees) == sources
+    run_tournament(rps(), catalog_learners(), fuel=10_000)
+    assert len(parses) == len(sources)
+
+
+def _rival_of_length(length: int) -> str:
+    """A rival that takes a few dozen steps and halts with 2, padded out to
+    exactly ``length`` characters."""
+    body = "if const 1 == const 2 then const 3 else " * 40 + "const 2"
+    return body + " " * (length - len(body))
+
+
+@pytest.mark.parametrize("length", [4096, 4097, 163_840])
+def test_a_source_of_any_length_is_cached(monkeypatch, length):
+    # The exploiter simulates only its rival, and the rival simulates
+    # nothing.  Texts over 4,096 characters were once parsed again in every
+    # evaluation; now every text stays while it fits the cache.
+    rival = _rival_of_length(length)
+    parses = _count_parses(monkeypatch, rival)
+    env = env_for(opponent=rival, me=EXPLOITER_SOURCE, fuel=10_000)
+    empty_parse_cache()
+    result = _run(evaluate, EXPLOITER_SOURCE, env)
+    assert rival in dsl._trees
+    assert result == _run(evaluate, EXPLOITER_SOURCE, env)
+    assert len(parses) == 1
+    assert result == _run(fingerprint_evaluate, EXPLOITER_SOURCE, env)
+    assert result[:2] == (EvalKind.HALTED, 3)
+
+
+# Runs itself against its opponent with all the fuel that is left, so every
+# other step simulates its own text again until the pool is drained.
+_SELF_SIMULATING = "match sim(self, opp, rest) { halted(k) => k | exhausted => const 1 }"
+# over 4,096 characters, the length the cache once refused
+_LONG_SELF_SIMULATING = _SELF_SIMULATING + " " * 20_480
+
+
+def test_a_long_self_simulating_rival_is_parsed_once_per_process(monkeypatch):
     parses = _count_parses(monkeypatch, _LONG_SELF_SIMULATING)
     env = env_for(opponent=_LONG_SELF_SIMULATING, me=EXPLOITER_SOURCE, fuel=20_000)
-    _parse_source.cache_clear()
-    result = evaluate(EXPLOITER_SOURCE, env)
-    assert result.kind is EvalKind.FUEL_EXHAUSTED
-    assert result.fuel_used == 20_000
+    empty_parse_cache()
+    for _ in range(2):
+        result = evaluate(EXPLOITER_SOURCE, env)
+        assert result.kind is EvalKind.FUEL_EXHAUSTED
+        assert result.fuel_used == 20_000
     assert len(parses) == 1
-    assert _parse_source.cache_info().currsize == 0
-    evaluate(EXPLOITER_SOURCE, env)
-    assert len(parses) == 2
 
 
 def test_a_tournament_with_a_long_self_simulating_rival_completes(monkeypatch):
     parses = _count_parses(monkeypatch, _LONG_SELF_SIMULATING)
     entrants = catalog_learners() + [_Publisher("padded", _LONG_SELF_SIMULATING)]
+    empty_parse_cache()
     report = run_tournament(rps(), entrants, fuel=100_000)
     assert len(report.records) == len(entrants) * (len(entrants) - 1) // 2
-    # at most one parse for each evaluation that faces the padded rival
-    assert 0 < len(parses) <= 2 * (len(entrants) - 1)
+    # mirror, the exploiter and the padded rival itself all simulate it
+    assert len(parses) == 1
+
+
+def _if_tree(depth: int) -> str:
+    """A complete 4-ary tree of ``if`` nodes with bare ``1`` leaves."""
+    if depth == 0:
+        return "1"
+    sub = _if_tree(depth - 1)
+    return f"if {sub} == {sub} then {sub} else {sub}"
+
+
+def test_two_tournaments_parse_a_long_entrant_once(monkeypatch):
+    long = _if_tree(5)  # 7,503 characters
+    assert len(long) > 4096
+    parses = _count_parses(monkeypatch, long)
+    empty_parse_cache()
+    entrants = catalog_learners() + [
+        ProgramLearner("tree", long),
+        build_exploiter("b200", sim_budget=200),
+        build_exploiter("b1000", sim_budget=1000),
+        OracleWinner(),
+    ]
+    reports = [
+        render_report(run_tournament(rps(), entrants, fuel=3000, mode=Mode.DEADLINE))
+        for _ in range(2)
+    ]
+    assert reports[0] == reports[1]
+    assert "tree" in reports[0]
+    assert len(parses) == 1  # read when the learner was built, and not again
+
+
+def test_a_text_larger_than_the_cache_is_parsed_once_and_held_alone(monkeypatch):
+    monkeypatch.setattr(dsl, "_PARSE_CACHE_CHARS", 1000)
+    oversize = _rival_of_length(2000)
+    parses = _count_parses(monkeypatch, oversize)
+    empty_parse_cache()
+    source_tree("const 1")
+    tree = source_tree(oversize)
+    assert list(dsl._trees) == [oversize]
+    assert source_tree(oversize) is tree
+    assert parse_program(oversize).ast is tree
+    assert len(parses) == 1
+    source_tree("const 2")  # the next new text starts the cache afresh
+    assert list(dsl._trees) == ["const 2"]
+    source_tree(oversize)
+    assert len(parses) == 2
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 600)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_the_cache_holds_no_more_than_its_budget(reads):
+    # A small budget, so texts of a few hundred characters overflow it.
+    # Each entry is charged its length and 32 characters more.
+    budget = 1000
+    saved = dsl._PARSE_CACHE_CHARS
+    dsl._PARSE_CACHE_CHARS = budget
+    try:
+        empty_parse_cache()
+        for i, pad in reads:
+            text = f"const {i}" + " " * pad
+            tree = source_tree(text)
+            assert tree == Literal(i)
+            assert dsl._trees[text] is tree
+            held = sum(len(cached) + 32 for cached in dsl._trees)
+            assert dsl._held == held
+            assert held <= budget or list(dsl._trees) == [text]
+    finally:
+        dsl._PARSE_CACHE_CHARS = saved
+        empty_parse_cache()
 
 
 def test_a_wide_program_parses_no_quoted_text_when_it_runs(monkeypatch):
+    parses = _count_parses(monkeypatch, *_WIDE_QUOTES)
+    empty_parse_cache()
     program = parse_program(_WIDE)
-    quoted = [
-        text for i in range(1, _PARSE_CACHE_SIZE + 1)
-        for text in (f"const {i}", _run_quoted(f"const {i}", 5))
-    ]
-    parses = _count_parses(monkeypatch, *quoted)
-    parse_program(_WIDE)
-    assert len(parses) == len(quoted)  # the parser reads each quote once
+    assert len(parses) == len(_WIDE_QUOTES)  # the parser reads each quote once
+    assert parse_program(_WIDE).ast is program.ast  # and the text is cached
+    assert len(parses) == len(_WIDE_QUOTES)
     parses.clear()
     result = evaluate(program, env_for(opponent="const 1", me=_WIDE, fuel=200_000))
     assert (result.kind, result.strategy) == (EvalKind.HALTED, 1)
@@ -223,7 +306,7 @@ def _reparsing_oracle_play(env: EvalEnv) -> EvalResult:
 
 
 _ORACLE_RIVALS = [source for _, source in CATALOG] + [
-    _rival_of_length(_MAX_CACHED_SOURCE + 1), _LONG_SELF_SIMULATING,
+    _rival_of_length(4097), _LONG_SELF_SIMULATING,
     "const ²", ORACLE_SOURCE, "const 7",
     "bestresp(const 9)", "k",  # both raise RuntimeFault
 ]
@@ -233,7 +316,7 @@ _ORACLE_RIVALS = [source for _, source in CATALOG] + [
 @pytest.mark.parametrize("side", list(Side))
 def test_the_oracle_plays_as_when_it_reparsed_every_rival(game, side):
     oracle = OracleWinner()
-    _parse_source.cache_clear()
+    empty_parse_cache()
     for rival in _ORACLE_RIVALS * 2:  # a cold cache, then a warm one
         env = EvalEnv(
             game=game, side=side, opponent_source=rival,
@@ -242,33 +325,22 @@ def test_the_oracle_plays_as_when_it_reparsed_every_rival(game, side):
         assert oracle.play(env) == _reparsing_oracle_play(env), rival[:40]
 
 
-@pytest.mark.parametrize("rival", [EXPLOITER_SOURCE, _SELF_SIMULATING],
-                         ids=["exploiter", "self-simulating"])
+@pytest.mark.parametrize(
+    "rival", [EXPLOITER_SOURCE, _SELF_SIMULATING, _LONG_SELF_SIMULATING],
+    ids=["exploiter", "self-simulating", "long-self-simulating"],
+)
 def test_the_oracle_parses_a_rival_once_across_plays(monkeypatch, rival):
+    # Once to read it, and not again for the `self` it simulates.
     parses = _count_parses(monkeypatch, rival)
     oracle = OracleWinner()
     env = EvalEnv(
         game=rps(), side=Side.ROW, opponent_source=rival,
         self_source=oracle.source, fuel=2000,
     )
-    _parse_source.cache_clear()
+    empty_parse_cache()
     results = {oracle.play(env) for _ in range(3)}
     assert len(results) == 1
     assert len(parses) == 1
-
-
-def test_the_oracle_parses_a_long_self_simulating_rival_once_per_play(monkeypatch):
-    # Too long for the shared cache, so each play parses it: once to read
-    # it, and not again for the `self` it simulates.
-    parses = _count_parses(monkeypatch, _LONG_SELF_SIMULATING)
-    oracle = OracleWinner()
-    env = EvalEnv(
-        game=rps(), side=Side.ROW, opponent_source=_LONG_SELF_SIMULATING,
-        self_source=oracle.source, fuel=2000,
-    )
-    results = {oracle.play(env) for _ in range(3)}
-    assert len(results) == 1
-    assert len(parses) == 3
 
 
 def test_a_learner_file_shares_the_tree_its_rivals_simulate():
@@ -297,7 +369,7 @@ def test_a_program_learner_shares_the_tree_its_rivals_simulate():
 def test_a_bad_program_learner_text_reports_as_parse_program_does(text):
     with pytest.raises(ParseError) as expected:
         parse_program(text)
-    _parse_source.cache_clear()
+    empty_parse_cache()
     for _ in range(2):  # the second time the cache holds the verdict
         with pytest.raises(ParseError) as err:
             ProgramLearner("bad", text)
@@ -317,7 +389,7 @@ def test_a_bad_program_learner_text_reports_as_parse_program_does(text):
     ("learner bad\nconst", "const needs an integer (line 1, col 6)", 1, 6),
 ])
 def test_a_bad_learner_file_still_reports_where_it_fails(text, message, line, column):
-    _parse_source.cache_clear()
+    empty_parse_cache()
     for _ in range(2):  # the second time the cache holds the verdict
         with pytest.raises(ParseError) as err:
             parse_learner_file(text)
@@ -332,7 +404,7 @@ def test_a_cli_tournament_parses_each_learner_text_once(monkeypatch):
         "\n".join(open(path).read().splitlines()[1:]) for path in paths
     }
     parses = _count_parses(monkeypatch, *bodies)
-    _parse_source.cache_clear()
+    empty_parse_cache()
     code, report, _ = dispatch([
         "tournament", "--game", str(REPO_ROOT / "games" / "rps.gm"),
         "--learners", *paths, "--fuel", "10000",
