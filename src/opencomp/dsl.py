@@ -7,28 +7,24 @@ whether it halted and with what index.  That is enough to express the
 classic counter-strategy: simulate the rival, then best-respond to whatever
 it would play.
 
-Grammar::
-
-    prog   := expr
-    expr   := "const" INT
-            | "bestresp" "(" expr ")"
-            | "sim" "(" src "," src "," budget ")"
-            | "match" expr "{" "halted" "(" ID ")" "=>" expr
-                            "|" "exhausted" "=>" expr "}"
-            | "if" expr cmp expr "then" expr "else" expr
-            | ID | INT | "loop" | "grow"
-    src    := "opp" | "self" | QUOTED_PROGRAM
-    budget := "rest" | INT
-    cmp    := "==" | "<" | ">"
+The grammar is stated once, in the table ``_FORMS``: each keyword that
+starts an expression maps to its node type and to the tokens after it, in
+the order of the node's fields.  An item there is a token spelled out or a
+slot that one field fills: ``EXPR`` (an expression), ``INT``, ``ID``,
+``CMP`` (``==``, ``<`` or ``>``), ``SRC`` (``opp``, ``self`` or a quoted
+program) or ``BUDGET`` (``rest`` or an ``INT``).  An expression is one of
+those forms, a bare ``INT`` or an ``ID``.  The parser and ``pretty`` both
+walk the table, so printing a tree and parsing the text give the tree back.
 
 ``INT`` is 1 to 18 ASCII digits and ``ID`` is an ASCII letter or underscore
 followed by ASCII letters, digits and underscores; any other character is a
 ``ParseError`` with its position.  Expressions nest at most 640 deep, a
 quoted program counting one level deeper than the ``sim`` that quotes it;
 deeper nesting is a ``ParseError`` too, so a walker that takes one frame
-per level, such as ``pretty``, can recurse through every tree the parser
-builds.  Tree ``==`` and ``hash`` take about two frames per level and can
-pass the default recursion limit near the bound.
+per level, such as ``pretty`` or the parser itself (an expression slot
+recurses straight from the expression it sits in), can recurse through
+every tree the parser builds.  Tree ``==`` and ``hash`` take about two
+frames per level and can pass the default recursion limit near the bound.
 
 A quoted program runs as its own syntax tree, kept with the text it was
 parsed from, and is never parsed again.  Every other text is read through
@@ -114,19 +110,13 @@ never is.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Union
 
 from .classify import best_response
 from .errors import ParseError, RuntimeFault
 from .game_core import GameTable, Side
-
-_KEYWORDS = {
-    "const", "bestresp", "sim", "match", "halted", "exhausted",
-    "if", "then", "else", "loop", "grow", "opp", "self", "rest",
-}
-
 
 # --------------------------------------------------------------------------
 # Syntax tree
@@ -223,6 +213,46 @@ class StrategyProgram:
 
 
 # --------------------------------------------------------------------------
+# Grammar
+
+# Each keyword that starts an expression: its node type, and the items after
+# it in the order of the node's fields.  An upper-case item is a slot that
+# one field fills, any other a token spelled out.
+_FORMS = {
+    "const": (Literal, ("INT",)),
+    "bestresp": (BestResp, ("(", "EXPR", ")")),
+    "sim": (Sim, ("(", "SRC", ",", "SRC", ",", "BUDGET", ")")),
+    "match": (Match, ("EXPR", "{", "halted", "(", "ID", ")", "=>", "EXPR",
+                      "|", "exhausted", "=>", "EXPR", "}")),
+    "if": (If, ("EXPR", "CMP", "EXPR", "then", "EXPR", "else", "EXPR")),
+    "loop": (Loop, ()),
+    "grow": (Grow, ()),
+}
+_SOURCES = {"opp": SrcOpp, "self": SrcSelf}
+# Every slot but an expression is one token; the message for a token that
+# cannot fill it.
+_SLOT_ERRORS = {
+    "SRC": "expected opp, self or a quoted program",
+    "INT": "const needs an integer",
+    "ID": "halted pattern needs an identifier",
+    "CMP": "expected a comparison (==, < or >)",
+    "BUDGET": "budget must be 'rest' or a non-negative integer",
+}
+_KEYWORDS = {*_FORMS, *_SOURCES, "rest"}.union(
+    item for _, items in _FORMS.values() for item in items if item.islower()
+)
+# What ``pretty`` prints for each node type a keyword starts: the keyword,
+# the items after it, and the names of the fields its slots fill.
+_SPELLINGS = {
+    node_type: (word, items, tuple(f.name for f in fields(node_type)))
+    for word, (node_type, items) in _FORMS.items()
+}
+_SPELLINGS.update((node_type, (word, (), ())) for word, node_type in _SOURCES.items())
+# Spelled tokens printed with no space before them; none follows "(" either.
+_TIGHT = ("(", ")", ",")
+
+
+# --------------------------------------------------------------------------
 # Lexer
 
 
@@ -300,6 +330,10 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 
 
+def _error(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, line=tok.line, column=tok.col)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -313,129 +347,58 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, line=tok.line, column=tok.col)
-
-    def expect(self, kind: str, value: str) -> None:
-        tok = self.next()
-        if tok.kind != kind or tok.value != value:
-            raise ParseError(
-                f"expected '{value}', got '{tok.value or 'end of input'}'",
-                line=tok.line, column=tok.col,
-            )
-
     def expr(self, depth: int) -> Expr:
         if depth > _MAX_NESTING:
-            raise self.fail(f"expressions nested deeper than {_MAX_NESTING}")
-        tok = self.peek()
-        if tok.kind == "kw":
-            if tok.value == "const":
-                self.next()
-                num = self.next()
-                if num.kind != "int":
-                    raise ParseError(
-                        "const needs an integer", line=num.line, column=num.col
-                    )
-                return Literal(int(num.value), bare=False)
-            if tok.value == "bestresp":
-                self.next()
-                self.expect("sym", "(")
-                arg = self.expr(depth + 1)
-                self.expect("sym", ")")
-                return BestResp(arg)
-            if tok.value == "sim":
-                self.next()
-                self.expect("sym", "(")
-                target = self.src(depth)
-                self.expect("sym", ",")
-                adversary = self.src(depth)
-                self.expect("sym", ",")
-                budget = self.budget()
-                self.expect("sym", ")")
-                return Sim(target, adversary, budget)
-            if tok.value == "match":
-                self.next()
-                scrutinee = self.expr(depth + 1)
-                self.expect("sym", "{")
-                self.expect("kw", "halted")
-                self.expect("sym", "(")
-                var = self.next()
-                if var.kind != "id":
-                    raise ParseError(
-                        "halted pattern needs an identifier",
-                        line=var.line, column=var.col,
-                    )
-                self.expect("sym", ")")
-                self.expect("sym", "=>")
-                on_halted = self.expr(depth + 1)
-                self.expect("sym", "|")
-                self.expect("kw", "exhausted")
-                self.expect("sym", "=>")
-                on_exhausted = self.expr(depth + 1)
-                self.expect("sym", "}")
-                return Match(scrutinee, var.value, on_halted, on_exhausted)
-            if tok.value == "if":
-                self.next()
-                left = self.expr(depth + 1)
-                op = self.next()
-                if op.kind != "sym" or op.value not in ("==", "<", ">"):
-                    raise ParseError(
-                        "expected a comparison (==, < or >)",
-                        line=op.line, column=op.col,
-                    )
-                right = self.expr(depth + 1)
-                self.expect("kw", "then")
-                then = self.expr(depth + 1)
-                self.expect("kw", "else")
-                otherwise = self.expr(depth + 1)
-                return If(left, op.value, right, then, otherwise)
-            if tok.value == "loop":
-                self.next()
-                return Loop()
-            if tok.value == "grow":
-                self.next()
-                return Grow()
-            raise self.fail(f"keyword '{tok.value}' cannot start an expression")
+            raise _error(f"expressions nested deeper than {_MAX_NESTING}", self.peek())
+        tok = self.next()
         if tok.kind == "int":
-            self.next()
             return Literal(int(tok.value), bare=True)
         if tok.kind == "id":
-            self.next()
             return Var(tok.value)
-        raise self.fail(
-            f"expected an expression, got '{tok.value or 'end of input'}'"
-        )
+        if tok.kind != "kw":
+            raise _error(
+                f"expected an expression, got '{tok.value or 'end of input'}'", tok
+            )
+        form = _FORMS.get(tok.value)
+        if form is None:
+            raise _error(f"keyword '{tok.value}' cannot start an expression", tok)
+        node_type, items = form
+        values = []
+        for item in items:
+            if item == "EXPR":
+                # Straight from here: one frame per nesting level.
+                values.append(self.expr(depth + 1))
+            elif item.isupper():
+                values.append(self.field(item, depth))
+            else:
+                tok = self.next()
+                # Only a quoted program can spell a token without being it.
+                if tok.value != item or tok.kind == "string":
+                    raise _error(
+                        f"expected '{item}', got '{tok.value or 'end of input'}'", tok
+                    )
+        return node_type(*values)
 
-    def src(self, depth: int) -> Src:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value == "opp":
-            self.next()
-            return SrcOpp()
-        if tok.kind == "kw" and tok.value == "self":
-            self.next()
-            return SrcSelf()
-        if tok.kind == "string":
-            self.next()
-            try:
-                inner = _parse(tok.value, depth + 1)
-            except ParseError as exc:
-                raise ParseError(
-                    f"inside quoted program: {exc}", line=tok.line, column=tok.col
-                ) from None
-            return SrcQuoted(inner, tok.value)
-        raise self.fail("expected opp, self or a quoted program")
-
-    def budget(self) -> int | str:
+    def field(self, slot: str, depth: int):
+        """The value of the one token that fills ``slot``."""
         tok = self.next()
-        if tok.kind == "kw" and tok.value == "rest":
-            return "rest"
-        if tok.kind == "int":
-            return int(tok.value)
-        raise ParseError(
-            "budget must be 'rest' or a non-negative integer",
-            line=tok.line, column=tok.col,
-        )
+        kind, value = tok.kind, tok.value
+        if slot == "SRC":
+            if kind == "string":
+                try:
+                    inner = _parse(value, depth + 1)
+                except ParseError as exc:
+                    raise _error(f"inside quoted program: {exc}", tok) from None
+                return SrcQuoted(inner, value)
+            if kind == "kw" and value in _SOURCES:
+                return _SOURCES[value]()
+        elif kind == "int" and slot in ("INT", "BUDGET"):
+            return int(value)
+        elif (slot == "ID" and kind == "id"
+              or slot == "CMP" and kind == "sym" and value in ("==", "<", ">")
+              or slot == "BUDGET" and kind == "kw" and value == "rest"):
+            return value
+        raise _error(_SLOT_ERRORS[slot], tok)
 
 
 def _parse(text: str, depth: int) -> Expr:
@@ -443,10 +406,7 @@ def _parse(text: str, depth: int) -> Expr:
     tree = parser.expr(depth)
     trailing = parser.peek()
     if trailing.kind != "eof":
-        raise ParseError(
-            f"trailing content '{trailing.value}' after program",
-            line=trailing.line, column=trailing.col,
-        )
+        raise _error(f"trailing content '{trailing.value}' after program", trailing)
     return tree
 
 
@@ -502,7 +462,10 @@ def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     body = "\n".join(lines[1:])
     if not body.strip():
         raise ParseError("learner file has no program text", line=2)
-    return header[1], parse_program(body)
+    tree = source_tree(body)
+    if tree is None:
+        _parse("\n" + body, 0)  # raises with the line numbers of the file
+    return header[1], StrategyProgram(source=body, ast=tree)
 
 
 def pretty(node: Expr | Src) -> str:
@@ -510,37 +473,27 @@ def pretty(node: Expr | Src) -> str:
 
     Parsing the output reproduces the tree exactly.
     """
-    if isinstance(node, Literal):
-        return str(node.value) if node.bare else f"const {node.value}"
-    if isinstance(node, Var):
+    kind = type(node)
+    if kind is Literal and node.bare:
+        return str(node.value)
+    if kind is Var:
         return node.name
-    if isinstance(node, BestResp):
-        return f"bestresp({pretty(node.arg)})"
-    if isinstance(node, Sim):
-        budget = node.budget if isinstance(node.budget, str) else str(node.budget)
-        return f"sim({pretty(node.target)}, {pretty(node.adversary)}, {budget})"
-    if isinstance(node, Match):
-        return (
-            f"match {pretty(node.scrutinee)} {{ halted({node.var}) => "
-            f"{pretty(node.on_halted)} | exhausted => {pretty(node.on_exhausted)} }}"
-        )
-    if isinstance(node, If):
-        return (
-            f"if {pretty(node.left)} {node.op} {pretty(node.right)} "
-            f"then {pretty(node.then)} else {pretty(node.otherwise)}"
-        )
-    if isinstance(node, Loop):
-        return "loop"
-    if isinstance(node, Grow):
-        return "grow"
-    if isinstance(node, SrcOpp):
-        return "opp"
-    if isinstance(node, SrcSelf):
-        return "self"
-    if isinstance(node, SrcQuoted):
+    if kind is SrcQuoted:
         inner = pretty(node.program).replace("\\", "\\\\").replace('"', '\\"')
         return f'"{inner}"'
-    raise TypeError(f"not a syntax node: {node!r}")
+    spelling = _SPELLINGS.get(kind)
+    if spelling is None:
+        raise TypeError(f"not a syntax node: {node!r}")
+    text, items, names = spelling
+    names, prev = iter(names), None
+    for item in items:
+        part = item
+        if item.isupper():
+            value = getattr(node, next(names))
+            part = pretty(value) if item in ("EXPR", "SRC") else str(value)
+        text += part if item in _TIGHT or prev == "(" else " " + part
+        prev = item
+    return text
 
 
 # --------------------------------------------------------------------------

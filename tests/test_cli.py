@@ -1,4 +1,6 @@
+import glob
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import REPO_ROOT
 from opencomp import serialize_game, rps
-from opencomp.cli import _build_parser, dispatch, main
+from opencomp.cli import _HANDLERS, _build_parser, dispatch, main
 
 
 def run(*argv):
@@ -216,6 +218,15 @@ class TestErrorHandling:
         )
         assert code == 2
 
+    def test_malformed_learner_file_gives_the_line_of_the_file(self, tmp_path):
+        bad = tmp_path / "bad.lrn"
+        bad.write_text("learner bad\nconst 1 2\n")
+        code, out, err = run(
+            "arena", "--game", "rps", "--p1", str(bad), "--p2", str(bad)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: trailing content '2' after program (line 2, col 9)\n"
+
     def test_bad_crosstable(self, tmp_path):
         bad = tmp_path / "bad.ct"
         bad.write_text("names,A,B\nA,,0.9\nB,0.9,\n")
@@ -347,3 +358,30 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=60, env=_module_env(),
         )
         assert proc.returncode == 3
+
+
+def _readme_commands() -> list[list[str]]:
+    """Arguments of each ``opencomp`` line in README's "Command line" block."""
+    section = (REPO_ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("opencomp ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_lines_run(argv, monkeypatch):
+    # Run from the checkout's root, as the README's relative paths are, and
+    # expand the globs a shell would.
+    monkeypatch.chdir(REPO_ROOT)
+    args = []
+    for arg in argv:
+        paths = sorted(glob.glob(arg)) if "*" in arg else [arg]
+        assert paths, arg
+        args += paths
+    code, out, err = dispatch(args)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_readme_shows_every_command():
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(_HANDLERS)

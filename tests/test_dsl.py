@@ -132,6 +132,17 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_learner_file("learner alpha\n")
 
+    def test_learner_file_errors_give_the_line_of_the_file(self):
+        with pytest.raises(ParseError) as err:
+            parse_learner_file("learner bad\nconst 1 2\n")
+        assert str(err.value) == "trailing content '2' after program (line 2, col 9)"
+        assert (err.value.line, err.value.column) == (2, 9)
+        # The header's errors already gave the file's lines.
+        for text, line in [("bad\nconst 2\n", 1), ("learner bad\n \n", 2)]:
+            with pytest.raises(ParseError) as err:
+                parse_learner_file(text)
+            assert err.value.line == line
+
 
 # Strategy-program generator used by the round-trip and machine properties.
 _names = st.sampled_from(["k", "n", "x"])

@@ -8,8 +8,13 @@ robin three times: with ``evaluate`` on a fresh table, again on that table
 with its record warm, and with ``fingerprint_evaluate`` in its place in
 ``arena`` and ``demos``.  Every match record must be equal: kinds,
 strategies, witnesses and ``fuel_used``.
+
+The same generated programs also check the paper's diagonal argument: a
+rival that halts with fuel to spare loses to the exploiter, which
+simulates it and best-responds to its play.
 """
 import importlib.util
+import random
 import sys
 
 import pytest
@@ -19,8 +24,9 @@ import opencomp.demos
 from conftest import REPO_ROOT
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
-    EvalKind, Mode, OracleWinner, ProgramLearner, build_exploiter, parse_game,
-    run_tournament,
+    EXPLOITER_SOURCE, EvalEnv, EvalKind, Mode, OracleWinner, ProgramLearner,
+    RuntimeFault, Side, best_response, build_exploiter, evaluate, parse_game,
+    rps, run_tournament,
 )
 
 _spec = importlib.util.spec_from_file_location(
@@ -63,3 +69,50 @@ def test_a_whole_field_plays_as_under_the_fingerprint_oracle(monkeypatch, seed):
                      EvalKind.PROVEN_NONHALTING}
     assert cold == expected
     assert warm == cold
+
+
+# Fuel the exploiter spends around its simulation of the rival: ``match``
+# and ``sim`` before the child starts; the match frame, ``bestresp``, ``k``
+# and the reply after it ends.
+_BEFORE, _AFTER = 2, 4
+
+
+def _exploit(game, seat, rival, fuel):
+    env = EvalEnv(game, seat, rival, EXPLOITER_SOURCE, fuel)
+    result = evaluate(EXPLOITER_SOURCE, env)
+    return result.kind, result.strategy, result.fuel_used
+
+
+def test_the_exploiter_beats_every_generated_rival_that_halts_in_time():
+    fuel = _gen.FIELD_FUEL
+    games = [rps(), parse_game(_gen.open_field(7).game_text)]
+    checked = 0
+    for shape_seed in range(40):
+        gen = _gen._ProgramGen(random.Random(shape_seed), random.Random(shape_seed))
+        rivals = [gen.entrant(shape) for shape in _gen._SHAPES]
+        for game in games:
+            for seat in Side:
+                for rival in rivals:
+                    # The rival as the exploiter's simulation runs it.
+                    env = EvalEnv(game, seat.opposite, EXPLOITER_SOURCE, rival,
+                                  fuel - _BEFORE)
+                    try:
+                        run = evaluate(rival, env)
+                    except RuntimeFault:
+                        continue
+                    if (run.kind is not EvalKind.HALTED
+                            or run.fuel_used > fuel - _BEFORE - _AFTER
+                            or not 1 <= run.strategy <= game.side_count(seat.opposite)):
+                        continue
+                    spent = _BEFORE + run.fuel_used + _AFTER
+                    beaten = (EvalKind.HALTED,
+                              best_response(game, seat, run.strategy), spent)
+                    assert _exploit(game, seat, rival, fuel) == beaten, rival
+                    # The spare fuel is exact: one step less is too little.
+                    assert _exploit(game, seat, rival, spent) == beaten, rival
+                    assert _exploit(game, seat, rival, spent - 1) == (
+                        EvalKind.FUEL_EXHAUSTED, None, spent - 1
+                    ), rival
+                    checked += 1
+    # 40 fields of 24 programs on two games, from both seats: 3,840 pairs.
+    assert checked >= 1500

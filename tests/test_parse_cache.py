@@ -378,15 +378,17 @@ def test_a_bad_program_learner_text_reports_as_parse_program_does(text):
         )
 
 
+# Lines are the file's, so the program's first line is line 2; a location
+# inside a quote stays the quote's own.
 @pytest.mark.parametrize("text, message, line, column", [
     ("learner bad\nmatch sim(opp, self, rest) { halted(k) => k }",
-     "expected '|', got '}' (line 1, col 45)", 1, 45),
+     "expected '|', got '}' (line 2, col 45)", 2, 45),
     ("learner bad\n\n  const 1 2",
-     "trailing content '2' after program (line 2, col 11)", 2, 11),
+     "trailing content '2' after program (line 3, col 11)", 3, 11),
     ('learner bad\nsim("const \u00b2", opp, 5)',
      "inside quoted program: unexpected character '\u00b2' (line 1, col 7)"
-     " (line 1, col 5)", 1, 5),
-    ("learner bad\nconst", "const needs an integer (line 1, col 6)", 1, 6),
+     " (line 2, col 5)", 2, 5),
+    ("learner bad\nconst", "const needs an integer (line 2, col 6)", 2, 6),
 ])
 def test_a_bad_learner_file_still_reports_where_it_fails(text, message, line, column):
     empty_parse_cache()
