@@ -92,7 +92,7 @@ def _run_side(learner: Learner, env: EvalEnv) -> SideRecord:
     try:
         res = learner.play(env)
     except RuntimeFault as fault:
-        return SideRecord(EvalKind.RUNTIME_FAULT, None, None, fault.fuel_used)
+        res = EvalResult(EvalKind.RUNTIME_FAULT, fuel_used=fault.fuel_used)
     kind, strategy = res.kind, None
     if kind is EvalKind.HALTED:
         strategy = res.strategy
@@ -102,7 +102,17 @@ def _run_side(learner: Learner, env: EvalEnv) -> SideRecord:
     return SideRecord(kind, strategy, res.witness, res.fuel_used)
 
 
-_BAD = frozenset({EvalKind.RUNTIME_FAULT, EvalKind.INVALID_STRATEGY})
+# How far each outcome got: a fault or an invalid play, a play that never
+# halted, a halt.  The higher rank wins; equal ranks are undecided.
+_RANK = {
+    EvalKind.RUNTIME_FAULT: 0, EvalKind.INVALID_STRATEGY: 0,
+    EvalKind.FUEL_EXHAUSTED: 1, EvalKind.PROVEN_NONHALTING: 1,
+    EvalKind.HALTED: 2,
+}
+# A halt against a play that merely ran out of fuel, undecided in strict mode.
+_STANDOFF = {EvalKind.HALTED, EvalKind.FUEL_EXHAUSTED}
+# The result of two halts, by the sign of the table's payoff to the row seat.
+_BY_SIGN = {1: MatchResult.WIN1, -1: MatchResult.WIN2, 0: MatchResult.DRAW}
 
 
 def adjudicate(
@@ -114,34 +124,19 @@ def adjudicate(
     """Score one match from the two per-side outcomes.  Total: every
     combination of outcomes maps to exactly one result.
 
-    Faults and out-of-range strategies lose to anything that did not fault;
-    two of them cancel out.  Two halted strategies are scored by the table.
-    Halting beats proven non-halting in both modes; it beats plain fuel
-    exhaustion only under deadline rules.  Everything else is undecided.
+    Outcomes are ranked: RuntimeFault and InvalidStrategy lowest, then
+    FuelExhausted and ProvenNonHalting, then Halted.  The higher rank wins
+    and equal ranks are undecided, except that two halted strategies are
+    scored by the table, and that under strict rules a halt against plain
+    fuel exhaustion is undecided too.
     """
     tag1, tag2 = side1.outcome, side2.outcome
-    if tag1 in _BAD and tag2 in _BAD:
+    rank1, rank2 = _RANK[tag1], _RANK[tag2]
+    if rank1 == rank2 == 2:
+        return _BY_SIGN[outcome(game, side1.strategy, side2.strategy)]
+    if rank1 == rank2 or mode is Mode.STRICT and {tag1, tag2} == _STANDOFF:
         return MatchResult.UNDECIDED
-    if tag1 in _BAD:
-        return MatchResult.WIN2
-    if tag2 in _BAD:
-        return MatchResult.WIN1
-    if tag1 is EvalKind.HALTED and tag2 is EvalKind.HALTED:
-        value = outcome(game, side1.strategy, side2.strategy)
-        if value > 0:
-            return MatchResult.WIN1
-        if value < 0:
-            return MatchResult.WIN2
-        return MatchResult.DRAW
-    if tag1 is EvalKind.HALTED:
-        if tag2 is EvalKind.PROVEN_NONHALTING or mode is Mode.DEADLINE:
-            return MatchResult.WIN1
-        return MatchResult.UNDECIDED
-    if tag2 is EvalKind.HALTED:
-        if tag1 is EvalKind.PROVEN_NONHALTING or mode is Mode.DEADLINE:
-            return MatchResult.WIN2
-        return MatchResult.UNDECIDED
-    return MatchResult.UNDECIDED
+    return MatchResult.WIN1 if rank1 > rank2 else MatchResult.WIN2
 
 
 def run_match(

@@ -19,15 +19,12 @@ it to a standoff.
 from __future__ import annotations
 
 from .arena import (
-    Learner, MatchResult, Mode, ProgramLearner, render_match, render_report,
-    run_match, run_tournament,
+    Learner, MatchResult, Mode, ProgramLearner, _run_side, render_match,
+    render_report, run_match, run_tournament,
 )
 from .bundled import EXPLOITER_SOURCE, catalog_learners, rps
 from .classify import best_response
-from .dsl import (
-    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, source_tree,
-)
-from .errors import RuntimeFault
+from .dsl import EvalEnv, EvalKind, EvalResult, StrategyProgram, source_tree
 
 ORACLE_SOURCE = "oracle: simulates rivals with host resources; not a program."
 
@@ -56,11 +53,14 @@ class OracleWinner(Learner):
     """A learner that runs rivals but cannot be run by them.
 
     Its published source is deliberately not parseable, so any rival's
-    simulation of it comes back empty-handed.  It simulates the rival in
-    the rival's true environment (the rival sees this same unreadable text
-    as its opponent) and best-responds to a halt, claims the win outright
-    on a non-halting proof or an unreadable rival, and gives up only when
-    the rival burns the whole fuel budget unresolved.
+    simulation of it comes back empty-handed.  It records the rival's play
+    as the arena does, in the rival's true environment (the rival sees this
+    same unreadable text as its opponent), and answers by ``adjudicate``'s
+    order of outcomes: it best-responds to Halted; it plays 1 against the
+    outcomes a halt outranks in both modes (RuntimeFault, InvalidStrategy,
+    ProvenNonHalting) and against an unreadable rival; and it gives up only
+    when the rival burns the whole fuel budget unresolved, passing that
+    FuelExhausted on.
     """
 
     def __init__(self, name: str = "oracle"):
@@ -78,17 +78,14 @@ class OracleWinner(Learner):
             self_source=env.opponent_source,
             fuel=env.fuel,
         )
-        try:
-            run = evaluate(StrategyProgram(env.opponent_source, tree), rival_env)
-        except RuntimeFault as fault:
-            run = EvalResult(EvalKind.RUNTIME_FAULT, fuel_used=fault.fuel_used)
-        if run.kind is EvalKind.FUEL_EXHAUSTED:
-            return run
+        rival = ProgramLearner("rival", StrategyProgram(env.opponent_source, tree))
+        record = _run_side(rival, rival_env)
+        if record.outcome is EvalKind.FUEL_EXHAUSTED:
+            return EvalResult(EvalKind.FUEL_EXHAUSTED, fuel_used=record.fuel_used)
         reply = 1
-        if (run.kind is EvalKind.HALTED
-                and 1 <= run.strategy <= env.game.side_count(rival_env.side)):
-            reply = best_response(env.game, env.side, run.strategy)
-        return EvalResult(EvalKind.HALTED, reply, run.witness, run.fuel_used)
+        if record.outcome is EvalKind.HALTED:
+            reply = best_response(env.game, env.side, record.strategy)
+        return EvalResult(EvalKind.HALTED, reply, record.witness, record.fuel_used)
 
     def __repr__(self):
         return f"OracleWinner({self.name!r})"

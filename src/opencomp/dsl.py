@@ -109,6 +109,7 @@ never is.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -229,6 +230,8 @@ _FORMS = {
     "grow": (Grow, ()),
 }
 _SOURCES = {"opp": SrcOpp, "self": SrcSelf}
+# What each comparison a ``CMP`` slot may hold computes.
+_COMPARE = {"==": operator.eq, "<": operator.lt, ">": operator.gt}
 # Every slot but an expression is one token; the message for a token that
 # cannot fill it.
 _SLOT_ERRORS = {
@@ -395,7 +398,7 @@ class _Parser:
         elif kind == "int" and slot in ("INT", "BUDGET"):
             return int(value)
         elif (slot == "ID" and kind == "id"
-              or slot == "CMP" and kind == "sym" and value in ("==", "<", ">")
+              or slot == "CMP" and kind == "sym" and value in _COMPARE
               or slot == "BUDGET" and kind == "kw" and value == "rest"):
             return value
         raise _error(_SLOT_ERRORS[slot], tok)
@@ -452,14 +455,18 @@ def source_tree(text: str) -> Expr | None:
 
 
 def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
-    """Parse a learner file: first line ``learner <name>``, rest the program."""
-    lines = text.splitlines()
-    if not lines:
+    r"""Parse a learner file: first line ``learner <name>``, rest the program.
+
+    The header ends at the first ``\n``; the program is the rest of the text
+    as written, less one trailing ``\n`` or ``\r\n``.
+    """
+    if not text:
         raise ParseError("empty learner file")
-    header = lines[0].split()
+    first, _, body = text.partition("\n")
+    header = first.split()
     if len(header) != 2 or header[0] != "learner":
         raise ParseError("first line must be 'learner <name>'", line=1)
-    body = "\n".join(lines[1:])
+    body = body[:-2] if body.endswith("\r\n") else body.removesuffix("\n")
     if not body.strip():
         raise ParseError("learner file has no program text", line=2)
     tree = source_tree(body)
@@ -506,7 +513,9 @@ class EvalKind(str, Enum):
     ``evaluate`` returns only the first three kinds (or raises
     RuntimeFault).  The arena sets the other two on a side's record: a
     play that raised RuntimeFault, and a Halted play whose strategy is not
-    an int in ``1..side_count`` for its seat.
+    an int in ``1..side_count`` for its seat.  ``arena.adjudicate`` ranks
+    them: RuntimeFault and InvalidStrategy lowest, then FuelExhausted and
+    ProvenNonHalting, then Halted.
     """
 
     HALTED = "Halted"
@@ -562,6 +571,9 @@ class SimOut:
 
 
 _EXHAUSTED = SimOut("exhausted")
+# How a level ends: its kind, then its strategy (or a fault's message), then
+# its witness.
+_OUT_OF_FUEL = (EvalKind.FUEL_EXHAUSTED, None, None)
 
 
 class _FaultSignal(Exception):
@@ -664,7 +676,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         try:
             if node is not None:
                 if g >= limit:
-                    result = ("exhausted",)
+                    result = _OUT_OF_FUEL
                 else:
                     g += 1
                     # Node types in order of how often a step meets them.
@@ -737,15 +749,16 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         # one would repeat it: a proof, if fuel is left to
                         # take that next step.  Only the root's witness is
                         # reported, and it starts at step 0.
-                        result = ("proven", g, g + 1) if g < limit else ("exhausted",)
+                        result = ((EvalKind.PROVEN_NONHALTING, None, (g, g + 1))
+                                  if g < limit else _OUT_OF_FUEL)
                     else:  # Grow
                         # Never halts and never repeats a state: spends the
                         # rest.
                         g = limit
-                        result = ("exhausted",)
+                        result = _OUT_OF_FUEL
             elif kont:  # a value meeting the top continuation frame
                 if g >= limit:
-                    result = ("exhausted",)
+                    result = _OUT_OF_FUEL
                 else:
                     g += 1
                     node, bindings, left = kont.pop()
@@ -766,12 +779,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                             kont.append((node, bindings, value))
                             node = node.right
                             continue
-                        if node.op == "==":
-                            taken = left == value
-                        elif node.op == "<":
-                            taken = left < value
-                        else:
-                            taken = left > value
+                        taken = _COMPARE[node.op](left, value)
                         node = node.then if taken else node.otherwise
                         continue
                     # BestResp, read through the table's memo, which holds
@@ -793,11 +801,12 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             elif isinstance(value, SimOut):
                 # A level that reached a bare value with nothing pending is
                 # done.  Finishing costs no fuel.
-                result = ("fault", "program finished without a strategy index")
+                result = (EvalKind.RUNTIME_FAULT,
+                          "program finished without a strategy index", None)
             else:
-                result = ("halted", value)
+                result = (EvalKind.HALTED, value, None)
         except _FaultSignal as fault:
-            result = ("fault", str(fault))
+            result = (EvalKind.RUNTIME_FAULT, str(fault), None)
 
         # The running level has ended with ``result``.  If it is a
         # simulation, its parent, whose control is still the ``sim`` that
@@ -807,7 +816,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             break
         key = lvl.key
         live[key] = lvl.shadowed
-        if result[0] == "halted":
+        if result[0] is EvalKind.HALTED:
             value, closed = SimOut("halted", result[1]), True
         else:
             # An end at the limit may have been forced by it.
@@ -818,12 +827,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         kont, limit, side = lvl.kont, lvl.limit, lvl.side
         node = None
 
-    if result[0] == "halted":
-        return EvalResult(EvalKind.HALTED, strategy=result[1], fuel_used=g)
-    if result[0] == "exhausted":
-        return EvalResult(EvalKind.FUEL_EXHAUSTED, fuel_used=g)
-    if result[0] == "proven":
-        return EvalResult(
-            EvalKind.PROVEN_NONHALTING, witness=(result[1], result[2]), fuel_used=g
-        )
-    raise RuntimeFault(result[1], fuel_used=g)
+    if result[0] is EvalKind.RUNTIME_FAULT:
+        raise RuntimeFault(result[1], fuel_used=g)
+    return EvalResult(*result, g)

@@ -227,6 +227,31 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: trailing content '2' after program (line 2, col 9)\n"
 
+    @pytest.mark.parametrize("data, message", [
+        (b"learner a\nconst\x0c1\n", "unexpected character '\\x0c' (line 2, col 6)"),
+        (b"learner a\x1cconst 2\n", "first line must be 'learner <name>' (line 1)"),
+        (b"", "empty learner file"),
+    ], ids=["ff", "fs-in-header", "empty"])
+    def test_learner_file_lines_end_only_at_newlines(self, tmp_path, data, message):
+        bad = tmp_path / "bad.lrn"
+        bad.write_bytes(data)
+        code, out, err = run(
+            "arena", "--game", "rps", "--p1", str(bad), "--p2", str(bad)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_learner_files_with_any_line_ends_play_alike(self, tmp_path):
+        outs = []
+        for end in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "paper.lrn"
+            path.write_bytes(end.join([b"learner paper", b"const", b"2", b""]))
+            code, out, err = run(
+                "arena", "--game", "rps", "--p1", str(path), "--p2", str(path)
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
     def test_bad_crosstable(self, tmp_path):
         bad = tmp_path / "bad.ct"
         bad.write_text("names,A,B\nA,,0.9\nB,0.9,\n")

@@ -107,6 +107,15 @@ class TestParse:
         table = parse_crosstable("names,A,B\nA,,0.5500004\nB,0.4499997,\n")
         assert table.scores[0, 1] == pytest.approx(0.5500004)
 
+    @pytest.mark.parametrize("names, shape", [
+        (("A", "B"), (2, 3)), (("A", "B"), (3, 3)), (("A",), (1,)), ((), (1, 1)),
+    ], ids=["wide", "too-many-rows", "flat", "no-names"])
+    def test_scores_must_be_n_by_n(self, names, shape):
+        with pytest.raises(ValueError) as err:
+            Crosstable(names=names, scores=np.zeros(shape))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "scores must be square and match the name count"
+
     def test_names_given_as_a_list_are_kept_as_a_tuple(self):
         names = ["A", "B"]
         table = Crosstable(names=names, scores=[[np.nan, 0.7], [0.3, np.nan]])

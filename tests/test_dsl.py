@@ -143,6 +143,30 @@ class TestParser:
                 parse_learner_file(text)
             assert err.value.line == line
 
+    @pytest.mark.parametrize("text, message", [
+        ("learner a\nconst\x0c1", "unexpected character '\\x0c' (line 2, col 6)"),
+        ("learner a\nconst\u20281", "unexpected character '\\u2028' (line 2, col 6)"),
+        ("learner a\nconst 1\x85", "unexpected character '\\x85' (line 2, col 8)"),
+        ("learner a\x1cconst 2", "first line must be 'learner <name>' (line 1)"),
+        ("learner a\u2029const 2", "first line must be 'learner <name>' (line 1)"),
+        ("", "empty learner file"),
+    ], ids=["ff", "u2028", "nel", "fs-in-header", "u2029-in-header", "empty"])
+    def test_learner_file_lines_end_only_at_newlines(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_learner_file(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, source", [
+        ("learner a\nconst 1\n", "const 1"),
+        ("learner a\nconst 1", "const 1"),
+        ("learner a\nconst 1\n\n", "const 1\n"),
+        ("learner a\r\nconst\r\n1\r\n", "const\r\n1"),
+        ("learner a\nconst\r1\r", "const\r1\r"),
+    ], ids=["lf", "no-final-break", "blank-last-line", "crlf", "cr"])
+    def test_learner_file_program_is_the_rest_as_written(self, text, source):
+        name, program = parse_learner_file(text)
+        assert (name, program.source, program.ast) == ("a", source, Literal(1))
+
 
 # Strategy-program generator used by the round-trip and machine properties.
 _names = st.sampled_from(["k", "n", "x"])
@@ -196,6 +220,18 @@ class TestPretty:
     @settings(max_examples=150)
     def test_round_trip(self, tree):
         assert parse_program(pretty(tree)).ast == tree
+
+    @pytest.mark.parametrize("node, culprit", [
+        (None, None),
+        ("const 1", "const 1"),
+        (parse_program("const 1"), parse_program("const 1")),
+        (BestResp(3), 3),
+        (Sim(SrcOpp(), "opp", "rest"), "opp"),
+    ], ids=["none", "text", "program", "int-inside", "text-as-source"])
+    def test_a_non_node_is_a_type_error(self, node, culprit):
+        with pytest.raises(TypeError) as err:
+            pretty(node)
+        assert str(err.value) == f"not a syntax node: {culprit!r}"
 
 
 class TestEvaluateBasics:

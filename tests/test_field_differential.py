@@ -6,21 +6,24 @@ later match misreads.  Here a seeded open field of generated programs, the
 benchmark's own (``perfbench/gen.py``, imported read-only), plays its round
 robin three times: with ``evaluate`` on a fresh table, again on that table
 with its record warm, and with ``fingerprint_evaluate`` in its place in
-``arena`` and ``demos``.  Every match record must be equal: kinds,
-strategies, witnesses and ``fuel_used``.
+``arena``, whose ``ProgramLearner`` plays every program, the oracle's rival
+included.  Every match record must be equal: kinds, strategies, witnesses
+and ``fuel_used``.
 
 The same generated programs also check the paper's diagonal argument: a
 rival that halts with fuel to spare loses to the exploiter, which
 simulates it and best-responds to its play.
 """
+import importlib
 import importlib.util
+import pkgutil
 import random
 import sys
 
 import pytest
 
+import opencomp
 import opencomp.arena
-import opencomp.demos
 from conftest import REPO_ROOT
 from fingerprint_oracle import fingerprint_evaluate
 from opencomp import (
@@ -59,7 +62,6 @@ def test_a_whole_field_plays_as_under_the_fingerprint_oracle(monkeypatch, seed):
     cold = _play(game, learners)
     warm = _play(game, learners)
     monkeypatch.setattr(opencomp.arena, "evaluate", fingerprint_evaluate)
-    monkeypatch.setattr(opencomp.demos, "evaluate", fingerprint_evaluate)
     expected = _play(parse_game(field.game_text), learners)
     assert len(expected) == len(learners) * (len(learners) - 1) // 2
     # Each kind that `evaluate` returns appears, so none goes unchecked.
@@ -69,6 +71,17 @@ def test_a_whole_field_plays_as_under_the_fingerprint_oracle(monkeypatch, seed):
                      EvalKind.PROVEN_NONHALTING}
     assert cold == expected
     assert warm == cold
+
+
+def test_only_dsl_and_arena_bind_evaluate():
+    # So the one patch in ``arena`` above reaches every play.  ``__main__``
+    # runs the command line when imported.
+    binders = {
+        info.name for info in pkgutil.iter_modules(opencomp.__path__)
+        if info.name != "__main__"
+        and "evaluate" in vars(importlib.import_module(f"opencomp.{info.name}"))
+    }
+    assert binders == {"dsl", "arena"}
 
 
 # Fuel the exploiter spends around its simulation of the rival: ``match``

@@ -119,6 +119,21 @@ class TestGameTable:
         with pytest.raises(InvariantError):
             GameTable(name="bad", entries=entries, symmetric_flag=True)
 
+    @pytest.mark.parametrize("shape, labels, message", [
+        ((0, 3), {}, "game table needs at least one strategy per side"),
+        ((3, 0), {}, "game table needs at least one strategy per side"),
+        ((2, 3), {"labels_cols": ("a", "b")},
+         "labels_cols length does not match column count"),
+        ((2, 3), {"labels_rows": ("a", "b"), "labels_cols": ("a", "b", "c", "d")},
+         "labels_cols length does not match column count"),
+    ], ids=["no-rows", "no-cols", "too-few-col-labels", "too-many-col-labels"])
+    def test_empty_sides_and_column_label_counts_are_checked(
+        self, shape, labels, message
+    ):
+        with pytest.raises(InvariantError) as err:
+            GameTable(name="bad", entries=np.zeros(shape, dtype=np.int8), **labels)
+        assert str(err.value) == message
+
     def test_label_length_checked(self):
         with pytest.raises(InvariantError):
             GameTable(

@@ -402,6 +402,32 @@ _GAME_EDITS = {
 }
 
 
+_GAME_HEAD = "game x\nsymmetric false\nrows 2 cols 2\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("game x\n", "symmetric"),
+    ("game x  # no more\n\n", "symmetric"),
+    ("game x\nsymmetric true\n", "rows"),
+    (_GAME_HEAD, "row"),
+    (_GAME_HEAD + "row 1: +1 0\n", "row"),
+    (_GAME_HEAD + "labels_rows a b\nlabels_cols c d\nrow 1: w l\n# row 2\n", "row"),
+], ids=["after-name", "after-comment", "after-symmetric", "no-rows",
+        "before-last-row", "labelled-before-last-row"])
+def test_game_files_that_end_early_match_the_oracle(text, expected):
+    new = _outcome(parse_game, text)
+    assert new == (ParseError, f"unexpected end of input, expected '{expected}'", None)
+    assert new == _outcome(oracle.parse_game, text)
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n\t\n", "\r\n  \r\n"],
+                         ids=["empty", "newline", "blank-lines", "crlf-blank-lines"])
+def test_empty_crosstables_match_the_oracle(text):
+    new = _outcome(parse_crosstable, text)
+    assert new == (ParseError, "empty crosstable", None)
+    assert new == _outcome(oracle.parse_crosstable, text)
+
+
 @pytest.mark.parametrize("edit", _GAME_EDITS.values(), ids=_GAME_EDITS)
 def test_game_edits_match_the_oracle(edit):
     base = _game_text(100, seed=2)
