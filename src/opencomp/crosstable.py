@@ -8,14 +8,22 @@ within a small tolerance.  A margin parameter decides how far from an even
 0.5 a score must be before it counts as a win rather than a draw; widening
 the margin can erase narrow intransitive cycles, which is the phenomenon
 the bundled engine table demonstrates.  Scores are plain ASCII numbers.
+Lines end only at ``"\\n"``; any other line break is whitespace within a
+line.
 
-Every table's text is decoded whole, by one ``np.loadtxt`` call fed a line
-at a time: each line's name is checked and split off with one
-``str.partition``, and its blank cells become ``nan`` in one ``str.replace``
-(two, only where blanks sit side by side).  A wrong cell count stops
-``np.loadtxt``, or fails the final shape check when every row has it.  Only
-a table that fails is scanned row by row and cell by cell, to report its
-first error.
+Scores are decoded as bytes, a block of rows at a time: each row's name is
+checked, and the commas and line ends give every cell's start and length.
+A plain cell, 1-8 ASCII bytes of digits with at most one dot and at least
+one digit, is read as one little-endian word, right-justified with zero
+digits, its dot dropped, and its digits joined into an integer by three
+multiply-shift steps within the word.  That integer divided by the power of
+ten the dot stands for is ``float(cell)`` bit for bit: both operands are
+exact doubles and the division rounds once.  A blank cell is NaN.  Every
+other cell (padding, a sign, an exponent, more than 8 bytes, non-ASCII, a
+literal ``nan``) is stripped and left to ``np.loadtxt``'s float syntax, in
+one call per block.  Only a table with a wrong name or cell count, or a bad
+score, is scanned row by row and cell by cell, to report its first error.
+
 The complementarity check and the thresholding then go a block of rows at a
 time (``game_core.row_blocks``), each block against its mirror columns from
 the diagonal on, so beside the score matrix they hold only one block's
@@ -23,7 +31,6 @@ temporaries and the int8 table being built.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -33,7 +40,17 @@ from .errors import ComplementarityViolation, ParseError
 from .game_core import GameTable, is_label, row_blocks
 
 _COMPLEMENT_TOL = 1e-6
-_BLANK_CELL = re.compile(r"(?<=,)\s+(?=,)")
+# Words of eight bytes, read little-endian.  Once "0" is taken off every
+# byte, a digit byte is 0-9 and a dot 0x1E.
+_ZEROS = np.uint64(0x3030303030303030)
+_DOTS = np.uint64(0x1E1E1E1E1E1E1E1E)
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_TOPS = np.uint64(0x8080808080808080)
+_PAST_NINE = np.uint64(0x7676767676767676)
+# By the byte d that holds a right-justified word's dot, 8 where it has
+# none: its digits, times ten once the dot is dropped, are the score times
+# 10 ** (8 - d).
+_SCALE = 10.0 ** np.arange(8, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -50,9 +67,19 @@ class Crosstable:
         n = len(names)
         if scores.shape != (n, n):
             raise ValueError("scores must be square and match the name count")
-        scores = scores.copy()
+        scores = scores.copy()  # so a caller's array cannot change the scores
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
+
+
+def _holding(names: tuple[str, ...], scores: np.ndarray) -> Crosstable:
+    """A ``Crosstable`` that keeps ``scores`` itself, made read-only: for a
+    matrix just decoded, which nothing else holds, so it needs no copy."""
+    scores.setflags(write=False)
+    table = object.__new__(Crosstable)
+    object.__setattr__(table, "names", names)
+    object.__setattr__(table, "scores", scores)
+    return table
 
 
 def parse_crosstable(text: str) -> Crosstable:
@@ -61,7 +88,7 @@ def parse_crosstable(text: str) -> Crosstable:
     Raises ComplementarityViolation when a pair's two scores are present
     and do not sum to 1 within tolerance.
     """
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(text.split("\n"), start=1)
     lines = [(lineno, line) for lineno, line in numbered if line and not line.isspace()]
     if not lines:
         raise ParseError("empty crosstable")
@@ -79,7 +106,7 @@ def parse_crosstable(text: str) -> Crosstable:
         )
 
     scores = _scores(names, lines[1:])
-    del lines  # a copy of the text, freed before ``Crosstable`` copies the scores
+    del lines  # a copy of the text, freed before the checks below
     # Each block of rows against its mirror columns from the diagonal on:
     # the blocks go in row order, so the first clash found is the first in
     # row-major order.  A pair with a NaN sums to NaN, which never clashes.
@@ -99,50 +126,148 @@ def parse_crosstable(text: str) -> Crosstable:
         raise ParseError(
             f"name {bad!r} must be one word with no '#'", line=header_line
         )
-    return Crosstable(names=names, scores=scores)
+    return _holding(names, scores)
 
 
 def _scores(names: tuple[str, ...], rows: list[tuple[int, str]]) -> np.ndarray:
-    """The score matrix of ``rows``, NaN where a cell is blank, decoded by
-    one ``np.loadtxt`` call.  Any fault goes to ``_row_error`` to be worded."""
+    """The score matrix of ``rows``, NaN where a cell is blank, decoded as
+    bytes a block of rows at a time.  Any fault goes to ``_row_error`` to be
+    worded."""
     n = len(names)
-    filled = 0
-
-    def nan_filled():
-        # A row with a wrong name stops the call, and so does a cell count
-        # that differs from the first row's; the shape check below catches a
-        # count that is wrong in every row.  Blank cells, framed by a comma
-        # on each side, become "nan"; their count tells them from a literal
-        # nan, an error.  Within a line, ASCII text holds no whitespace but
-        # " ", "\t" and "\x1f".
-        nonlocal filled
-        for name, (_, line) in zip(names, rows):
-            head, comma, cells = line.partition(",")
-            if not comma or head.strip() != name:
-                raise ValueError(f"row {name!r} is malformed")
-            framed = f",{cells},"
-            if not cells.isascii() or " " in cells or "\t" in cells or "\x1f" in cells:
-                framed = _BLANK_CELL.sub("", framed)
-            full = framed.replace(",,", ",nan,")
-            if ",," in full:  # two blanks side by side
-                full = full.replace(",,", ",nan,")
-            filled += (len(full) - len(framed)) // 3
-            yield full[1:-1]
-
+    scores = np.empty((n, n))
+    counted = 0  # blank cells and scores in [0, 1]
     try:
-        scores = np.loadtxt(
-            nan_filled(), delimiter=",", comments=None, max_rows=n, ndmin=2
-        )
-        in_range = np.count_nonzero((scores >= 0) & (scores <= 1))
-        if (
-            scores.shape == (n, n)
-            and in_range + filled == n * n
-            and np.isnan(np.diagonal(scores)).all()
-        ):
-            return scores
+        # The decoder holds about eight words a cell, so its blocks are
+        # those of a table eight times as wide: 8 rows at 1000 engines, where
+        # both its per-call cost and its scratch stay small.
+        for start, stop in row_blocks(n, 8 * n):
+            block = scores[start:stop]
+            counted += _decode(names[start:stop], rows[start:stop], block)
+            counted += np.count_nonzero((block >= 0) & (block <= 1))
     except ValueError:
         pass
+    else:
+        # A literal nan is neither blank nor in range.
+        if counted == n * n and np.isnan(np.diagonal(scores)).all():
+            return scores
     _row_error(names, rows)
+
+
+def _decode(
+    names: tuple[str, ...], rows: list[tuple[int, str]], out: np.ndarray
+) -> int:
+    """Decode ``rows`` into ``out``, a row of scores each, NaN where a cell
+    is blank, and return the number of blank cells.  ValueError for a wrong
+    name or cell count, or a cell that is no number."""
+    for name, (_, line) in zip(names, rows):
+        # A line with no comma fails the cell count below, whatever this reads.
+        if line[:line.find(",")].strip() != name:
+            raise ValueError("row name")
+    # The rows as bytes, each ended by "\n", then eight bytes of padding so
+    # that a word can be read from any cell's start.
+    text = "\n".join([line for _, line in rows] + ["\0" * 8])
+    data = np.frombuffer(text.encode(errors="surrogatepass"), dtype=np.uint8)
+    del text
+    delimiter = data == ord(",")
+    delimiter |= data == ord("\n")
+    ends = np.flatnonzero(delimiter)
+    del delimiter
+    width = out.shape[1] + 1  # the name and the scores
+    row_ends = data[ends[width - 1::width]]
+    if ends.size != len(rows) * width or (row_ends != ord("\n")).any():
+        raise ValueError("cell count")
+    ends = ends.reshape(-1, width)
+    starts = ends[:, :-1] + 1
+    lengths = ends[:, 1:] - starts
+    del ends
+    plain = _plain_scores(data, starts, lengths, out)
+    blank = lengths == 0
+    out[blank] = np.nan
+    plain |= blank
+    other = np.flatnonzero(~plain)
+    texts = [
+        data[a:a + size].tobytes().decode(errors="surrogatepass").strip()
+        for a, size in zip(starts.flat[other], lengths.flat[other])
+    ]
+    return np.count_nonzero(blank) + _other_scores(texts, other, out.reshape(-1))
+
+
+def _plain_scores(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write to ``out`` the value of each plain cell of ``data``, 1-8 ASCII
+    bytes of digits with at most one dot and at least one digit, and return
+    where the cells are plain.  Elsewhere ``out`` holds junk."""
+    # One little-endian word per byte offset: a cell's word holds its bytes,
+    # then the bytes that follow it.
+    words = np.ndarray((data.size - 7,), "<u8", data, 0, (1,))
+    x = words.take(starts)
+    # With "0" taken off every byte, a digit is 0-9 and a dot 0x1E.  Shifted
+    # left, the word holds the cell right-justified: the bytes past it fall
+    # off and zero digits come in.
+    x ^= _ZEROS
+    shift = np.subtract(8, lengths)
+    shift <<= 3
+    np.left_shift(x, shift.view(np.uint64), out=x)
+    del shift
+    # 0x01 in each byte that holds a dot, by the exact zero-byte test.
+    t = x ^ _DOTS
+    dot = t & _LOW7
+    dot += _LOW7
+    dot |= t
+    dot |= _LOW7
+    np.invert(dot, out=dot)
+    dot >>= 7
+    # The dot dropped: the bytes after it move down one and a zero digit
+    # comes in last, so the word holds the digits times ten.  A word with
+    # no dot stays as it is.
+    below = dot - 1
+    np.left_shift(dot, 8, out=t)
+    t -= 1
+    np.invert(t, out=t)
+    t &= x
+    t >>= 8
+    x &= below
+    x |= t
+    # Plain: every byte now a digit (0x76 added to a byte over 9 sets its
+    # top bit), which a second dot is not, as it moved down with the rest;
+    # and 1-8 bytes, at least one of them a digit.
+    np.add(x, _PAST_NINE, out=t)
+    t |= x
+    t &= _TOPS
+    plain = t == 0
+    plain &= lengths <= 8
+    plain &= lengths > (dot != 0)
+    del t, dot
+    # The eight digits to an integer: each multiply and shift joins
+    # neighbouring digits, then pairs, then fours.
+    x *= 10 << 8 | 1
+    x >>= 8
+    x &= 0x00FF00FF00FF00FF
+    x *= 100 << 16 | 1
+    x >>= 16
+    x &= 0x0000FFFF0000FFFF
+    x *= 10000 << 32 | 1
+    x >>= 32
+    # Both operands are exact doubles and the division rounds once, so a
+    # score equals float(cell) bit for bit.
+    np.divide(x, _SCALE.take(np.bitwise_count(below) >> 3), out=out)
+    return plain
+
+
+def _other_scores(texts: list[str], cells: np.ndarray, out: np.ndarray) -> int:
+    """Write stripped cell ``texts`` to ``out`` at ``cells``: NaN where
+    blank, else the float ``np.loadtxt`` reads, in one call.  Returns the
+    number of blanks."""
+    out[cells] = np.nan
+    filled = [i for i, text in enumerate(texts) if text]
+    if filled:
+        line = ",".join([texts[i] for i in filled])
+        values = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
+        if values.shape != (len(filled),):
+            raise ValueError("cell count")
+        out[cells[filled]] = values
+    return len(texts) - len(filled)
 
 
 def _row_error(names: tuple[str, ...], rows: list[tuple[int, str]]) -> NoReturn:

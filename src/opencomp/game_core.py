@@ -221,12 +221,14 @@ def parse_game(text: str) -> GameTable:
         ...
 
     Entries are ``-1 0 +1`` or the aliases ``l d w``, split as ``str.split``
-    splits.  ``#`` starts a comment.  Row heads are checked line by line and
-    the row bodies decoded as bytes, a block of rows at a time; a block with
-    a bad row is checked token by token to report the first error's line.
+    splits.  ``#`` starts a comment.  Lines end only at ``"\\n"``; any other
+    line break is whitespace within a line.  Row heads are checked line by
+    line and the row bodies decoded as bytes, a block of rows at a time; a
+    block with a bad row is checked token by token to report the first
+    error's line.
     """
     lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))

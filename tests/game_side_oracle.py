@@ -11,10 +11,13 @@ arrays that the bit-packed cycle listing replaced, renamed only.
 where nothing called it once ``find_cycles`` trusted the table's flag.
 ``fictitious_play`` is copied verbatim from the version that played one
 round of numpy calls at a time, before whole runs of equal replies were
-taken at once.  Tests compare the library's functions against them on
-outputs, exception types, messages and line numbers, and against the walk's
-memory peak.  Like the brute-force oracles in ``conftest.py`` they are kept
-for reference and are deliberately not optimised.
+taken at once.  One rule changed since the copies were made, and the
+oracle with it: ``parse_crosstable`` and ``parse_game`` end lines only at
+``"\\n"``, where they used to split with ``str.splitlines``.  Tests compare
+the library's functions against them on outputs, exception types, messages
+and line numbers, and against the walk's memory peak.  Like the brute-force
+oracles in ``conftest.py`` they are kept for reference and are deliberately
+not optimised.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ def parse_crosstable(text: str) -> Crosstable:
     Raises ComplementarityViolation when a pair's two scores are present
     and do not sum to 1 within tolerance.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise ParseError("empty crosstable")
     header = [cell.strip() for cell in lines[0].split(",")]
@@ -156,7 +159,7 @@ def parse_game(text: str) -> GameTable:
     Entries are ``-1 0 +1`` or the aliases ``l d w``.  ``#`` starts a comment.
     """
     lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))

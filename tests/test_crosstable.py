@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,10 @@ from opencomp import (
     find_cycles, ingest_crosstable, parse_crosstable, parse_game,
     serialize_game, to_game,
 )
+from opencomp import crosstable, game_core
+
+_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_BREAK_IDS = ["cr", "vt", "ff", "fs", "gs", "rs", "nel", "u2028", "u2029"]
 
 
 class TestParse:
@@ -82,6 +87,29 @@ class TestParse:
         assert err.value.line == line
         assert str(err.value) == f"{message} (line {line})"
 
+    def test_lines_end_only_at_newlines(self):
+        # One line: its header holds the names "B\x0bA", "" and "x\x0bB".
+        with pytest.raises(ParseError) as err:
+            parse_crosstable("names,A,B\x0bA,,x\x0bB,0.5,\n")
+        assert str(err.value) == "duplicate names in header (line 1)"
+
+    @pytest.mark.parametrize("brk", _BREAKS, ids=_BREAK_IDS)
+    def test_other_line_breaks_are_whitespace(self, brk):
+        scores = parse_crosstable(ENGINES3_TEXT).scores
+        padded = ENGINES3_TEXT.replace(",0.55,", f",{brk}0.55{brk},").replace(
+            "FatFritz,0.45", f"{brk}FatFritz{brk},0.45"
+        )
+        assert parse_crosstable(padded).scores.tobytes() == scores.tobytes()
+        with pytest.raises(ParseError) as err:
+            parse_crosstable(ENGINES3_TEXT.replace("\n", brk))
+        assert str(err.value) == "duplicate names in header (line 1)"
+
+    def test_crlf_files_read_as_lf_files(self):
+        table = parse_crosstable(ENGINES3_TEXT.replace("\n", "\r\n"))
+        assert table.names == ("Stockfish", "FatFritz", "Houdini")
+        plain = parse_crosstable(ENGINES3_TEXT)
+        assert table.scores.tobytes() == plain.scores.tobytes()
+
     def test_non_ascii_names_and_padding_are_fine(self):
         text = ENGINES3_TEXT.replace("Houdini", "H\u00f6udini").replace(
             ",0.45,", ",\u00a00.45\u3000,"
@@ -116,6 +144,14 @@ class TestParse:
         assert type(err.value) is ValueError
         assert str(err.value) == "scores must be square and match the name count"
 
+    def test_scores_are_read_only_and_a_callers_array_is_copied(self):
+        assert not parse_crosstable(ENGINES3_TEXT).scores.flags.writeable
+        scores = np.array([[np.nan, 0.7], [0.3, np.nan]])
+        table = Crosstable(names=("A", "B"), scores=scores)
+        scores[0, 1] = 0.2
+        assert table.scores[0, 1] == 0.7
+        assert not table.scores.flags.writeable
+
     def test_names_given_as_a_list_are_kept_as_a_tuple(self):
         names = ["A", "B"]
         table = Crosstable(names=names, scores=[[np.nan, 0.7], [0.3, np.nan]])
@@ -125,7 +161,8 @@ class TestParse:
         assert parse_game(serialize_game(game)) == game
 
     def test_ingest_peaks_near_two_score_matrices(self):
-        # The decoded scores and the table's own copy of them; the checks
+        # The decoded scores, which the table keeps, and the lines of the
+        # text, about three quarters of them here; the decoder, the checks
         # and the thresholding hold only one block of rows beside them.
         n = 400
         rng = np.random.default_rng(0)
@@ -146,6 +183,104 @@ class TestParse:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * n * np.dtype(np.float64).itemsize
+
+
+def _decoded(monkeypatch, cells: list[str]) -> tuple[list[str], list[str], int]:
+    """``cells`` decoded as the one row of a block: each value as
+    ``float.hex``, the stripped cells that went past the byte kernel to
+    ``np.loadtxt``, and the count of blanks."""
+    passed = []
+    other_scores = crosstable._other_scores
+
+    def spy(texts, at, out):
+        passed.extend(texts)
+        return other_scores(texts, at, out)
+
+    monkeypatch.setattr(crosstable, "_other_scores", spy)
+    out = np.empty((1, len(cells)))
+    blanks = crosstable._decode(("a",), [(2, ",".join(["a", *cells]))], out)
+    return [value.hex() for value in out[0]], passed, blanks
+
+
+def _hex(cell: str) -> str:
+    return float(cell.strip() or "nan").hex()
+
+
+class TestDecoder:
+    def test_every_length_and_dot_position(self, monkeypatch):
+        cells = []
+        for digits in ("98765432", "01234567", "50000009"):
+            for size in range(1, 9):
+                cells.append(digits[:size])
+                # size - 1 digits and a dot, before, between or after them
+                cells += [
+                    digits[:dot] + "." + digits[dot:size - 1]
+                    for dot in range(size) if size > 1
+                ]
+        assert {len(cell) for cell in cells} == set(range(1, 9))
+        hexes, passed, blanks = _decoded(monkeypatch, cells)
+        assert hexes == [_hex(cell) for cell in cells]
+        assert (passed, blanks) == ([], 0)
+
+    def test_every_cell_of_zeros_sevens_and_dots(self, monkeypatch):
+        # Plain exactly when a cell has at most one dot and some digit.
+        cells = [
+            "".join(chars) for size in range(1, 9)
+            for chars in itertools.product("0.7", repeat=size)
+        ]
+        plain = {cell for cell in cells if cell.count(".") < min(2, len(cell))}
+        hexes, passed, _ = _decoded(monkeypatch, sorted(plain))
+        assert hexes == [_hex(cell) for cell in sorted(plain)]
+        assert passed == []
+        with pytest.raises(ValueError):
+            _decoded(monkeypatch, cells)
+        assert passed == [cell for cell in cells if cell not in plain]
+
+    def test_leading_zeros_and_a_dot_at_either_end(self, monkeypatch):
+        cells = [
+            "0", "00", "00000000", "00000001", "0000000.", "0.000000", "0.",
+            "1.", ".5", ".0000001", "007.5", "1.000000", "0.1", "0.3", "0.7",
+        ]
+        hexes, passed, blanks = _decoded(monkeypatch, cells)
+        assert hexes == [_hex(cell) for cell in cells]
+        assert (passed, blanks) == ([], 0)
+
+    @pytest.mark.parametrize("cell", [".", "..", "0.5.5", "1..", ".5."])
+    def test_dots_without_one_number_are_bad_scores(self, cell):
+        with pytest.raises(ParseError) as err:
+            parse_crosstable(ENGINES3_TEXT.replace(",,0.55", f",,{cell}", 1))
+        assert str(err.value) == f"bad score '{cell}' (line 2)"
+
+    @pytest.mark.parametrize("last", [".1234567", "00000001", "1", ""])
+    def test_the_last_cell_of_a_block(self, monkeypatch, last):
+        # Its word reads past the final "\n" into the padding.
+        cells = ["0.25", "1", last]
+        hexes, passed, blanks = _decoded(monkeypatch, cells)
+        assert hexes == [_hex(cell) for cell in cells]
+        assert (passed, blanks) == ([], int(last == ""))
+
+    def test_eight_byte_cells_end_blocks_of_one_row(self, monkeypatch):
+        monkeypatch.setattr(game_core, "_BLOCK_CELLS", 8 * 3)
+        assert crosstable.row_blocks(3, 8 * 3) == [(0, 1), (1, 2), (2, 3)]
+        text = "names,a,b,c\na,,,.1234567\nb,,,00000001\nc,,0.,\n"
+        scores = parse_crosstable(text).scores
+        assert [scores[0, 2].hex(), scores[1, 2].hex(), scores[2, 1].hex()] == [
+            _hex(".1234567"), _hex("1"), _hex("0"),
+        ]
+
+    def test_other_cells_take_the_general_path(self, monkeypatch):
+        cells = [
+            "0.1234567", "000000001", "+0.5", "-0", "1e0", "\t0.5", " 0.5 ",
+            "0.5\t", "\u30000.5\xa0", "0.5\x1c", "  ", "\t", "", "1",
+        ]
+        hexes, passed, blanks = _decoded(monkeypatch, cells)
+        assert hexes == [_hex(cell) for cell in cells]
+        assert passed == [cell.strip() for cell in cells[:-2]]
+        assert blanks == 3
+
+    def test_a_literal_nan_is_no_blank(self, monkeypatch):
+        hexes, passed, blanks = _decoded(monkeypatch, ["nan", ""])
+        assert (hexes, passed, blanks) == (["nan", "nan"], ["nan"], 1)
 
 
 class TestToGame:

@@ -277,6 +277,31 @@ class TestParseSerialize:
             parse_game("symmetric true\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("last", ["5", "0"])
+    def test_lines_end_only_at_newlines(self, last):
+        # Every break but "\n" is whitespace inside a line, so this text is
+        # one line, which has more than a name after 'game'.
+        text = f"game x\x0csymmetric true\x1crows 1 cols 1\x85row 1: {last}\n"
+        with pytest.raises(ParseError) as err:
+            parse_game(text)
+        assert str(err.value) == "'game' takes exactly one name token (line 1)"
+
+    @pytest.mark.parametrize("brk", [
+        "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ], ids=["cr", "vt", "ff", "fs", "gs", "rs", "nel", "u2028", "u2029"])
+    def test_other_line_breaks_are_whitespace(self, brk):
+        text = serialize_game(rps())
+        with pytest.raises(ParseError) as err:
+            parse_game(text.replace("\n", brk, 1))
+        assert err.value.line == 1
+        # Between the words of a line they separate words, as a space does.
+        spaced = text.replace("row 2: ", f"row{brk}2:{brk}").replace(" -1", f"{brk}-1")
+        assert parse_game(spaced) == rps()
+
+    def test_crlf_files_read_as_lf_files(self):
+        text = serialize_game(dice())
+        assert parse_game(text.replace("\n", "\r\n")) == dice()
+
     @pytest.mark.parametrize("counts", [
         "rows \u0663 cols 0_3", "rows 3 cols 0_3", "rows \u0663 cols 3",
         "rows +3 cols 3",

@@ -12,6 +12,7 @@ characters; the one-row edits below put them only where the oracle reads
 them as the library does: in names, padding and entry separators.
 """
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,35 @@ def test_mutated_crosstables_match_the_oracle(text, margin):
         assert game == oracle.to_game(new[1], margin=margin)
         _check_game(game)
         _check_cycles(game, 3)
+
+
+# Cells of the bytes a number is spelled with, and a few that are none:
+# plain cells, too long, signed, with an exponent, padded or underscored.
+# The diagonal is mostly blank, so that the scores beside it are read.
+_SHORT_CELLS = st.one_of(st.just(""), st.text("0123456789.+-e _\t", max_size=10))
+_DIAGONAL_CELLS = st.one_of(st.text(" \t", max_size=2), _SHORT_CELLS)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(_SHORT_CELLS, min_size=6, max_size=6),
+    st.lists(_DIAGONAL_CELLS, min_size=3, max_size=3),
+)
+def test_short_cells_of_number_bytes_match_the_oracle(cells, diagonal):
+    rows = [[name, *cells[2 * i:2 * i + 2]] for i, name in enumerate("abc")]
+    for i, row in enumerate(rows):
+        row.insert(i + 1, diagonal[i])
+    text = _crosstable_text(rows)
+    new = _outcome(parse_crosstable, text)
+    old = _outcome(oracle.parse_crosstable, text)
+    if new[0] == old[0] == "ok":
+        assert new[1].scores.tobytes() == old[1].scores.tobytes()
+    elif new != old:
+        # Only the ASCII-number rule may differ: float() also reads a
+        # number with underscores.
+        cell = re.fullmatch(r"bad score '(.*)' \(line \d\)", new[1]).group(1)
+        assert new[0] is ParseError and "_" in cell
+        float(cell)
 
 
 @settings(max_examples=150, deadline=None)
