@@ -20,9 +20,11 @@ multiply-shift steps within the word.  That integer divided by the power of
 ten the dot stands for is ``float(cell)`` bit for bit: both operands are
 exact doubles and the division rounds once.  A blank cell is NaN.  Every
 other cell (padding, a sign, an exponent, more than 8 bytes, non-ASCII, a
-literal ``nan``) is stripped and left to ``np.loadtxt``'s float syntax, in
-one call per block.  Only a table with a wrong name or cell count, or a bad
-score, is scanned row by row and cell by cell, to report its first error.
+literal ``nan``) is cut out of the block's bytes with the rest of them, and
+one ``np.loadtxt`` call reads them all in its float syntax, stripping the
+whitespace around each; a cell of whitespace alone is blank.  Only a table
+with a wrong name or cell count, or a bad score, is scanned row by row and
+cell by cell, to report its first error.
 
 The complementarity check and the thresholding then go a block of rows at a
 time (``game_core.row_blocks``), each block against its mirror columns from
@@ -31,6 +33,7 @@ temporaries and the int8 table being built.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -40,6 +43,7 @@ from .errors import ComplementarityViolation, ParseError
 from .game_core import GameTable, is_label, row_blocks
 
 _COMPLEMENT_TOL = 1e-6
+_BLANK_CELL = re.compile(r",\s+(?=,)")
 # Words of eight bytes, read little-endian.  Once "0" is taken off every
 # byte, a digit byte is 0-9 and a dot 0x1E.
 _ZEROS = np.uint64(0x3030303030303030)
@@ -47,6 +51,7 @@ _DOTS = np.uint64(0x1E1E1E1E1E1E1E1E)
 _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 _TOPS = np.uint64(0x8080808080808080)
 _PAST_NINE = np.uint64(0x7676767676767676)
+_ONES = np.uint64(0x0101010101010101)
 # By the byte d that holds a right-justified word's dot, 8 where it has
 # none: its digits, times ten once the dot is dropped, are the score times
 # 10 ** (8 - d).
@@ -185,11 +190,12 @@ def _decode(
     out[blank] = np.nan
     plain |= blank
     other = np.flatnonzero(~plain)
-    texts = [
-        data[a:a + size].tobytes().decode(errors="surrogatepass").strip()
-        for a, size in zip(starts.flat[other], lengths.flat[other])
-    ]
-    return np.count_nonzero(blank) + _other_scores(texts, other, out.reshape(-1))
+    blanks = np.count_nonzero(blank)
+    if other.size:
+        blanks += _other_scores(
+            data, starts.flat[other], lengths.flat[other], other, out.reshape(-1)
+        )
+    return blanks
 
 
 def _plain_scores(
@@ -249,25 +255,53 @@ def _plain_scores(
     x &= 0x0000FFFF0000FFFF
     x *= 10000 << 32 | 1
     x >>= 32
+    # The dot's byte d, 8 where there is none: the sum of the low bits of
+    # the bytes below it, gathered into the top byte by one multiply.
+    below &= _ONES
+    below *= _ONES
+    below >>= 56
     # Both operands are exact doubles and the division rounds once, so a
     # score equals float(cell) bit for bit.
-    np.divide(x, _SCALE.take(np.bitwise_count(below) >> 3), out=out)
+    np.divide(x, _SCALE[below], out=out)
     return plain
 
 
-def _other_scores(texts: list[str], cells: np.ndarray, out: np.ndarray) -> int:
-    """Write stripped cell ``texts`` to ``out`` at ``cells``: NaN where
-    blank, else the float ``np.loadtxt`` reads, in one call.  Returns the
-    number of blanks."""
-    out[cells] = np.nan
-    filled = [i for i, text in enumerate(texts) if text]
-    if filled:
-        line = ",".join([texts[i] for i in filled])
-        values = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
-        if values.shape != (len(filled),):
-            raise ValueError("cell count")
-        out[cells[filled]] = values
-    return len(texts) - len(filled)
+def _other_scores(
+    data: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    cells: np.ndarray,
+    out: np.ndarray,
+) -> int:
+    """Write to ``out`` at ``cells`` the scores of the cells of ``data`` at
+    ``starts`` and ``lengths``: NaN where blank, else the float
+    ``np.loadtxt`` reads, in one call over them all.  Returns the number of
+    blanks."""
+    # The cells' bytes cut out as one run, each ended by a comma: the index
+    # of each byte steps on by one, and from a cell's delimiter to the next
+    # cell's start.
+    ends = np.cumsum(lengths + 1)
+    index = np.ones(ends[-1], dtype=np.intp)
+    index[0] = starts[0]
+    index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1]
+    np.cumsum(index, out=index)
+    cut = data[index]
+    del index
+    cut[ends - 1] = ord(",")
+    # Within a line "\r" is whitespace, which np.loadtxt would take for a
+    # line end; it strips all other whitespace around a number itself.
+    cut[cut == ord("\r")] = ord(" ")
+    # A cell of whitespace alone is blank, and becomes "nan"; their count
+    # tells them from a literal nan, an error.
+    full, blanks = _BLANK_CELL.subn(
+        ",nan", "," + cut.tobytes().decode(errors="surrogatepass")
+    )
+    del cut
+    values = np.loadtxt([full[1:-1]], delimiter=",", comments=None, ndmin=1)
+    if values.shape != cells.shape:
+        raise ValueError("cell count")
+    out[cells] = values
+    return blanks
 
 
 def _row_error(names: tuple[str, ...], rows: list[tuple[int, str]]) -> NoReturn:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -192,9 +193,12 @@ def _decoded(monkeypatch, cells: list[str]) -> tuple[list[str], list[str], int]:
     passed = []
     other_scores = crosstable._other_scores
 
-    def spy(texts, at, out):
-        passed.extend(texts)
-        return other_scores(texts, at, out)
+    def spy(data, starts, lengths, at, out):
+        passed.extend(
+            data[a:a + size].tobytes().decode(errors="surrogatepass").strip()
+            for a, size in zip(starts, lengths)
+        )
+        return other_scores(data, starts, lengths, at, out)
 
     monkeypatch.setattr(crosstable, "_other_scores", spy)
     out = np.empty((1, len(cells)))
@@ -281,6 +285,48 @@ class TestDecoder:
     def test_a_literal_nan_is_no_blank(self, monkeypatch):
         hexes, passed, blanks = _decoded(monkeypatch, ["nan", ""])
         assert (hexes, passed, blanks) == (["nan", "nan"], ["nan"], 1)
+
+    def test_every_whitespace_is_stripped_or_blank(self, monkeypatch):
+        # "\r" too, which np.loadtxt alone would take for a line end; blanks
+        # side by side each count.
+        spaces = [
+            " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+            "\u2028", "\u3000",
+        ]
+        cells = [*spaces, " \r\t", *(f"{c}0.25{c}" for c in spaces), "0.5"]
+        hexes, passed, blanks = _decoded(monkeypatch, cells)
+        assert hexes == [_hex(cell) for cell in cells]
+        assert passed == [cell.strip() for cell in cells[:-1]]
+        assert blanks == len(spaces) + 1
+
+    @pytest.mark.parametrize("spelling", ["{:.8f}", " {:.3f}", "{:.3f}"])
+    def test_a_few_calls_a_row_whatever_the_spelling(self, spelling):
+        # Cells the kernel cannot read are cut out and read a block at a
+        # time, not one by one.
+        n = 100
+        rng = np.random.default_rng(0)
+        upper = np.triu(rng.integers(0, 1001, (n, n)), 1)
+        milli = upper + (1000 - upper.T) * np.tri(n, k=-1, dtype=int)
+        names = [f"e{a}" for a in range(n)]
+        lines = ["names," + ",".join(names)]
+        for a in range(n):
+            cells = [spelling.format(milli[a, b] / 1000) for b in range(n)]
+            cells[a] = ""
+            lines.append(",".join([names[a], *cells]))
+        text = "\n".join(lines) + "\n"
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            scores = parse_crosstable(text).scores
+        finally:
+            sys.setprofile(None)
+        assert calls < 20 * n
+        assert scores[0, 1] == milli[0, 1] / 1000
 
 
 class TestToGame:
