@@ -8,8 +8,11 @@ within a small tolerance.  A margin parameter decides how far from an even
 0.5 a score must be before it counts as a win rather than a draw; widening
 the margin can erase narrow intransitive cycles, which is the phenomenon
 the bundled engine table demonstrates.  Scores are plain ASCII numbers.
-Lines end only at ``"\\n"``; any other line break is whitespace within a
-line.
+Lines are read by ``game_core.content_lines``, the line rule game files
+share, without its comment cut: lines end only at ``"\\n"``, any other line
+break is whitespace within a line, and lines of whitespace alone are
+skipped.  One walk counts the score rows, and a second hands them to the
+decoder a block at a time, so no list of every line is kept.
 
 Scores are decoded as bytes, a block of rows at a time: each row's name is
 checked, and the commas and line ends give every cell's start and length.
@@ -24,7 +27,8 @@ literal ``nan``) is cut out of the block's bytes with the rest of them, and
 one ``np.loadtxt`` call reads them all in its float syntax, stripping the
 whitespace around each; a cell of whitespace alone is blank.  Only a table
 with a wrong name or cell count, or a bad score, is scanned row by row and
-cell by cell, to report its first error.
+cell by cell, to report its first error.  Each block's range and diagonal
+are checked as it is decoded, so that scan reads only the faulty block.
 
 The complementarity check and the thresholding then go a block of rows at a
 time (``game_core.row_blocks``), each block against its mirror columns from
@@ -35,12 +39,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn
+from itertools import islice
+from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .errors import ComplementarityViolation, ParseError
-from .game_core import GameTable, is_label, row_blocks
+from .game_core import GameTable, content_lines, is_label, row_blocks
 
 _COMPLEMENT_TOL = 1e-6
 _BLANK_CELL = re.compile(r",\s+(?=,)")
@@ -68,11 +73,11 @@ class Crosstable:
     def __post_init__(self):
         names = tuple(self.names)  # so a caller's list cannot rename players
         object.__setattr__(self, "names", names)
-        scores = np.asarray(self.scores, dtype=np.float64)
+        # A copy, so that a caller's array cannot change the scores.
+        scores = np.array(self.scores, dtype=np.float64)
         n = len(names)
         if scores.shape != (n, n):
             raise ValueError("scores must be square and match the name count")
-        scores = scores.copy()  # so a caller's array cannot change the scores
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
 
@@ -93,11 +98,10 @@ def parse_crosstable(text: str) -> Crosstable:
     Raises ComplementarityViolation when a pair's two scores are present
     and do not sum to 1 within tolerance.
     """
-    numbered = enumerate(text.split("\n"), start=1)
-    lines = [(lineno, line) for lineno, line in numbered if line and not line.isspace()]
-    if not lines:
+    lines = content_lines(text)
+    header_line, header = next(lines, (0, ""))
+    if not header:
         raise ParseError("empty crosstable")
-    header_line, header = lines[0]
     header = [cell.strip() for cell in header.split(",")]
     if header[0] != "names" or len(header) < 2:
         raise ParseError("header must be 'names,<name>,...'", line=header_line)
@@ -105,13 +109,11 @@ def parse_crosstable(text: str) -> Crosstable:
     if len(set(names)) != len(names):
         raise ParseError("duplicate names in header", line=header_line)
     n = len(names)
-    if len(lines) != n + 1:
-        raise ParseError(
-            f"expected {n} score rows after the header, found {len(lines) - 1}"
-        )
+    found = sum(1 for _ in lines)
+    if found != n:
+        raise ParseError(f"expected {n} score rows after the header, found {found}")
 
-    scores = _scores(names, lines[1:])
-    del lines  # a copy of the text, freed before the checks below
+    scores = _scores(names, islice(content_lines(text), 1, None))
     # Each block of rows against its mirror columns from the diagonal on:
     # the blocks go in row order, so the first clash found is the first in
     # row-major order.  A pair with a NaN sums to NaN, which never clashes.
@@ -134,28 +136,27 @@ def parse_crosstable(text: str) -> Crosstable:
     return _holding(names, scores)
 
 
-def _scores(names: tuple[str, ...], rows: list[tuple[int, str]]) -> np.ndarray:
-    """The score matrix of ``rows``, NaN where a cell is blank, decoded as
-    bytes a block of rows at a time.  Any fault goes to ``_row_error`` to be
-    worded."""
+def _scores(names: tuple[str, ...], rows: Iterator[tuple[int, str]]) -> np.ndarray:
+    """The score matrix of the ``len(names)`` lines of ``rows``, NaN where a
+    cell is blank, decoded as bytes a block of rows at a time.  A faulty
+    block goes to ``_row_error`` to be worded."""
     n = len(names)
     scores = np.empty((n, n))
-    counted = 0  # blank cells and scores in [0, 1]
-    try:
-        # The decoder holds about eight words a cell, so its blocks are
-        # those of a table eight times as wide: 8 rows at 1000 engines, where
-        # both its per-call cost and its scratch stay small.
-        for start, stop in row_blocks(n, 8 * n):
-            block = scores[start:stop]
-            counted += _decode(names[start:stop], rows[start:stop], block)
-            counted += np.count_nonzero((block >= 0) & (block <= 1))
-    except ValueError:
-        pass
-    else:
+    # The decoder holds about eight words a cell, so its blocks are those of
+    # a table eight times as wide: 8 rows at 1000 engines, where both its
+    # per-call cost and its scratch stay small.
+    for start, stop in row_blocks(n, 8 * n):
+        block = list(islice(rows, stop - start))
+        out = scores[start:stop]
+        try:  # blank cells and scores in [0, 1]
+            counted = _decode(names[start:stop], block, out)
+            counted += np.count_nonzero((out >= 0) & (out <= 1))
+        except ValueError:
+            counted = -1
         # A literal nan is neither blank nor in range.
-        if counted == n * n and np.isnan(np.diagonal(scores)).all():
-            return scores
-    _row_error(names, rows)
+        if counted != out.size or not np.isnan(np.diagonal(out, start)).all():
+            _row_error(names, block, start)
+    return scores
 
 
 def _decode(
@@ -172,11 +173,9 @@ def _decode(
     # that a word can be read from any cell's start.
     text = "\n".join([line for _, line in rows] + ["\0" * 8])
     data = np.frombuffer(text.encode(errors="surrogatepass"), dtype=np.uint8)
-    del text
     delimiter = data == ord(",")
     delimiter |= data == ord("\n")
     ends = np.flatnonzero(delimiter)
-    del delimiter
     width = out.shape[1] + 1  # the name and the scores
     row_ends = data[ends[width - 1::width]]
     if ends.size != len(rows) * width or (row_ends != ord("\n")).any():
@@ -184,7 +183,6 @@ def _decode(
     ends = ends.reshape(-1, width)
     starts = ends[:, :-1] + 1
     lengths = ends[:, 1:] - starts
-    del ends
     plain = _plain_scores(data, starts, lengths, out)
     blank = lengths == 0
     out[blank] = np.nan
@@ -215,7 +213,6 @@ def _plain_scores(
     shift = np.subtract(8, lengths)
     shift <<= 3
     np.left_shift(x, shift.view(np.uint64), out=x)
-    del shift
     # 0x01 in each byte that holds a dot, by the exact zero-byte test.
     t = x ^ _DOTS
     dot = t & _LOW7
@@ -244,7 +241,6 @@ def _plain_scores(
     plain = t == 0
     plain &= lengths <= 8
     plain &= lengths > (dot != 0)
-    del t, dot
     # The eight digits to an integer: each multiply and shift joins
     # neighbouring digits, then pairs, then fours.
     x *= 10 << 8 | 1
@@ -286,7 +282,6 @@ def _other_scores(
     index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1]
     np.cumsum(index, out=index)
     cut = data[index]
-    del index
     cut[ends - 1] = ord(",")
     # Within a line "\r" is whitespace, which np.loadtxt would take for a
     # line end; it strips all other whitespace around a number itself.
@@ -296,7 +291,6 @@ def _other_scores(
     full, blanks = _BLANK_CELL.subn(
         ",nan", "," + cut.tobytes().decode(errors="surrogatepass")
     )
-    del cut
     values = np.loadtxt([full[1:-1]], delimiter=",", comments=None, ndmin=1)
     if values.shape != cells.shape:
         raise ValueError("cell count")
@@ -304,10 +298,13 @@ def _other_scores(
     return blanks
 
 
-def _row_error(names: tuple[str, ...], rows: list[tuple[int, str]]) -> NoReturn:
-    """Raise the ParseError of the first bad row, checked cell by cell."""
+def _row_error(
+    names: tuple[str, ...], rows: list[tuple[int, str]], first: int
+) -> NoReturn:
+    """Raise the ParseError of the first bad row among ``rows``, rows
+    ``first`` on (0-based) of the table, checked cell by cell."""
     n = len(names)
-    for row, (lineno, line) in enumerate(rows):
+    for row, (lineno, line) in enumerate(rows, start=first):
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != n + 1:
             raise ParseError(

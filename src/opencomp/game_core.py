@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import NoReturn
+from itertools import chain, islice
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -41,6 +42,28 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     the given shape, each of about ``_BLOCK_CELLS`` cells and at least one row."""
     step = max(1, _BLOCK_CELLS // n_cols)
     return [(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
+def content_lines(text: str, comment: str = "") -> Iterator[tuple[int, str]]:
+    """The 1-based line number and stripped content of each line of ``text``
+    that has content, read from the text one line at a time.
+
+    This is the line rule of game files and crosstables: lines end only at
+    ``"\\n"``, so any other line break is whitespace within a line, and a
+    line of whitespace alone has no content.  With ``comment`` given, a line
+    ends at its first ``comment`` too.
+    """
+    start = lineno = 0
+    while start <= len(text):
+        lineno += 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        cut = text.find(comment, start, end) if comment else -1
+        content = text[start:end if cut < 0 else cut].strip()
+        if content:
+            yield lineno, content
+        start = end + 1
 
 
 def is_label(text: str) -> bool:
@@ -221,28 +244,24 @@ def parse_game(text: str) -> GameTable:
         ...
 
     Entries are ``-1 0 +1`` or the aliases ``l d w``, split as ``str.split``
-    splits.  ``#`` starts a comment.  Lines end only at ``"\\n"``; any other
-    line break is whitespace within a line.  Row heads are checked line by
-    line and the row bodies decoded as bytes, a block of rows at a time; a
-    block with a bad row is checked token by token to report the first
+    splits.  ``#`` starts a comment.  Lines are read by ``content_lines``,
+    a block of payoff rows at a time, so no list of every line is kept.
+    Row heads are checked line by line and the row bodies decoded as bytes;
+    a block with a bad row is checked token by token to report the first
     error's line.
     """
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    pos = 0
+    lines = content_lines(text, "#")
+    ahead = list(islice(lines, 1))  # the next line, none at the end
 
     def take(expected: str) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(lines):
+        nonlocal ahead
+        if not ahead:
             raise ParseError(f"unexpected end of input, expected '{expected}'")
-        lineno, content = lines[pos]
+        lineno, content = ahead[0]
         parts = content.split()
         if parts[0] != expected:
             raise ParseError(f"expected '{expected}', got '{parts[0]}'", line=lineno)
-        pos += 1
+        ahead = list(islice(lines, 1))
         return lineno, parts[1:]
 
     lineno, rest = take("game")
@@ -271,20 +290,20 @@ def parse_game(text: str) -> GameTable:
 
     labels = {}
     for keyword, count in (("labels_rows", nr), ("labels_cols", nc)):
-        if pos < len(lines) and lines[pos][1].split()[0] == keyword:
+        if ahead and ahead[0][1].split()[0] == keyword:
             lineno, rest = take(keyword)
             if len(rest) != count:
                 raise ParseError(f"{keyword} needs exactly {count} labels", line=lineno)
             labels[keyword] = tuple(rest)
 
     entries = np.empty((nr, nc), dtype=np.int8)
+    rows = chain(ahead, lines)
     for start, stop in row_blocks(nr, nc):
-        block = lines[pos + start:pos + stop]
+        block = list(islice(rows, stop - start))
         entries[start:stop] = _payoff_rows(block, start, stop, nc)
-    pos += nr
 
-    if pos < len(lines):
-        raise ParseError("trailing content after last row", line=lines[pos][0])
+    for lineno, _ in rows:  # any line left over
+        raise ParseError("trailing content after last row", line=lineno)
 
     try:
         return GameTable(

@@ -105,8 +105,19 @@ class TestParse:
             parse_crosstable(ENGINES3_TEXT.replace("\n", brk))
         assert str(err.value) == "duplicate names in header (line 1)"
 
-    def test_crlf_files_read_as_lf_files(self):
+    def test_crlf_files_read_as_lf_files(self, monkeypatch):
+        # Each line's content is stripped before it is decoded, so no cell
+        # ends in "\r", and every score takes the byte kernel.
+        passed = []
+        other_scores = crosstable._other_scores
+
+        def spy(data, starts, lengths, at, out):
+            passed.extend(starts)
+            return other_scores(data, starts, lengths, at, out)
+
+        monkeypatch.setattr(crosstable, "_other_scores", spy)
         table = parse_crosstable(ENGINES3_TEXT.replace("\n", "\r\n"))
+        assert passed == []
         assert table.names == ("Stockfish", "FatFritz", "Houdini")
         plain = parse_crosstable(ENGINES3_TEXT)
         assert table.scores.tobytes() == plain.scores.tobytes()
@@ -162,9 +173,9 @@ class TestParse:
         assert parse_game(serialize_game(game)) == game
 
     def test_ingest_peaks_near_two_score_matrices(self):
-        # The decoded scores, which the table keeps, and the lines of the
-        # text, about three quarters of them here; the decoder, the checks
-        # and the thresholding hold only one block of rows beside them.
+        # The decoded scores, which the table keeps, and one block of rows
+        # of the checks' float temporaries, most of a second matrix at this
+        # size; the lines of the text come one block at a time.
         n = 400
         rng = np.random.default_rng(0)
         upper = np.triu(rng.integers(0, 1001, (n, n)), 1)

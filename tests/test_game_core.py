@@ -114,6 +114,25 @@ class TestGameTable:
             tracemalloc.stop()
         assert peak < 1.5 * entries.nbytes
 
+    def test_a_large_file_parses_without_a_copy_of_its_lines(self):
+        # The payoff rows come from the text a block at a time, so the parse
+        # holds the int8 table and GameTable's checked copy of it, not a
+        # list of every line, which alone is about three bytes a cell.
+        n = 3000
+        upper = np.triu(
+            np.random.default_rng(1).integers(-1, 2, (n, n), dtype=np.int8), 1
+        )
+        table = GameTable(name="big", entries=upper - upper.T, symmetric_flag=True)
+        text = serialize_game(table)
+        del upper, table
+        tracemalloc.start()
+        try:
+            parse_game(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n
+
     def test_symmetric_flag_requires_square(self):
         entries = np.zeros((2, 3), dtype=np.int8)
         with pytest.raises(InvariantError):

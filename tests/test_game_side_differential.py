@@ -9,7 +9,9 @@ in game files and crosstables are ASCII only, and crosstable errors carry
 the real line number when blank lines precede them.  Random and mutated
 inputs here therefore hold no blank lines, underscores or non-ASCII
 characters; the one-row edits below put them only where the oracle reads
-them as the library does: in names, padding and entry separators.
+them as the library does: in names, padding and entry separators.  The
+block-walk test puts lines with no content between rows, and checks a
+crosstable's error lines against the real lines, not the oracle's.
 """
 import importlib
 import re
@@ -568,6 +570,92 @@ def test_crosstable_rows_across_block_boundaries(monkeypatch, rows_per_block):
                 assert game == oracle.to_game(old[1], margin=margin)
         else:
             assert new[0] is ComplementarityViolation
+
+
+# Lines with no content: empty, whitespace alone, a comment alone (in a game
+# file; a crosstable has no comments) and a lone "\r", whitespace within a
+# line.
+_FILLERS = ["", "   ", "\t", "# note", "\r"]
+
+
+def _filled(text: str, fillers: list[str]) -> str:
+    """``text`` with a filler after each line, cycling through ``fillers``,
+    and a run of all of them after the first line."""
+    lines = []
+    for k, line in enumerate(text.split("\n")[:-1]):
+        lines.append(line)
+        lines += fillers if k == 0 else [fillers[k % len(fillers)]]
+    return "\n".join(lines) + "\n"
+
+
+def _real_line(text: str, start: str) -> int:
+    return next(
+        lineno for lineno, line in enumerate(text.split("\n"), start=1)
+        if line.startswith(start)
+    )
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+def test_lines_with_no_content_across_block_boundaries(monkeypatch, rows_per_block):
+    """Empty, blank, comment-only and lone "\\r" lines between the rows, and
+    comments after them, with blocks of one, two or seven rows.  A game
+    file reads as the oracle reads it, valid or not, line numbers included.
+    A crosstable's scores match the oracle's bit for bit, and a bad row
+    after such lines is named by its real line, which the oracle, counting
+    only lines with content, does not give."""
+    n = 30
+    k = 3 * rows_per_block + 1  # the first row of the fourth block
+    monkeypatch.setattr(game_core, "_BLOCK_CELLS", rows_per_block * n)
+    base = _game_text(n, seed=7)
+    games = [
+        base,
+        base.replace("\n", "\r\n"),
+        _on_row(k, _alias_last)(base),
+        _on_row(k, lambda line: line.replace(" 0", " 2", 1))(base),
+        _on_row(k, lambda line: line.replace(f"row {k}:", f"row {k + 1}:"))(base),
+        _on_row(n, lambda line: line.rsplit(" ", 1)[0])(base),
+        _entry_moved_down(k - 1)(base),
+        base[:base.rindex("row")],  # the last row missing
+        base + "extra\n",
+    ]
+    comments = [
+        _on_row(i, lambda line: line + "  # after") for i in range(1, n + 1, 3)
+    ]
+    for edited in games:
+        filled = _filled(_edited(edited, *comments), _FILLERS)
+        for text in (filled, filled.replace("\n", "\r\n")):
+            assert _outcome(parse_game, text) == _outcome(oracle.parse_game, text)
+
+    # The decoder's blocks are those of a table eight times as wide.
+    monkeypatch.setattr(game_core, "_BLOCK_CELLS", rows_per_block * 8 * n)
+    blanks = [filler for filler in _FILLERS if not filler.strip()]
+    filled = _filled(_crosstable_text(_score_cells(n, seed=8)), blanks)
+    want = oracle.parse_crosstable(filled).scores.tobytes()
+    for text in (filled, filled.replace("\n", "\r\n")):
+        assert parse_crosstable(text).scores.tobytes() == want
+
+    def comment_after(cells):
+        cells[k][-1] += " # note"
+
+    def swapped(cells):
+        cells[k], cells[k + 1] = cells[k + 1], cells[k]
+
+    for edit in (_set(k, 2, "1.5"), _set(k, k, "0.5"), comment_after, swapped):
+        cells = _score_cells(n, seed=8)
+        edit(cells)
+        bad = _filled(_crosstable_text(cells), blanks)
+        kind, message, counted = _outcome(oracle.parse_crosstable, bad)
+        assert kind is ParseError
+        line = _real_line(bad, cells[k][0] + ",")
+        assert line > counted
+        message = message.removesuffix(f" (line {counted})")
+        assert _outcome(parse_crosstable, bad) == (kind, f"{message} (line {line})", line)
+        # A comment-only line is a row here, and the row count is checked
+        # before any row.
+        extra = bad.replace("\n\n", "\n# note\n", 1)
+        want = (ParseError, f"expected {n} score rows after the header, found {n + 1}", None)
+        assert _outcome(parse_crosstable, extra) == want
+        assert _outcome(oracle.parse_crosstable, extra) == want
 
 
 # ---------------------------------------------------------------------------
