@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .dsl import (
     EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, parse_program,
@@ -71,16 +72,14 @@ class ProgramLearner(Learner):
         return f"ProgramLearner({self.name!r})"
 
 
-@dataclass(frozen=True)
-class SideRecord:
+class SideRecord(NamedTuple):
     outcome: EvalKind
     strategy: int | None
     witness: tuple[int, int] | None
     fuel_used: int
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     learner1: str
     learner2: str
     side1: SideRecord
@@ -154,23 +153,14 @@ def run_match(
     """
     if type(mode) is not Mode:
         mode = Mode(mode)
-    env1 = EvalEnv(
-        game=game, side=Side.ROW,
-        opponent_source=learner2.source, self_source=learner1.source,
-        fuel=fuel,
-    )
-    env2 = EvalEnv(
-        game=game, side=Side.COL,
-        opponent_source=learner1.source, self_source=learner2.source,
-        fuel=fuel if fuel2 is None else fuel2,
-    )
+    # Fields in order: game, seat, opponent's source, own source, fuel.
+    env1 = EvalEnv(game, Side.ROW, learner2.source, learner1.source, fuel)
+    env2 = EvalEnv(game, Side.COL, learner1.source, learner2.source,
+                   fuel if fuel2 is None else fuel2)
     side1 = _run_side(learner1, env1)
     side2 = _run_side(learner2, env2)
     result = adjudicate(game, side1, side2, mode)
-    return MatchRecord(
-        learner1=learner1.name, learner2=learner2.name,
-        side1=side1, side2=side2, result=result,
-    )
+    return MatchRecord(learner1.name, learner2.name, side1, side2, result)
 
 
 @dataclass(frozen=True)

@@ -114,17 +114,21 @@ def parse_crosstable(text: str) -> Crosstable:
         raise ParseError(f"expected {n} score rows after the header, found {found}")
 
     scores = _scores(names, islice(content_lines(text), 1, None))
-    # Each block of rows against its mirror columns from the diagonal on:
-    # the blocks go in row order, so the first clash found is the first in
-    # row-major order.  A pair with a NaN sums to NaN, which never clashes.
+    # Each block of rows against its mirror columns from the diagonal on, in
+    # one buffer: the blocks go in row order, so the first clash found is the
+    # first in row-major order.  The block's own square holds each pair
+    # twice, with the same sum, and its first clash is the one above the
+    # diagonal.  A pair with a NaN sums to NaN, which never clashes.
     for start, stop in row_blocks(n, n):
-        total = scores[start:stop, start:] + scores[start:, start:stop].T
-        clash = np.argwhere(np.triu(np.abs(total - 1.0) > _COMPLEMENT_TOL, 1))
+        gap = np.add(scores[start:stop, start:], scores[start:, start:stop].T)
+        gap -= 1.0
+        np.abs(gap, out=gap)
+        clash = np.argwhere(gap > _COMPLEMENT_TOL)
         if clash.size:
-            i, j = clash[0]
+            a, b = clash[0] + start
             raise ComplementarityViolation(
-                f"scores for {names[start + i]} vs {names[start + j]} sum to "
-                f"{total[i, j]:.6f}, expected 1"
+                f"scores for {names[a]} vs {names[b]} sum to "
+                f"{scores[a, b] + scores[b, a]:.6f}, expected 1"
             )
     # Checked last: a name only matters once it becomes a game label, which
     # must read back from a game file.
@@ -348,16 +352,22 @@ def to_game(
     n = len(s)
     entries = np.zeros((n, n), dtype=np.int8)
     # The upper triangle, a block of rows at a time against the mirror
-    # columns; a NaN score compares false both ways, so it is a draw.
+    # columns; a NaN score compares false both ways, so it is a draw.  The
+    # lower triangle is its negated mirror, written in place: left of the
+    # block's square from the rows above it, done in earlier blocks, and
+    # below the square's diagonal from the square itself.
     for start, stop in row_blocks(n, n):
         rows, mirror = s[start:stop, start:], s[start:, start:stop].T
         score = np.where(np.isnan(rows), 1.0 - mirror, rows)
         entry = (score > 0.5 + margin).view(np.int8)
         entry -= (score < 0.5 - margin).view(np.int8)
         entries[start:stop, start:] = np.triu(entry, 1)
+        np.negative(entries[:start, start:stop].T, out=entries[start:stop, :start])
+        square = entries[start:stop, start:stop]
+        square -= square.T
     return GameTable(
         name=name,
-        entries=entries - entries.T,
+        entries=entries,
         symmetric_flag=True,
         labels_rows=crosstable.names,
         labels_cols=crosstable.names,

@@ -525,23 +525,38 @@ class EvalKind(str, Enum):
     INVALID_STRATEGY = "InvalidStrategy"
 
 
-@dataclass(frozen=True)
-class EvalEnv:
-    """Everything one evaluation can see: the game, its seat, both sources."""
-
+class _EnvFields(NamedTuple):
     game: GameTable
     side: Side
     opponent_source: str
     self_source: str
     fuel: int
 
-    def __post_init__(self):
-        if self.fuel < 0:
+
+class EvalEnv(_EnvFields):
+    """Everything one evaluation can see: the game, its seat, both sources.
+
+    An immutable named tuple.  Every way to build one (the constructor,
+    ``_make``, ``_replace``, copying and unpickling) checks the fuel.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, game, side, opponent_source, self_source, fuel):
+        if fuel < 0:
             raise ValueError("fuel must be non-negative")
+        return tuple.__new__(
+            cls, (game, side, opponent_source, self_source, fuel)
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited ``_make``, which ``_replace`` calls too, would skip
+        # ``__new__`` and its check.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Outcome of one evaluation.
 
     ``strategy`` is set for Halted results.  ``witness`` is the pair of step
@@ -557,8 +572,7 @@ class EvalResult:
     fuel_used: int = 0
 
 
-@dataclass(frozen=True)
-class SimOut:
+class SimOut(NamedTuple):
     """What a program sees of a finished simulation: halted(k) or exhausted.
 
     Child runs whose non-halting was proven, or that faulted, or whose source

@@ -1,13 +1,15 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from opencomp import (
-    EvalKind, MatchResult, Mode, ProgramLearner, adjudicate,
+    EvalKind, EvalResult, MatchResult, Mode, ProgramLearner, adjudicate,
     catalog_learners, pennies, render_match, render_report, rps, run_match,
     run_tournament,
 )
-from opencomp.arena import SideRecord
+from opencomp.arena import MatchRecord, SideRecord
 
 
 def record(tag, strategy=None):
@@ -210,3 +212,60 @@ class TestTournament:
             "tally paper wins=1 draws=0 losses=0 undecided=0",
             "universal_winner=paper",
         ]
+
+
+def _deadline_match() -> MatchRecord:
+    rock = ProgramLearner("rock", "const 1")
+    looper = ProgramLearner("loop", "loop")
+    return run_match(rps(), rock, looper, fuel=10, mode=Mode.DEADLINE)
+
+
+class TestRecords:
+    """``SideRecord`` and ``MatchRecord`` are immutable named tuples that
+    read, print and copy as the frozen dataclasses they replaced."""
+
+    @pytest.mark.parametrize("name", ["result", "outcome", "note"])
+    def test_attributes_cannot_be_assigned(self, name):
+        match = _deadline_match()
+        for record in (match, match.side1):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(_deadline_match()) == (
+            "MatchRecord(learner1='rock', learner2='loop', "
+            "side1=SideRecord(outcome=<EvalKind.HALTED: 'Halted'>, strategy=1, "
+            "witness=None, fuel_used=1), "
+            "side2=SideRecord(outcome=<EvalKind.PROVEN_NONHALTING: "
+            "'ProvenNonHalting'>, strategy=None, witness=(1, 2), fuel_used=1), "
+            "result=<MatchResult.WIN1: 'Win1'>)"
+        )
+        assert repr(record(EXH)) == (
+            "SideRecord(outcome=<EvalKind.FUEL_EXHAUSTED: 'FuelExhausted'>, "
+            "strategy=None, witness=None, fuel_used=0)"
+        )
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal(self, clone):
+        match = _deadline_match()
+        for original in (match, match.side2):
+            twin = clone(original)
+            assert twin == original
+            assert type(twin) is type(original)
+        assert type(clone(match).side2) is SideRecord
+
+    def test_keyword_and_positional_construction(self):
+        side1 = SideRecord(outcome=HALT, strategy=1, witness=None, fuel_used=1)
+        side2 = SideRecord(PROV, None, (1, 2), 1)
+        match = MatchRecord(learner1="rock", learner2="loop", side1=side1,
+                            side2=side2, result=MatchResult.WIN1)
+        assert match == MatchRecord("rock", "loop", side1, side2, MatchResult.WIN1)
+        assert match == _deadline_match()
+        assert match[2] is match.side1 and match[-1] is match.result
+
+    def test_equality_is_tuple_equality(self):
+        side = record(HALT, 2)
+        assert side == EvalResult(HALT, 2, None, 0) == (HALT, 2, None, 0)
+        assert side._replace(strategy=3) == record(HALT, 3)

@@ -196,6 +196,30 @@ class TestParse:
             tracemalloc.stop()
         assert peak <= 2.5 * n * n * np.dtype(np.float64).itemsize
 
+    def test_parsing_peaks_below_two_score_matrices(self):
+        # The decoded scores and one block of rows of the complementarity
+        # check's one float buffer: 163 rows at this size, 0.41 of a matrix.
+        n = 400
+        rng = np.random.default_rng(1)
+        upper = rng.integers(0, 1001, (n, n))
+        milli = np.triu(upper, 1) + np.tril(1000 - upper.T, -1)
+        names = [f"e{a}" for a in range(n)]
+        rows = [
+            ",".join([names[a], *(
+                "" if a == b else f"{milli[a, b] / 1000:.3f}" for b in range(n)
+            )])
+            for a in range(n)
+        ]
+        text = "\n".join(["names," + ",".join(names), *rows]) + "\n"
+        del rows
+        tracemalloc.start()
+        try:
+            parse_crosstable(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * np.dtype(np.float64).itemsize
+
 
 def _decoded(monkeypatch, cells: list[str]) -> tuple[list[str], list[str], int]:
     """``cells`` decoded as the one row of a block: each value as

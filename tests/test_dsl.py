@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 import opencomp.dsl as dsl
 from conftest import random_symmetric_table, random_table
 from opencomp import (
-    EXPLOITER_SOURCE, EvalEnv, EvalKind, GameTable, ParseError, RuntimeFault,
-    Side, evaluate, parse_learner_file, parse_program, pretty, role_swapped,
-    rps,
+    EXPLOITER_SOURCE, EvalEnv, EvalKind, EvalResult, GameTable, ParseError,
+    RuntimeFault, Side, evaluate, parse_learner_file, parse_program, pretty,
+    role_swapped, rps,
 )
 from opencomp.dsl import (
-    BestResp, Grow, If, Literal, Loop, Match, Sim, SrcOpp, SrcQuoted, SrcSelf,
-    Var,
+    BestResp, Grow, If, Literal, Loop, Match, Sim, SimOut, SrcOpp, SrcQuoted,
+    SrcSelf, Var,
 )
 
 
@@ -403,27 +403,41 @@ class TestFaults:
         with pytest.raises(RuntimeFault):
             evaluate("bestresp(const 9)", env_for())
 
+    # A simulation's value is no number: it can only be matched on.
+
     def test_bestresp_on_sim_outcome(self):
-        with pytest.raises(RuntimeFault):
+        with pytest.raises(RuntimeFault) as err:
             evaluate("bestresp(sim(opp, self, 10))", env_for(opponent="const 1"))
+        assert str(err.value) == "best response applied to a non-index"
 
     def test_match_on_plain_integer(self):
-        with pytest.raises(RuntimeFault):
+        with pytest.raises(RuntimeFault) as err:
             evaluate(
                 "match const 1 { halted(k) => k | exhausted => const 1 }",
                 env_for(),
             )
+        assert str(err.value) == "match on a non-simulation value"
 
     def test_comparison_on_sim_outcome(self):
-        with pytest.raises(RuntimeFault):
+        with pytest.raises(RuntimeFault) as err:
             evaluate(
                 "if sim(opp, self, 10) == 1 then const 1 else const 2",
                 env_for(opponent="const 1"),
             )
+        assert str(err.value) == "comparison on a non-integer"
+
+    def test_sim_outcome_on_the_right_of_a_comparison(self):
+        with pytest.raises(RuntimeFault) as err:
+            evaluate(
+                "if 1 < sim(opp, self, 10) then const 1 else const 2",
+                env_for(opponent="const 1"),
+            )
+        assert str(err.value) == "comparison on a non-integer"
 
     def test_sim_outcome_as_final_value(self):
-        with pytest.raises(RuntimeFault):
+        with pytest.raises(RuntimeFault) as err:
             evaluate("sim(opp, self, 10)", env_for(opponent="const 1"))
+        assert str(err.value) == "program finished without a strategy index"
 
     def test_fault_reports_fuel(self):
         try:
@@ -544,6 +558,83 @@ class TestEnvValidation:
     def test_negative_fuel(self):
         with pytest.raises(ValueError):
             env_for(fuel=-1)
+
+    @pytest.mark.parametrize("build", [
+        lambda env: EvalEnv(*env[:4], -1),
+        lambda env: EvalEnv._make([*env[:4], -1]),
+        lambda env: env._replace(fuel=-1),
+        # Bytes that hold a negative fuel, as a tampered pickle would.
+        lambda env: pickle.loads(pickle.dumps(_unchecked(*env[:4], -1))),
+        lambda env: copy.copy(_unchecked(*env[:4], -1)),
+        lambda env: copy.deepcopy(_unchecked(*env[:4], -1)),
+    ], ids=["positional", "make", "replace", "unpickle", "copy", "deepcopy"])
+    def test_every_way_to_build_an_env_checks_the_fuel(self, build):
+        env = env_for(fuel=5)
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+            build(env)
+        assert env._replace(fuel=0).fuel == EvalEnv._make([*env[:4], 0]).fuel == 0
+
+
+def _unchecked(*fields) -> EvalEnv:
+    """An ``EvalEnv`` built around its fuel check."""
+    return tuple.__new__(EvalEnv, fields)
+
+
+class TestRecords:
+    """``EvalEnv``, ``EvalResult`` and ``SimOut`` are immutable named tuples
+    that read, print and copy as the frozen dataclasses they replaced."""
+
+    @pytest.mark.parametrize("name", ["fuel", "note"])
+    def test_attributes_cannot_be_assigned(self, name):
+        for record in (env_for(), EvalResult(EvalKind.HALTED, 1, None, 5),
+                       SimOut("halted", 2)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+    def test_repr_is_the_dataclass_text(self):
+        game = rps()
+        env = EvalEnv(game, Side.COL, "const 1", "const 2", 5)
+        assert repr(env) == (
+            f"EvalEnv(game={game!r}, side=<Side.COL: 'col'>, "
+            "opponent_source='const 1', self_source='const 2', fuel=5)"
+        )
+        assert repr(EvalResult(EvalKind.HALTED, 1, None, 5)) == (
+            "EvalResult(kind=<EvalKind.HALTED: 'Halted'>, strategy=1, "
+            "witness=None, fuel_used=5)"
+        )
+        assert repr(evaluate("loop", env_for())) == (
+            "EvalResult(kind=<EvalKind.PROVEN_NONHALTING: 'ProvenNonHalting'>, "
+            "strategy=None, witness=(1, 2), fuel_used=1)"
+        )
+        assert repr(SimOut("halted", 2)) == "SimOut(tag='halted', value=2)"
+        assert repr(SimOut("exhausted")) == "SimOut(tag='exhausted', value=None)"
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal(self, clone):
+        for record in (env_for(), evaluate("const 2", env_for()),
+                       SimOut("exhausted")):
+            twin = clone(record)
+            assert twin == record
+            assert type(twin) is type(record)
+
+    def test_keyword_and_positional_construction(self):
+        game = rps()
+        env = EvalEnv(game=game, side=Side.ROW, opponent_source="const 1",
+                      self_source="const 2", fuel=3)
+        assert env == EvalEnv(game, Side.ROW, "const 1", "const 2", 3)
+        assert tuple(env) == (
+            env.game, env.side, env.opponent_source, env.self_source, env.fuel
+        )
+        assert EvalResult(EvalKind.HALTED, strategy=2, fuel_used=3) == (
+            EvalResult(EvalKind.HALTED, 2, None, 3)
+        )
+        assert EvalResult(EvalKind.FUEL_EXHAUSTED) == EvalResult(
+            kind=EvalKind.FUEL_EXHAUSTED, strategy=None, witness=None,
+            fuel_used=0,
+        )
+        assert SimOut("exhausted") == SimOut(tag="exhausted", value=None)
 
 
 _OPPONENTS = st.sampled_from(["const 1", "const 2", "loop", "grow", EXPLOITER_SOURCE])
