@@ -37,6 +37,22 @@ class Mode(str, Enum):
     DEADLINE = "deadline"
 
 
+# Members read on every match, bound once: on Python 3.11 the enum
+# metaclass defines ``__getattr__``, so each ``Side.ROW`` or
+# ``MatchResult.WIN1`` read takes the interpreter's slow attribute path.
+_ROW, _COL = Side.ROW, Side.COL
+_STRICT = Mode.STRICT
+_WIN1, _WIN2 = MatchResult.WIN1, MatchResult.WIN2
+_UNDECIDED = MatchResult.UNDECIDED
+_HALTED = EvalKind.HALTED
+# What a report prints for each outcome, result and mode: its value, read
+# here once rather than through ``.value``, an ``enum.property``, per line.
+_SPELLING = {
+    member: member.value for kinds in (EvalKind, MatchResult, Mode)
+    for member in kinds
+}
+
+
 class Learner:
     """Anything that can publish source text and play a seat.
 
@@ -93,7 +109,7 @@ def _run_side(learner: Learner, env: EvalEnv) -> SideRecord:
     except RuntimeFault as fault:
         res = EvalResult(EvalKind.RUNTIME_FAULT, fuel_used=fault.fuel_used)
     kind, strategy = res.kind, None
-    if kind is EvalKind.HALTED:
+    if kind is _HALTED:
         strategy = res.strategy
         limit = env.game.side_count(env.side)
         if not isinstance(strategy, int) or not 1 <= strategy <= limit:
@@ -111,7 +127,7 @@ _RANK = {
 # A halt against a play that merely ran out of fuel, undecided in strict mode.
 _STANDOFF = {EvalKind.HALTED, EvalKind.FUEL_EXHAUSTED}
 # The result of two halts, by the sign of the table's payoff to the row seat.
-_BY_SIGN = {1: MatchResult.WIN1, -1: MatchResult.WIN2, 0: MatchResult.DRAW}
+_BY_SIGN = {1: _WIN1, -1: _WIN2, 0: MatchResult.DRAW}
 
 
 def adjudicate(
@@ -133,9 +149,9 @@ def adjudicate(
     rank1, rank2 = _RANK[tag1], _RANK[tag2]
     if rank1 == rank2 == 2:
         return _BY_SIGN[outcome(game, side1.strategy, side2.strategy)]
-    if rank1 == rank2 or mode is Mode.STRICT and {tag1, tag2} == _STANDOFF:
-        return MatchResult.UNDECIDED
-    return MatchResult.WIN1 if rank1 > rank2 else MatchResult.WIN2
+    if rank1 == rank2 or mode is _STRICT and {tag1, tag2} == _STANDOFF:
+        return _UNDECIDED
+    return _WIN1 if rank1 > rank2 else _WIN2
 
 
 def run_match(
@@ -154,8 +170,8 @@ def run_match(
     if type(mode) is not Mode:
         mode = Mode(mode)
     # Fields in order: game, seat, opponent's source, own source, fuel.
-    env1 = EvalEnv(game, Side.ROW, learner2.source, learner1.source, fuel)
-    env2 = EvalEnv(game, Side.COL, learner1.source, learner2.source,
+    env1 = EvalEnv(game, _ROW, learner2.source, learner1.source, fuel)
+    env2 = EvalEnv(game, _COL, learner1.source, learner2.source,
                    fuel if fuel2 is None else fuel2)
     side1 = _run_side(learner1, env1)
     side2 = _run_side(learner2, env2)
@@ -244,15 +260,16 @@ def run_tournament(
 def render_match(record: MatchRecord) -> str:
     return (
         f"match {record.learner1} vs {record.learner2}: "
-        f"eval1={record.side1.outcome.value} eval2={record.side2.outcome.value} "
-        f"result={record.result.value}"
+        f"eval1={_SPELLING[record.side1.outcome]} "
+        f"eval2={_SPELLING[record.side2.outcome]} "
+        f"result={_SPELLING[record.result]}"
     )
 
 
 def render_report(report: TournamentReport) -> str:
     lines = [
         f"tournament game={report.game_name} learners={len(report.learner_names)} "
-        f"fuel={report.fuel} mode={report.mode.value}"
+        f"fuel={report.fuel} mode={_SPELLING[report.mode]}"
     ]
     for record in report.records:
         lines.append(render_match(record))

@@ -150,13 +150,15 @@ def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
     if not table.symmetric_flag:
         raise NotSymmetricError("cycle search needs a symmetric table")
     n = table.rows
-    # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.
-    beaten_by = table.entries.T == 1
-    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.  Built
+    # in C order, so that each row packs from contiguous bytes.
+    beaten_by = np.equal(table.entries.T, 1, order="C")
+    later = np.arange(n) > np.arange(n)[:, None]
     packed = (
         np.packbits(beaten_by, axis=1),
         np.packbits(later, axis=1),
-        np.packbits(beaten_by.T & later, axis=1),  # edges back to the start
+        # edges back to the start
+        np.packbits((table.entries == 1) & later, axis=1),
     )
     found = {length: [] for length in range(3, max_len + 1)}
     _grow(np.arange(n)[:, None], max_len, packed, found)

@@ -123,9 +123,9 @@ def parse_crosstable(text: str) -> Crosstable:
         gap = np.add(scores[start:stop, start:], scores[start:, start:stop].T)
         gap -= 1.0
         np.abs(gap, out=gap)
-        clash = np.argwhere(gap > _COMPLEMENT_TOL)
-        if clash.size:
-            a, b = clash[0] + start
+        clash = gap > _COMPLEMENT_TOL
+        if clash.any():  # searched only in the block that fails
+            a, b = np.argwhere(clash)[0] + start
             raise ComplementarityViolation(
                 f"scores for {names[a]} vs {names[b]} sum to "
                 f"{scores[a, b] + scores[b, a]:.6f}, expected 1"

@@ -25,8 +25,13 @@ from .arena import (
 from .bundled import EXPLOITER_SOURCE, catalog_learners, rps
 from .classify import best_response
 from .dsl import EvalEnv, EvalKind, EvalResult, StrategyProgram, source_tree
+from .game_core import _OPPOSITE
 
 ORACLE_SOURCE = "oracle: simulates rivals with host resources; not a program."
+
+# Read on every play of the oracle, bound once: on Python 3.11 the enum
+# metaclass defines ``__getattr__``, so an ``EvalKind.HALTED`` read is slow.
+_HALTED, _FUEL_EXHAUSTED = EvalKind.HALTED, EvalKind.FUEL_EXHAUSTED
 
 
 def build_exploiter(
@@ -70,22 +75,22 @@ class OracleWinner(Learner):
     def play(self, env: EvalEnv) -> EvalResult:
         tree = source_tree(env.opponent_source)
         if tree is None:
-            return EvalResult(EvalKind.HALTED, strategy=1)
+            return EvalResult(_HALTED, strategy=1)
         rival_env = EvalEnv(
             game=env.game,
-            side=env.side.opposite,
+            side=_OPPOSITE[env.side],
             opponent_source=self.source,
             self_source=env.opponent_source,
             fuel=env.fuel,
         )
         rival = ProgramLearner("rival", StrategyProgram(env.opponent_source, tree))
         record = _run_side(rival, rival_env)
-        if record.outcome is EvalKind.FUEL_EXHAUSTED:
-            return EvalResult(EvalKind.FUEL_EXHAUSTED, fuel_used=record.fuel_used)
+        if record.outcome is _FUEL_EXHAUSTED:
+            return EvalResult(_FUEL_EXHAUSTED, fuel_used=record.fuel_used)
         reply = 1
-        if record.outcome is EvalKind.HALTED:
+        if record.outcome is _HALTED:
             reply = best_response(env.game, env.side, record.strategy)
-        return EvalResult(EvalKind.HALTED, reply, record.witness, record.fuel_used)
+        return EvalResult(_HALTED, reply, record.witness, record.fuel_used)
 
     def __repr__(self):
         return f"OracleWinner({self.name!r})"

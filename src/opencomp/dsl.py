@@ -117,7 +117,7 @@ from typing import NamedTuple, Union
 
 from .classify import best_response
 from .errors import ParseError, RuntimeFault
-from .game_core import GameTable, Side
+from .game_core import _OPPOSITE, GameTable, Side
 
 # --------------------------------------------------------------------------
 # Syntax tree
@@ -525,6 +525,14 @@ class EvalKind(str, Enum):
     INVALID_STRATEGY = "InvalidStrategy"
 
 
+# Members read on every evaluation, bound once: on Python 3.11 the enum
+# metaclass defines ``__getattr__``, so each ``EvalKind.HALTED`` read takes
+# the interpreter's slow attribute path, many times the cost of a global.
+_HALTED = EvalKind.HALTED
+_PROVEN_NONHALTING = EvalKind.PROVEN_NONHALTING
+_RUNTIME_FAULT = EvalKind.RUNTIME_FAULT
+
+
 class _EnvFields(NamedTuple):
     game: GameTable
     side: Side
@@ -597,12 +605,16 @@ class _FaultSignal(Exception):
 class _Given:
     """A source text handed to ``evaluate``, parsed when a ``sim`` first runs
     it.  Like ``SrcQuoted``, it is a source with a ``text`` and a
-    ``program``, its tree, or None when the text is not a program."""
+    ``program``, its tree, or None when the text is not a program.  A text
+    the shared cache already holds takes its tree at once; any other waits
+    for a ``sim``, so a source no ``sim`` runs is never parsed."""
 
     __slots__ = ("text", "program")
 
     def __init__(self, text: str):
         self.text = text
+        if text in _trees:
+            self.program = _trees[text]
 
     def __getattr__(self, name):
         # Reached only while ``program`` is unset.  The tree is kept on the
@@ -707,7 +719,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         adversary = _resolve(node.adversary, lvl)
                         target = _resolve(node.target, lvl)
                         child_side = (
-                            side.opposite if type(node.target) is SrcOpp else side
+                            _OPPOSITE[side] if type(node.target) is SrcOpp else side
                         )
                         tree = target.program
                         if tree is None:
@@ -763,7 +775,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         # one would repeat it: a proof, if fuel is left to
                         # take that next step.  Only the root's witness is
                         # reported, and it starts at step 0.
-                        result = ((EvalKind.PROVEN_NONHALTING, None, (g, g + 1))
+                        result = ((_PROVEN_NONHALTING, None, (g, g + 1))
                                   if g < limit else _OUT_OF_FUEL)
                     else:  # Grow
                         # Never halts and never repeats a state: spends the
@@ -802,7 +814,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         raise _FaultSignal("best response applied to a non-index")
                     reply = replies.get((side, value))
                     if reply is None:
-                        if not 1 <= value <= game.side_count(side.opposite):
+                        if not 1 <= value <= game.side_count(_OPPOSITE[side]):
                             raise _FaultSignal(
                                 f"best response to out-of-range strategy {value}"
                             )
@@ -815,12 +827,12 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             elif isinstance(value, SimOut):
                 # A level that reached a bare value with nothing pending is
                 # done.  Finishing costs no fuel.
-                result = (EvalKind.RUNTIME_FAULT,
+                result = (_RUNTIME_FAULT,
                           "program finished without a strategy index", None)
             else:
-                result = (EvalKind.HALTED, value, None)
+                result = (_HALTED, value, None)
         except _FaultSignal as fault:
-            result = (EvalKind.RUNTIME_FAULT, str(fault), None)
+            result = (_RUNTIME_FAULT, str(fault), None)
 
         # The running level has ended with ``result``.  If it is a
         # simulation, its parent, whose control is still the ``sim`` that
@@ -830,7 +842,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
             break
         key = lvl.key
         live[key] = lvl.shadowed
-        if result[0] is EvalKind.HALTED:
+        if result[0] is _HALTED:
             value, closed = SimOut("halted", result[1]), True
         else:
             # An end at the limit may have been forced by it.
@@ -841,6 +853,6 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         kont, limit, side = lvl.kont, lvl.limit, lvl.side
         node = None
 
-    if result[0] is EvalKind.RUNTIME_FAULT:
+    if result[0] is _RUNTIME_FAULT:
         raise RuntimeFault(result[1], fuel_used=g)
     return EvalResult(*result, g)

@@ -85,6 +85,9 @@ class Side(str, Enum):
 
 
 _OPPOSITE = {Side.ROW: Side.COL, Side.COL: Side.ROW}
+# Read by ``side_count`` on every match, bound once: on Python 3.11 the enum
+# metaclass defines ``__getattr__``, so a ``Side.ROW`` read is slow.
+_ROW = Side.ROW
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +188,7 @@ class GameTable:
         return str(j)
 
     def side_count(self, side: Side) -> int:
-        return self.rows if side is Side.ROW else self.cols
+        return self.rows if side is _ROW else self.cols
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GameTable):

@@ -144,6 +144,18 @@ class TestRunMatch:
             "match rock vs paper: eval1=Halted eval2=Halted result=Win2"
         )
 
+    @pytest.mark.parametrize("result", list(MatchResult))
+    @pytest.mark.parametrize("kind2", list(EvalKind))
+    @pytest.mark.parametrize("kind1", list(EvalKind))
+    def test_render_match_spells_every_member_by_its_value(
+        self, kind1, kind2, result
+    ):
+        match = MatchRecord("a", "b", record(kind1), record(kind2), result)
+        assert render_match(match) == (
+            f"match a vs b: eval1={kind1.value} eval2={kind2.value} "
+            f"result={result.value}"
+        )
+
 
 class TestTournament:
     def test_symmetric_game_plays_each_pair_once(self):
@@ -212,6 +224,13 @@ class TestTournament:
             "tally paper wins=1 draws=0 losses=0 undecided=0",
             "universal_winner=paper",
         ]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_report_header_spells_the_mode_by_its_value(self, mode):
+        report = run_tournament(rps(), [], fuel=10, mode=mode)
+        assert render_report(report).splitlines()[0] == (
+            f"tournament game=rps learners=0 fuel=10 mode={mode.value}"
+        )
 
 
 def _deadline_match() -> MatchRecord:

@@ -99,6 +99,42 @@ def test_evicting_trees_mid_evaluation_matches_the_oracle(
     assert result[:2] == (EvalKind.HALTED, strategy)
 
 
+@pytest.mark.parametrize("opponent", [
+    "const 2", "const \u00b2", "const 2" + " " * 480_000,
+], ids=["program", "not-a-program", "long"])
+def test_a_source_no_sim_runs_is_never_parsed(monkeypatch, opponent):
+    # Only a ``sim`` reads a source the cache does not hold, so a hostile
+    # rival text costs nothing against a program that never simulates it.
+    program = parse_program("bestresp(const 1)")
+    empty_parse_cache()
+    parses = _count_parses(monkeypatch, opponent)
+    result = evaluate(program, env_for(opponent=opponent, me=program.source))
+    assert (result.kind, result.strategy) == (EvalKind.HALTED, 2)
+    assert parses == []
+    assert opponent not in dsl._trees
+
+
+def test_cached_sources_are_not_parsed_again(monkeypatch):
+    empty_parse_cache()
+    program = parse_program(EXPLOITER_SOURCE)
+    source_tree("const 2")
+    parses = _count_parses(monkeypatch, "const 2", EXPLOITER_SOURCE)
+    result = evaluate(program, env_for(opponent="const 2", me=EXPLOITER_SOURCE))
+    assert (result.kind, result.strategy) == (EvalKind.HALTED, 3)
+    assert parses == []
+
+
+def test_a_given_source_takes_a_cached_tree_at_once():
+    empty_parse_cache()
+    tree = source_tree("const 3")
+    # Read through the slot itself, which skips ``__getattr__``.
+    slot = dsl._Given.program
+    assert slot.__get__(dsl._Given("const 3")) is tree
+    with pytest.raises(AttributeError):
+        slot.__get__(dsl._Given("const 4"))
+    assert "const 4" not in dsl._trees
+
+
 def test_a_cached_parse_error_pins_no_frames(monkeypatch):
     # The cache stores None for a text that does not parse, not the error.
     text = 'sim("const ²", opp, 5)'
