@@ -15,42 +15,35 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
+from enum import StrEnum
 from typing import NamedTuple
 
 from .dsl import (
-    EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate, parse_program,
+    _HALTED, EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate,
+    parse_program,
 )
 from .errors import RuntimeFault
-from .game_core import GameTable, Side, outcome
+from .game_core import _COL, _ROW, GameTable, outcome
 
 
-class MatchResult(str, Enum):
+class MatchResult(StrEnum):
     WIN1 = "Win1"
     WIN2 = "Win2"
     DRAW = "Draw"
     UNDECIDED = "Undecided"
 
 
-class Mode(str, Enum):
+class Mode(StrEnum):
     STRICT = "strict"
     DEADLINE = "deadline"
 
 
 # Members read on every match, bound once: on Python 3.11 the enum
-# metaclass defines ``__getattr__``, so each ``Side.ROW`` or
-# ``MatchResult.WIN1`` read takes the interpreter's slow attribute path.
-_ROW, _COL = Side.ROW, Side.COL
+# metaclass defines ``__getattr__``, so each ``MatchResult.WIN1`` read
+# takes the interpreter's slow attribute path.
 _STRICT = Mode.STRICT
 _WIN1, _WIN2 = MatchResult.WIN1, MatchResult.WIN2
 _UNDECIDED = MatchResult.UNDECIDED
-_HALTED = EvalKind.HALTED
-# What a report prints for each outcome, result and mode: its value, read
-# here once rather than through ``.value``, an ``enum.property``, per line.
-_SPELLING = {
-    member: member.value for kinds in (EvalKind, MatchResult, Mode)
-    for member in kinds
-}
 
 
 class Learner:
@@ -258,18 +251,19 @@ def run_tournament(
 
 
 def render_match(record: MatchRecord) -> str:
+    # ``!s`` converts a member with ``str.__str__`` at once; a plain field
+    # would look up ``__format__`` first, twice the cost, on every line.
     return (
         f"match {record.learner1} vs {record.learner2}: "
-        f"eval1={_SPELLING[record.side1.outcome]} "
-        f"eval2={_SPELLING[record.side2.outcome]} "
-        f"result={_SPELLING[record.result]}"
+        f"eval1={record.side1.outcome!s} eval2={record.side2.outcome!s} "
+        f"result={record.result!s}"
     )
 
 
 def render_report(report: TournamentReport) -> str:
     lines = [
         f"tournament game={report.game_name} learners={len(report.learner_names)} "
-        f"fuel={report.fuel} mode={_SPELLING[report.mode]}"
+        f"fuel={report.fuel} mode={report.mode}"
     ]
     for record in report.records:
         lines.append(render_match(record))

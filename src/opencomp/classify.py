@@ -16,7 +16,7 @@ not extend to arbitrary asymmetric tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import StrEnum
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import NotSymmetricError
 from .game_core import GameTable, Side
 
 
-class ClassKind(str, Enum):
+class ClassKind(StrEnum):
     STRICT_DOMINATION = "StrictDomination"
     WEAK_DOMINATION = "WeakDomination"
     STRONGLY_INTRANSITIVE = "StronglyIntransitive"
@@ -207,7 +207,7 @@ def _extend(paths: np.ndarray, successors: np.ndarray, mask: np.ndarray) -> np.n
 def render_classification(table: GameTable, result: Classification) -> str:
     """Stable textual report used by the command-line front end."""
     lines = [f"game={table.name}"]
-    lines.append(f"classification={result.kind.value}")
+    lines.append(f"classification={result.kind}")
     lines.append(f"dominator={result.dominator if result.dominator else 'none'}")
     if result.witnesses is not None:
         for i in sorted(result.witnesses.beats_row):

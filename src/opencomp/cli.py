@@ -142,9 +142,9 @@ def _cmd_classify(args) -> tuple[int, str, str]:
     game = _load_game(args.game)
     result = classify(game)
     text = render_classification(game, result)
-    if args.assert_class and result.kind.value != args.assert_class:
+    if args.assert_class and result.kind != args.assert_class:
         return 3, text, (
-            f"classification is {result.kind.value}, "
+            f"classification is {result.kind}, "
             f"expected {args.assert_class}\n"
         )
     return 0, text, ""

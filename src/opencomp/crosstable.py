@@ -352,13 +352,16 @@ def to_game(
     n = len(s)
     entries = np.zeros((n, n), dtype=np.int8)
     # The upper triangle, a block of rows at a time against the mirror
-    # columns; a NaN score compares false both ways, so it is a draw.  The
-    # lower triangle is its negated mirror, written in place: left of the
+    # columns, in one score buffer: the mirror's complements, overwritten
+    # where the row's score is present (a NaN is not equal to itself).  A
+    # NaN left over compares false both ways, so it is a draw.  The lower
+    # triangle is its negated mirror, written in place: left of the
     # block's square from the rows above it, done in earlier blocks, and
     # below the square's diagonal from the square itself.
     for start, stop in row_blocks(n, n):
         rows, mirror = s[start:stop, start:], s[start:, start:stop].T
-        score = np.where(np.isnan(rows), 1.0 - mirror, rows)
+        score = np.subtract(1.0, mirror)
+        np.copyto(score, rows, where=rows == rows)
         entry = (score > 0.5 + margin).view(np.int8)
         entry -= (score < 0.5 - margin).view(np.int8)
         entries[start:stop, start:] = np.triu(entry, 1)

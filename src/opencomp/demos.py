@@ -24,14 +24,12 @@ from .arena import (
 )
 from .bundled import EXPLOITER_SOURCE, catalog_learners, rps
 from .classify import best_response
-from .dsl import EvalEnv, EvalKind, EvalResult, StrategyProgram, source_tree
+from .dsl import (
+    _FUEL_EXHAUSTED, _HALTED, EvalEnv, EvalResult, StrategyProgram, source_tree,
+)
 from .game_core import _OPPOSITE
 
 ORACLE_SOURCE = "oracle: simulates rivals with host resources; not a program."
-
-# Read on every play of the oracle, bound once: on Python 3.11 the enum
-# metaclass defines ``__getattr__``, so an ``EvalKind.HALTED`` read is slow.
-_HALTED, _FUEL_EXHAUSTED = EvalKind.HALTED, EvalKind.FUEL_EXHAUSTED
 
 
 def build_exploiter(

@@ -112,7 +112,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field, fields
-from enum import Enum
+from enum import StrEnum
 from typing import NamedTuple, Union
 
 from .classify import best_response
@@ -246,11 +246,11 @@ _KEYWORDS = {*_FORMS, *_SOURCES, "rest"}.union(
 )
 # What ``pretty`` prints for each node type a keyword starts: the keyword,
 # the items after it, and the names of the fields its slots fill.
-_SPELLINGS = {
+_PRINTED = {
     node_type: (word, items, tuple(f.name for f in fields(node_type)))
     for word, (node_type, items) in _FORMS.items()
 }
-_SPELLINGS.update((node_type, (word, (), ())) for word, node_type in _SOURCES.items())
+_PRINTED.update((node_type, (word, (), ())) for word, node_type in _SOURCES.items())
 # Spelled tokens printed with no space before them; none follows "(" either.
 _TIGHT = ("(", ")", ",")
 
@@ -488,7 +488,7 @@ def pretty(node: Expr | Src) -> str:
     if kind is SrcQuoted:
         inner = pretty(node.program).replace("\\", "\\\\").replace('"', '\\"')
         return f'"{inner}"'
-    spelling = _SPELLINGS.get(kind)
+    spelling = _PRINTED.get(kind)
     if spelling is None:
         raise TypeError(f"not a syntax node: {node!r}")
     text, items, names = spelling
@@ -507,7 +507,7 @@ def pretty(node: Expr | Src) -> str:
 # Evaluation
 
 
-class EvalKind(str, Enum):
+class EvalKind(StrEnum):
     """How one side's play ended.
 
     ``evaluate`` returns only the first three kinds (or raises
@@ -529,6 +529,7 @@ class EvalKind(str, Enum):
 # metaclass defines ``__getattr__``, so each ``EvalKind.HALTED`` read takes
 # the interpreter's slow attribute path, many times the cost of a global.
 _HALTED = EvalKind.HALTED
+_FUEL_EXHAUSTED = EvalKind.FUEL_EXHAUSTED
 _PROVEN_NONHALTING = EvalKind.PROVEN_NONHALTING
 _RUNTIME_FAULT = EvalKind.RUNTIME_FAULT
 
@@ -595,7 +596,7 @@ class SimOut(NamedTuple):
 _EXHAUSTED = SimOut("exhausted")
 # How a level ends: its kind, then its strategy (or a fault's message), then
 # its witness.
-_OUT_OF_FUEL = (EvalKind.FUEL_EXHAUSTED, None, None)
+_OUT_OF_FUEL = (_FUEL_EXHAUSTED, None, None)
 
 
 class _FaultSignal(Exception):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum, StrEnum
 from itertools import chain, islice
 from typing import Iterator, NoReturn
 
@@ -75,7 +75,7 @@ def is_label(text: str) -> bool:
     return isinstance(text, str) and text.split() == [text] and "#" not in text
 
 
-class Side(str, Enum):
+class Side(StrEnum):
     ROW = "row"
     COL = "col"
 
@@ -84,10 +84,10 @@ class Side(str, Enum):
         return _OPPOSITE[self]
 
 
-_OPPOSITE = {Side.ROW: Side.COL, Side.COL: Side.ROW}
-# Read by ``side_count`` on every match, bound once: on Python 3.11 the enum
-# metaclass defines ``__getattr__``, so a ``Side.ROW`` read is slow.
-_ROW = Side.ROW
+# Read on every match, bound once: on Python 3.11 the enum metaclass
+# defines ``__getattr__``, so a ``Side.ROW`` read is slow.
+_ROW, _COL = Side.ROW, Side.COL
+_OPPOSITE = {_ROW: _COL, _COL: _ROW}
 
 
 @dataclass(frozen=True, eq=False)

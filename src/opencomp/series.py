@@ -8,7 +8,7 @@ shape on both sides.
 """
 from __future__ import annotations
 
-from enum import Enum
+from enum import StrEnum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from .errors import ShapeMismatchError
 from .game_core import GameTable
 
 
-class Aggregator(str, Enum):
+class Aggregator(StrEnum):
     """How a vector of win/draw/loss outcomes collapses to one outcome.
 
     SUM_SIGN: sign of the summed payoffs, which with payoffs in

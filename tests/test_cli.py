@@ -187,6 +187,20 @@ class TestErrorHandling:
         assert code == 1
         assert "invalid choice: 'majority'" in err
 
+    @pytest.mark.parametrize("argv, choices", [
+        (["arena", "--game", "rps", "--p1", "a", "--p2", "b", "--mode", "bogus"],
+         "'strict', 'deadline'"),
+        (["tournament", "--game", "rps", "--learners", "a", "--mode", "bogus"],
+         "'strict', 'deadline'"),
+        (["classify", "--game", "rps", "--assert-class", "bogus"],
+         "'StrictDomination', 'WeakDomination', 'StronglyIntransitive', 'Other'"),
+        (["series", "--game", "rps", "--aggregate", "bogus"], "'sum', 'lex'"),
+    ], ids=["arena-mode", "tournament-mode", "assert-class", "aggregate"])
+    def test_a_bad_choice_lists_the_choices_as_plain_strings(self, argv, choices):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert f"invalid choice: 'bogus' (choose from {choices})" in err
+
     def test_missing_required_flag(self):
         code, _, err = run("classify")
         assert code == 1

@@ -220,6 +220,30 @@ class TestParse:
             tracemalloc.stop()
         assert peak <= 2.0 * n * n * np.dtype(np.float64).itemsize
 
+    def test_ingest_peaks_within_two_score_matrices(self):
+        # Thresholding builds a block's scores in one buffer, so ingesting
+        # peaks no higher than the parse before it, about 1.9 matrices here.
+        n = 400
+        rng = np.random.default_rng(0)
+        upper = np.triu(rng.integers(0, 1001, (n, n)), 1)
+        milli = upper + (1000 - upper.T) * np.tri(n, k=-1, dtype=int)
+        names = [f"e{a}" for a in range(n)]
+        rows = [
+            ",".join([names[a], *(
+                "" if a == b else f"{milli[a, b] / 1000:.3f}" for b in range(n)
+            )])
+            for a in range(n)
+        ]
+        text = "\n".join(["names," + ",".join(names), *rows]) + "\n"
+        del rows
+        tracemalloc.start()
+        try:
+            ingest_crosstable(text, margin=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * np.dtype(np.float64).itemsize
+
 
 def _decoded(monkeypatch, cells: list[str]) -> tuple[list[str], list[str], int]:
     """``cells`` decoded as the one row of a block: each value as

@@ -1,10 +1,19 @@
-"""The package's public names are exactly the ones it lists, and its
-numpy calls are ones that the oldest numpy it allows has."""
+"""The package's public names are exactly the ones it lists, its numpy
+calls are ones that the oldest numpy it allows has, and its string enums
+spell as their values, with members bound to names only where they are
+defined."""
 import ast
 import types
 from pathlib import Path
 
+import pytest
+
 import opencomp
+
+_STRING_ENUMS = [
+    opencomp.EvalKind, opencomp.MatchResult, opencomp.Mode, opencomp.Side,
+    opencomp.ClassKind, opencomp.Aggregator,
+]
 
 # Names that numpy 2 added to its main namespace.  pyproject.toml allows
 # numpy 1.24 on, which has none of them.
@@ -46,3 +55,52 @@ def test_no_numpy_2_only_name_is_used():
             ):
                 used.append(f"{path.name}:{node.lineno} np.{node.attr}")
     assert used == []
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    return [
+        (path.stem, ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(Path(opencomp.__file__).parent.glob("*.py"))
+    ]
+
+
+@pytest.mark.parametrize(
+    "member", [m for kind in _STRING_ENUMS for m in kind], ids=repr
+)
+def test_a_string_enum_member_spells_as_its_value(member):
+    assert str(member) == format(member, "") == f"{member}" == member.value
+
+
+def test_no_class_mixes_str_into_enum_by_hand():
+    mixed = [
+        f"{name}.{node.name}"
+        for name, tree in _modules() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and {"str", "Enum"} <= {ast.unparse(base).split(".")[-1] for base in node.bases}
+    ]
+    assert mixed == []
+
+
+def test_enum_members_are_bound_to_names_only_where_defined():
+    # A module-level ``_NAME = Kind.MEMBER`` (or a tuple of them) outside
+    # the module that defines ``Kind``: other modules import the binding.
+    modules = _modules()
+    enums = {
+        node.name: name for name, tree in modules for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("Enum") for base in node.bases)
+    }
+    stray = []
+    for name, tree in modules:
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            value = node.value
+            for item in value.elts if isinstance(value, ast.Tuple) else [value]:
+                if (
+                    isinstance(item, ast.Attribute)
+                    and isinstance(item.value, ast.Name)
+                    and enums.get(item.value.id, name) != name
+                ):
+                    stray.append(f"{name}:{node.lineno} {ast.unparse(item)}")
+    assert stray == []
