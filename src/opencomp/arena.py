@@ -19,11 +19,11 @@ from enum import StrEnum
 from typing import NamedTuple
 
 from .dsl import (
-    _HALTED, EvalEnv, EvalKind, EvalResult, StrategyProgram, evaluate,
-    parse_program,
+    _HALTED, _INVALID_STRATEGY, _RUNTIME_FAULT, EvalEnv, EvalKind, EvalResult,
+    StrategyProgram, _tuple_new, evaluate, parse_program,
 )
 from .errors import RuntimeFault
-from .game_core import _COL, _ROW, GameTable, outcome
+from .game_core import _COL, _ROW, GameTable
 
 
 class MatchResult(StrEnum):
@@ -100,14 +100,14 @@ def _run_side(learner: Learner, env: EvalEnv) -> SideRecord:
     try:
         res = learner.play(env)
     except RuntimeFault as fault:
-        res = EvalResult(EvalKind.RUNTIME_FAULT, fuel_used=fault.fuel_used)
+        res = EvalResult(_RUNTIME_FAULT, fuel_used=fault.fuel_used)
     kind, strategy = res.kind, None
     if kind is _HALTED:
         strategy = res.strategy
-        limit = env.game.side_count(env.side)
+        limit = env.game.rows if env.side is _ROW else env.game.cols
         if not isinstance(strategy, int) or not 1 <= strategy <= limit:
-            kind, strategy = EvalKind.INVALID_STRATEGY, None
-    return SideRecord(kind, strategy, res.witness, res.fuel_used)
+            kind, strategy = _INVALID_STRATEGY, None
+    return _tuple_new(SideRecord, (kind, strategy, res.witness, res.fuel_used))
 
 
 # How far each outcome got: a fault or an invalid play, a play that never
@@ -136,12 +136,13 @@ def adjudicate(
     FuelExhausted and ProvenNonHalting, then Halted.  The higher rank wins
     and equal ranks are undecided, except that two halted strategies are
     scored by the table, and that under strict rules a halt against plain
-    fuel exhaustion is undecided too.
+    fuel exhaustion is undecided too.  A Halted record's strategy must be in
+    range for its seat, as ``run_match`` makes it.
     """
     tag1, tag2 = side1.outcome, side2.outcome
     rank1, rank2 = _RANK[tag1], _RANK[tag2]
     if rank1 == rank2 == 2:
-        return _BY_SIGN[outcome(game, side1.strategy, side2.strategy)]
+        return _BY_SIGN[game.entries[side1.strategy - 1, side2.strategy - 1]]
     if rank1 == rank2 or mode is _STRICT and {tag1, tag2} == _STANDOFF:
         return _UNDECIDED
     return _WIN1 if rank1 > rank2 else _WIN2
@@ -169,7 +170,9 @@ def run_match(
     side1 = _run_side(learner1, env1)
     side2 = _run_side(learner2, env2)
     result = adjudicate(game, side1, side2, mode)
-    return MatchRecord(learner1.name, learner2.name, side1, side2, result)
+    return _tuple_new(
+        MatchRecord, (learner1.name, learner2.name, side1, side2, result)
+    )
 
 
 @dataclass(frozen=True)

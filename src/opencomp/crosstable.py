@@ -368,12 +368,8 @@ def to_game(
         np.negative(entries[:start, start:stop].T, out=entries[start:stop, :start])
         square = entries[start:stop, start:stop]
         square -= square.T
-    return GameTable(
-        name=name,
-        entries=entries,
-        symmetric_flag=True,
-        labels_rows=crosstable.names,
-        labels_cols=crosstable.names,
+    return GameTable._holding(
+        name, entries, True, crosstable.names, crosstable.names
     )
 
 

@@ -525,13 +525,14 @@ class EvalKind(StrEnum):
     INVALID_STRATEGY = "InvalidStrategy"
 
 
-# Members read on every evaluation, bound once: on Python 3.11 the enum
-# metaclass defines ``__getattr__``, so each ``EvalKind.HALTED`` read takes
-# the interpreter's slow attribute path, many times the cost of a global.
+# Members read on every evaluation and match, bound once: on Python 3.11
+# the enum metaclass defines ``__getattr__``, so each ``EvalKind.HALTED``
+# read takes the interpreter's slow attribute path, many times a global's.
 _HALTED = EvalKind.HALTED
 _FUEL_EXHAUSTED = EvalKind.FUEL_EXHAUSTED
 _PROVEN_NONHALTING = EvalKind.PROVEN_NONHALTING
 _RUNTIME_FAULT = EvalKind.RUNTIME_FAULT
+_INVALID_STRATEGY = EvalKind.INVALID_STRATEGY
 
 
 class _EnvFields(NamedTuple):
@@ -597,6 +598,9 @@ _EXHAUSTED = SimOut("exhausted")
 # How a level ends: its kind, then its strategy (or a fault's message), then
 # its witness.
 _OUT_OF_FUEL = (_FUEL_EXHAUSTED, None, None)
+# Builds a named tuple from a tuple of all its fields, without the Python
+# frame of its generated ``__new__``; used where every field is at hand.
+_tuple_new = tuple.__new__
 
 
 class _FaultSignal(Exception):
@@ -608,7 +612,9 @@ class _Given:
     it.  Like ``SrcQuoted``, it is a source with a ``text`` and a
     ``program``, its tree, or None when the text is not a program.  A text
     the shared cache already holds takes its tree at once; any other waits
-    for a ``sim``, so a source no ``sim`` runs is never parsed."""
+    for a ``sim``, so a source no ``sim`` runs is never parsed.  The two
+    holders are made when the root first reaches a ``sim``, so a run that
+    simulates nothing makes none."""
 
     __slots__ = ("text", "program")
 
@@ -625,42 +631,6 @@ class _Given:
             raise AttributeError(name)
         self.program = tree = source_tree(self.text)
         return tree
-
-
-_Source = Union[_Given, SrcQuoted]
-
-
-class _Level:
-    """One live evaluation: the top program or a nested simulation.
-
-    ``evaluate`` runs the innermost level from locals; this record keeps
-    what a level needs again when a simulation it started ends.
-    """
-
-    __slots__ = ("kont", "side", "opp", "me", "limit", "start", "key",
-                 "shadowed")
-
-    def __init__(self, side, opp: _Source, me: _Source, limit, start=0,
-                 key=None, shadowed=None):
-        # Pending (node, bindings, left) frames, innermost last: a BestResp,
-        # Match or If node, the bindings it was reached with, and the left
-        # value of an If whose left side is done (None otherwise).
-        self.kont: list = []
-        self.side = side
-        self.opp = opp
-        self.me = me
-        self.limit = limit          # absolute step count this level may reach
-        self.start = start          # step count when this level began
-        self.key = key              # (target, seat, adversary) of a simulation
-        self.shadowed = shadowed    # the live level this one hides under key
-
-
-def _resolve(src: Src, lvl: _Level) -> _Source:
-    if type(src) is SrcOpp:
-        return lvl.opp
-    if type(src) is SrcSelf:
-        return lvl.me
-    return src
 
 
 def _lookup(bindings: tuple, name: str):
@@ -682,21 +652,31 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     if isinstance(program, str):
         program = parse_program(program)
     g = 0  # fuel consumed so far, shared by every nesting level
-    game = env.game
+    game, side, opponent_source, self_source, limit = env
     replies = game._replies  # (seat, opponent index) -> best reply
     sims = game._sims  # (target, seat, adversary) -> finished simulation
 
-    lvl = _Level(env.side, _Given(env.opponent_source), _Given(env.self_source),
-                 env.fuel)
+    # A level is one live evaluation, the root program or a nested
+    # simulation: the tuple (kont, side, opp, me, limit, start, key,
+    # shadowed).  ``kont`` holds its pending (node, bindings, left) frames,
+    # innermost last: a BestResp, Match or If node, the bindings it was
+    # reached with, and the left value of an If whose left side is done
+    # (None otherwise).  ``opp`` and ``me`` are its two sources, a
+    # ``_Given`` or a ``SrcQuoted``; the root's are None until it first
+    # reaches a ``sim``.  ``limit`` is the absolute step count it may reach,
+    # ``start`` the step count when it began, ``key`` the (target, seat,
+    # adversary) of a simulation and ``shadowed`` the live level it hides
+    # under that key.  Only ``kont`` changes, in place.
+    kont, opp, me = [], None, None
+    lvl = (kont, side, opp, me, limit, 0, None, None)
     levels = [lvl]
     # Deepest live simulation per (target, seat, adversary), each source
     # keyed by its text, as in the record.  The root is not entered: its
     # program need not be ``env.self_source``.
     live: dict = {}
-    # The running level is ``lvl``, with its continuation, limit and seat in
-    # locals.  Its control is ``node`` under ``bindings``, or, when ``node``
-    # is None, the ``value`` the last step produced.
-    kont, limit, side = lvl.kont, lvl.limit, lvl.side
+    # The running level is ``lvl``, with its continuation, seat, sources and
+    # limit in locals.  Its control is ``node`` under ``bindings``, or, when
+    # ``node`` is None, the ``value`` the last step produced.
     node, bindings, value = program.ast, (), None
 
     while True:
@@ -717,11 +697,20 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         node = node.scrutinee
                         continue
                     if kind is Sim:
-                        adversary = _resolve(node.adversary, lvl)
-                        target = _resolve(node.target, lvl)
-                        child_side = (
-                            _OPPOSITE[side] if type(node.target) is SrcOpp else side
-                        )
+                        if opp is None:  # the root's first ``sim``
+                            opp = _Given(opponent_source)
+                            me = _Given(self_source)
+                            lvl = levels[0] = (kont, side, opp, me, *lvl[4:])
+                        target, child_side = node.target, side
+                        if type(target) is SrcOpp:
+                            target, child_side = opp, _OPPOSITE[side]
+                        elif type(target) is SrcSelf:
+                            target = me
+                        adversary = node.adversary
+                        if type(adversary) is SrcOpp:
+                            adversary = opp
+                        elif type(adversary) is SrcSelf:
+                            adversary = me
                         tree = target.program
                         if tree is None:
                             # A rival whose source is not a runnable program
@@ -745,18 +734,17 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                                 value = record[1]
                             node = None
                             continue
+                        kont, side, opp, me = [], child_side, adversary, target
                         limit = g + room
                         twin = live.get(key)
-                        lvl = _Level(child_side, adversary, target, limit, g,
-                                     key, twin)
-                        if twin is not None and twin.limit == limit:
+                        lvl = (kont, side, opp, me, limit, g, key, twin)
+                        if twin is not None and twin[4] == limit:
                             # The child starts in its twin's state, and its
                             # run would repeat the twin's descent until the
                             # shared limit stops it: spend that limit now.
                             g = limit
                         live[key] = lvl
                         levels.append(lvl)
-                        kont, side = lvl.kont, child_side
                         node, bindings = tree, ()
                         continue
                     if kind is BestResp:
@@ -841,19 +829,19 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
         levels.pop()
         if not levels:
             break
-        key = lvl.key
-        live[key] = lvl.shadowed
+        key = lvl[6]
+        live[key] = lvl[7]
         if result[0] is _HALTED:
-            value, closed = SimOut("halted", result[1]), True
+            value, closed = _tuple_new(SimOut, ("halted", result[1])), True
         else:
             # An end at the limit may have been forced by it.
-            value, closed = _EXHAUSTED, g < lvl.limit
+            value, closed = _EXHAUSTED, g < limit
         if key in sims or len(sims) < _SIM_MEMO_SIZE:
-            sims[key] = (g - lvl.start, value, closed)
+            sims[key] = (g - lvl[5], value, closed)
         lvl = levels[-1]
-        kont, limit, side = lvl.kont, lvl.limit, lvl.side
+        kont, side, opp, me, limit = lvl[:5]
         node = None
 
     if result[0] is _RUNTIME_FAULT:
         raise RuntimeFault(result[1], fuel_used=g)
-    return EvalResult(*result, g)
+    return _tuple_new(EvalResult, (*result, g))

@@ -112,7 +112,7 @@ class GameTable:
     labels_rows: tuple[str, ...] | None = None
     labels_cols: tuple[str, ...] | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, held: bool = False):
         raw = np.asarray(self.entries)
         if raw.ndim != 2:
             raise InvariantError("game table must be two-dimensional")
@@ -125,13 +125,15 @@ class GameTable:
             )
         # Checked a block of rows at a time, so no full-size mask is built,
         # and before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
+        # A held array (``_holding``) is kept, any other copied.
         blocks = row_blocks(nr, nc)
-        arr = np.empty((nr, nc), dtype=np.int8)
+        arr = raw if held else np.empty((nr, nc), dtype=np.int8)
         for start, stop in blocks:
             block = raw[start:stop]
             if not ((block == -1) | (block == 0) | (block == 1)).all():
                 raise InvariantError("entries must be -1, 0 or +1")
-            arr[start:stop] = block
+            if not held:
+                arr[start:stop] = block
         # Kept as tuples, so a caller's list cannot relabel the table later.
         for field in ("labels_rows", "labels_cols"):
             if getattr(self, field) is not None:
@@ -166,6 +168,19 @@ class GameTable:
         # kept by ``dsl.evaluate``: at most ``dsl._SIM_MEMO_SIZE`` entries,
         # and dropped with the table.
         object.__setattr__(self, "_sims", {})
+
+    @classmethod
+    def _holding(cls, name, entries, symmetric_flag, labels_rows, labels_cols):
+        """A table that keeps ``entries`` itself, made read-only, after every
+        check the constructor makes: for an int8 array just built, which
+        nothing else holds, so it needs no copy."""
+        table = object.__new__(cls)
+        vars(table).update(
+            name=name, entries=entries, symmetric_flag=symmetric_flag,
+            labels_rows=labels_rows, labels_cols=labels_cols,
+        )
+        table.__post_init__(held=True)
+        return table
 
     def __reduce__(self):
         # Copies and pickles go through the constructor, so their entries
@@ -309,12 +324,9 @@ def parse_game(text: str) -> GameTable:
         raise ParseError("trailing content after last row", line=lineno)
 
     try:
-        return GameTable(
-            name=name,
-            entries=entries,
-            symmetric_flag=symmetric,
-            labels_rows=labels.get("labels_rows"),
-            labels_cols=labels.get("labels_cols"),
+        return GameTable._holding(
+            name, entries, symmetric,
+            labels.get("labels_rows"), labels.get("labels_cols"),
         )
     except InvariantError as exc:
         # Surface broken declarations (symmetric but not antisymmetric) as

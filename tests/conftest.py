@@ -24,6 +24,18 @@ def repo_root() -> Path:
     return REPO_ROOT
 
 
+def pytest_collection_modifyitems(items):
+    """Every test under ``tests/`` fails on any warning it leaves unhandled.
+
+    The filter goes first, so a test's own ``filterwarnings`` marks still
+    take precedence over it.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 def empty_parse_cache() -> None:
     """Empty the parse cache that every evaluation shares, so that parse
     counts start cold."""

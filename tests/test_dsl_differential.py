@@ -251,19 +251,25 @@ def test_towers_agree_with_the_fingerprint_oracle(tree, opponent, fuel):
 
 
 @pytest.fixture
-def levels_built(monkeypatch):
-    """Counts the levels ``evaluate`` pushes, the root included."""
-    built = []
+def child_runs(monkeypatch):
+    """Counts the simulations ``evaluate`` runs on the tables the test
+    makes, rather than reads from their records: a finished child run
+    writes its table's record once, and the root writes none."""
+    runs = []
 
-    class Counted(dsl._Level):
-        __slots__ = ()
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            runs.append(key)
+            super().__setitem__(key, value)
 
-        def __init__(self, *args, **kwargs):
-            built.append(None)
-            super().__init__(*args, **kwargs)
+    made = GameTable.__post_init__
 
-    monkeypatch.setattr(dsl, "_Level", Counted)
-    return built
+    def post_init(self, *args, **kwargs):
+        made(self, *args, **kwargs)
+        object.__setattr__(self, "_sims", Counted())
+
+    monkeypatch.setattr(GameTable, "__post_init__", post_init)
+    return runs
 
 
 def _arm(quote):
@@ -314,11 +320,11 @@ _PERIOD_3 = (
 ])
 @pytest.mark.parametrize("fuel", [0, 1, 7, 60, 3000])
 def test_towers_collapse_and_agree_with_the_oracle(
-    levels_built, source, opponent, most, fuel
+    child_runs, source, opponent, most, fuel
 ):
     env = env_for(opponent=opponent, me=source, fuel=fuel)
     new = _run(evaluate, source, env)
-    assert len(levels_built) <= most
+    assert len(child_runs) <= most - 1  # every level but the root
     assert new == _run(fingerprint_evaluate, source, env)
 
 
@@ -354,12 +360,12 @@ def test_near_repeats_run_in_full(program, me, opponent, game):
     assert new == _run(fingerprint_evaluate, program, env)
 
 
-def test_a_mutual_simulation_standoff_builds_a_handful_of_levels(levels_built):
+def test_a_mutual_simulation_standoff_builds_a_handful_of_levels(child_runs):
     env = env_for(opponent=MIRROR_SOURCE, me=EXPLOITER_SOURCE, fuel=100_000)
     result = evaluate(EXPLOITER_SOURCE, env)
     assert result.kind is EvalKind.FUEL_EXHAUSTED
     assert result.fuel_used == 100_000
-    assert len(levels_built) <= 4
+    assert len(child_runs) <= 3  # four levels, the root included
 
 
 # Warm tables.  Each ``GameTable`` records the simulations its evaluations
@@ -437,23 +443,23 @@ _ENDINGS = [
 
 
 @pytest.mark.parametrize("child", _ENDINGS)
-def test_budgets_around_a_recorded_end_agree_with_the_oracle(levels_built, child):
+def test_budgets_around_a_recorded_end_agree_with_the_oracle(child_runs, child):
     table = rps()
     for side in Side:
         # A generous budget records where the child ends: after c steps.
         first = _on_warm_table(table, _probe(500), child, 1000, side)
         ends = first[-1] - 4
         for budget in (ends - 1, ends, ends + 1, ends + 2, 0, 500):
-            levels_built.clear()
+            child_runs.clear()
             _on_warm_table(table, _probe(budget), child, 1000, side)
             if budget <= ends:
-                assert len(levels_built) == 1  # read from the record
+                assert not child_runs  # read from the record
         # The record of the longest run answers every smaller budget.
         budgets = {0, 1, ends // 3, ends // 2, ends - 1, ends}
-        levels_built.clear()
+        child_runs.clear()
         for budget in budgets:
             _on_warm_table(table, _probe(budget), child, 1000, side)
-        assert len(levels_built) == len(budgets)
+        assert not child_runs
 
 
 _AT_LIMIT = (
@@ -537,20 +543,20 @@ _PROBED = "match sim(opp, self, 9) { halted(k) => bestresp(k) | exhausted => 2 }
 _QUOTING = f'match sim("{_PROBED}", opp, 30) {{ halted(k) => k | exhausted => 0 }}'
 
 
-def test_separately_parsed_quotes_of_one_text_share_a_record(levels_built):
+def test_separately_parsed_quotes_of_one_text_share_a_record(child_runs):
     table = rps()
     for _ in range(2):
-        levels_built.clear()
+        child_runs.clear()
         _on_warm_table(table, parse_program(_QUOTING), "const 1", 1000, Side.ROW)
     # The second parse's quote reads what the first one's run recorded.
-    assert len(levels_built) == 1
+    assert not child_runs
 
 
-def test_a_quote_and_a_given_source_of_one_text_share_a_record(levels_built):
+def test_a_quote_and_a_given_source_of_one_text_share_a_record(child_runs):
     table = rps()
     # The opponent's text, simulated at COL against itself...
     _on_warm_table(table, _probe(30), _PROBED, 1000, Side.ROW)
-    levels_built.clear()
+    child_runs.clear()
     # ...and the same text quoted at COL, against the same opponent.
     _on_warm_table(table, _QUOTING, _PROBED, 1000, Side.COL)
-    assert len(levels_built) == 1
+    assert not child_runs

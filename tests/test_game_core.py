@@ -116,8 +116,8 @@ class TestGameTable:
 
     def test_a_large_file_parses_without_a_copy_of_its_lines(self):
         # The payoff rows come from the text a block at a time, so the parse
-        # holds the int8 table and GameTable's checked copy of it, not a
-        # list of every line, which alone is about three bytes a cell.
+        # holds the int8 table, not a list of every line, which alone is
+        # about three bytes a cell.
         n = 3000
         upper = np.triu(
             np.random.default_rng(1).integers(-1, 2, (n, n), dtype=np.int8), 1
@@ -132,6 +132,45 @@ class TestGameTable:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * n
+
+    def test_a_parsed_table_keeps_the_array_it_decoded(self):
+        # The decoded table is handed to GameTable, checked and kept: the
+        # parse peaks at one int8 table and the blocks' scratch, with no
+        # second copy of the table.
+        n = 3000
+        upper = np.triu(
+            np.random.default_rng(2).integers(-1, 2, (n, n), dtype=np.int8), 1
+        )
+        table = GameTable(name="big", entries=upper - upper.T, symmetric_flag=True)
+        text = serialize_game(table)
+        del upper
+        tracemalloc.start()
+        try:
+            parsed = parse_game(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n
+        assert parsed == table
+        assert not parsed.entries.flags.writeable
+
+    def test_the_constructor_copies_a_callers_array(self):
+        entries = np.array([[0, 1], [-1, 0]], dtype=np.int8)
+        game = GameTable(name="g", entries=entries, symmetric_flag=True)
+        entries[0, 1] = 0
+        assert game.entries[0, 1] == 1
+        assert entries.flags.writeable and not game.entries.flags.writeable
+
+    @pytest.mark.parametrize("text, message", [
+        ("game g\nsymmetric true\nrows 2 cols 2\nrow 1: 0 +1\nrow 2: +1 0\n",
+         "g: symmetric table must be antisymmetric"),
+        ("game g\nsymmetric true\nrows 1 cols 2\nrow 1: 0 +1\n",
+         "g: symmetric table must be square"),
+    ], ids=["not-antisymmetric", "not-square"])
+    def test_a_parsed_table_is_checked_as_a_built_one(self, text, message):
+        with pytest.raises(InvariantError) as err:
+            parse_game(text)
+        assert str(err.value) == message
 
     def test_symmetric_flag_requires_square(self):
         entries = np.zeros((2, 3), dtype=np.int8)

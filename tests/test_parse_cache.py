@@ -437,10 +437,9 @@ def test_a_bad_learner_file_still_reports_where_it_fails(text, message, line, co
 
 
 def test_a_cli_tournament_parses_each_learner_text_once(monkeypatch):
-    paths = sorted(str(path) for path in (REPO_ROOT / "learners").glob("*.lrn"))
-    bodies = {
-        "\n".join(open(path).read().splitlines()[1:]) for path in paths
-    }
+    files = sorted((REPO_ROOT / "learners").glob("*.lrn"))
+    paths = [str(path) for path in files]
+    bodies = {"\n".join(path.read_text().splitlines()[1:]) for path in files}
     parses = _count_parses(monkeypatch, *bodies)
     empty_parse_cache()
     code, report, _ = dispatch([
