@@ -112,19 +112,14 @@ def best_response(table: GameTable, side: Side, opponent_strategy: int) -> int:
     to the lowest index.
     """
     side = Side(side)
-    if side is Side.ROW:
-        if not 1 <= opponent_strategy <= table.cols:
-            raise IndexError(
-                f"opponent strategy {opponent_strategy} out of range 1..{table.cols}"
-            )
-        column = table.entries[:, opponent_strategy - 1]
-        return int(np.argmax(column)) + 1
-    if not 1 <= opponent_strategy <= table.rows:
+    count = table.cols if side is Side.ROW else table.rows
+    if not 1 <= opponent_strategy <= count:
         raise IndexError(
-            f"opponent strategy {opponent_strategy} out of range 1..{table.rows}"
+            f"opponent strategy {opponent_strategy} out of range 1..{count}"
         )
-    row = table.entries[opponent_strategy - 1, :]
-    return int(np.argmin(row)) + 1
+    if side is Side.ROW:
+        return int(np.argmax(table.entries[:, opponent_strategy - 1])) + 1
+    return int(np.argmin(table.entries[opponent_strategy - 1, :])) + 1
 
 
 def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:

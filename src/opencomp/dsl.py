@@ -32,9 +32,10 @@ parsed from, and is never parsed again.  Every other text is read through
 verdict that the text is not a program): ``parse_program``, and so
 ``parse_learner_file`` and an ``arena`` ``ProgramLearner`` given text; the
 two sources ``evaluate`` is given, its opponent's and its own, read when a
-``sim`` first runs them; and the rivals of the host-level oracle in
-``demos``.  So a learner runs the very tree its rivals simulate, and each
-text is parsed at most once per process while it fits the cache.  The
+``sim`` first runs them and kept until the evaluation ends; and the rivals
+of the host-level oracle in ``demos``.  So a learner runs the very tree its
+rivals simulate, and each text is parsed at most once per process while it
+fits the cache, and at most once per evaluation in any case.  The
 cache holds at most ``_PARSE_CACHE_CHARS`` characters, each entry charged
 its length and a fixed cost.  When a new text would pass that bound the
 cache starts afresh; a text longer than the whole bound is then held alone
@@ -151,11 +152,11 @@ class SrcSelf:
 
 @dataclass(frozen=True)
 class SrcQuoted:
-    """A quoted program: its tree, which ``sim`` runs as it runs a
-    ``_Given``'s, and the unescaped text between the quotes, which parses to
-    that tree and keys ``sim``'s records.  Quotes are equal when their trees
-    are, so the text takes no part in ``==``, ``hash`` or ``repr``.  A quote
-    built by hand gets ``pretty(program)`` as its text."""
+    """A quoted program: its tree, which ``sim`` runs without parsing, and
+    the unescaped text between the quotes, which parses to that tree and
+    names the source in ``sim``'s records.  Quotes are equal when their
+    trees are, so the text takes no part in ``==``, ``hash`` or ``repr``.  A
+    quote built by hand gets ``pretty(program)`` as its text."""
 
     program: "Expr"
     text: str = field(default=None, compare=False, repr=False)
@@ -526,7 +527,7 @@ class EvalKind(StrEnum):
 
 
 # Members read on every evaluation and match, bound once: on Python 3.11
-# the enum metaclass defines ``__getattr__``, so each ``EvalKind.HALTED``
+# the enum metaclass hooks attribute lookup, so each ``EvalKind.HALTED``
 # read takes the interpreter's slow attribute path, many times a global's.
 _HALTED = EvalKind.HALTED
 _FUEL_EXHAUSTED = EvalKind.FUEL_EXHAUSTED
@@ -607,32 +608,6 @@ class _FaultSignal(Exception):
     pass
 
 
-class _Given:
-    """A source text handed to ``evaluate``, parsed when a ``sim`` first runs
-    it.  Like ``SrcQuoted``, it is a source with a ``text`` and a
-    ``program``, its tree, or None when the text is not a program.  A text
-    the shared cache already holds takes its tree at once; any other waits
-    for a ``sim``, so a source no ``sim`` runs is never parsed.  The two
-    holders are made when the root first reaches a ``sim``, so a run that
-    simulates nothing makes none."""
-
-    __slots__ = ("text", "program")
-
-    def __init__(self, text: str):
-        self.text = text
-        if text in _trees:
-            self.program = _trees[text]
-
-    def __getattr__(self, name):
-        # Reached only while ``program`` is unset.  The tree is kept on the
-        # holder too, so an evaluation keeps it even if the shared cache
-        # starts afresh while it runs.
-        if name != "program":
-            raise AttributeError(name)
-        self.program = tree = source_tree(self.text)
-        return tree
-
-
 def _lookup(bindings: tuple, name: str):
     for key, value in reversed(bindings):
         if key == name:
@@ -661,15 +636,21 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     # shadowed).  ``kont`` holds its pending (node, bindings, left) frames,
     # innermost last: a BestResp, Match or If node, the bindings it was
     # reached with, and the left value of an If whose left side is done
-    # (None otherwise).  ``opp`` and ``me`` are its two sources, a
-    # ``_Given`` or a ``SrcQuoted``; the root's are None until it first
-    # reaches a ``sim``.  ``limit`` is the absolute step count it may reach,
-    # ``start`` the step count when it began, ``key`` the (target, seat,
-    # adversary) of a simulation and ``shadowed`` the live level it hides
-    # under that key.  Only ``kont`` changes, in place.
-    kont, opp, me = [], None, None
+    # (None otherwise).  ``opp`` and ``me`` are its two sources as texts:
+    # the two ``evaluate`` was given at the root, a quote's text below it.
+    # ``limit`` is the absolute step count it may reach, ``start`` the step
+    # count when it began, ``key`` the (target, seat, adversary) of a
+    # simulation and ``shadowed`` the live level it hides under that key.
+    # Only ``kont`` changes, in place.
+    kont, opp, me = [], opponent_source, self_source
     lvl = (kont, side, opp, me, limit, 0, None, None)
     levels = [lvl]
+    # The tree of every text a ``sim`` has run in this evaluation, or None
+    # for a text that is not a program.  A quote writes its own tree here; a
+    # given text is read through ``source_tree`` when a ``sim`` first runs
+    # it, and kept, so it is parsed at most once per evaluation even if the
+    # shared cache starts afresh mid-run.
+    trees: dict = {}
     # Deepest live simulation per (target, seat, adversary), each source
     # keyed by its text, as in the record.  The root is not entered: its
     # program need not be ``env.self_source``.
@@ -697,21 +678,24 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         node = node.scrutinee
                         continue
                     if kind is Sim:
-                        if opp is None:  # the root's first ``sim``
-                            opp = _Given(opponent_source)
-                            me = _Given(self_source)
-                            lvl = levels[0] = (kont, side, opp, me, *lvl[4:])
                         target, child_side = node.target, side
                         if type(target) is SrcOpp:
                             target, child_side = opp, _OPPOSITE[side]
                         elif type(target) is SrcSelf:
                             target = me
+                        else:
+                            trees[target.text] = target.program
+                            target = target.text
                         adversary = node.adversary
                         if type(adversary) is SrcOpp:
                             adversary = opp
                         elif type(adversary) is SrcSelf:
                             adversary = me
-                        tree = target.program
+                        else:
+                            adversary = adversary.text
+                        tree = trees.get(target)
+                        if tree is None and target not in trees:
+                            tree = trees[target] = source_tree(target)
                         if tree is None:
                             # A rival whose source is not a runnable program
                             # yields nothing observable.
@@ -721,7 +705,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                         room = limit - g  # the fuel the child may use
                         if node.budget != "rest" and node.budget < room:
                             room = node.budget
-                        key = (target.text, child_side, adversary.text)
+                        key = (target, child_side, adversary)
                         # (fuel spent, what the parent saw, whether a larger
                         # budget ends the same way)
                         record = sims.get(key)

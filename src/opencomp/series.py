@@ -53,23 +53,24 @@ def compose_series(
                 f"{game.rows}x{game.cols} ({game.name})"
             )
 
-    stack = np.stack([game.entries for game in games]).astype(np.int64)
     if aggregator is Aggregator.LEX:
-        # Index of the first non-draw outcome per cell; all-draw cells keep 0,
-        # which is harmless because their every layer is 0 anyway.
-        nonzero = stack != 0
-        first = np.argmax(nonzero, axis=0)
-        entries = np.take_along_axis(stack, first[None, ...], axis=0)[0]
+        # The first non-draw game decides: written last to first, each game
+        # over the cells it does not draw.
+        entries = np.zeros((rows, cols), dtype=np.int8)
+        for game in reversed(games):
+            np.copyto(entries, game.entries, where=game.entries != 0)
     else:
-        entries = np.sign(stack.sum(axis=0))
-    entries = entries.astype(np.int8)
+        # Summed in place; no series that fits in memory overflows int32.
+        total = np.zeros((rows, cols), dtype=np.int32)
+        for game in games:
+            total += game.entries
+        entries = np.sign(total, out=total).astype(np.int8)
 
     # Both rules are odd functions of the layers, so antisymmetric layers
-    # give an antisymmetric result; GameTable checks it all the same.
-    return GameTable(
-        name="series-" + "-".join(game.name for game in games),
-        entries=entries,
-        symmetric_flag=all(game.symmetric_flag for game in games),
-        labels_rows=games[0].labels_rows,
-        labels_cols=games[0].labels_cols,
+    # give an antisymmetric result; GameTable checks it all the same.  The
+    # array was just built, so the table keeps it.
+    return GameTable._holding(
+        "series-" + "-".join(game.name for game in games), entries,
+        all(game.symmetric_flag for game in games),
+        games[0].labels_rows, games[0].labels_cols,
     )

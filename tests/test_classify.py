@@ -142,6 +142,18 @@ class TestBestResponse:
         with pytest.raises(IndexError):
             best_response(rps(), Side.COL, 4)
 
+    @pytest.mark.parametrize("side, count, reply", [
+        (Side.ROW, 3, 2),  # the row seat answers the table's 3 columns
+        (Side.COL, 2, 1),  # the column seat answers its 2 rows
+    ])
+    def test_each_seat_answers_the_other_sides_range(self, side, count, reply):
+        game = table([[1, -1, 0], [-1, 1, 1]])
+        assert best_response(game, side, count) == reply
+        for bad in (0, count + 1):
+            with pytest.raises(IndexError) as err:
+                best_response(game, side, bad)
+            assert str(err.value) == f"opponent strategy {bad} out of range 1..{count}"
+
 
 class TestCycles:
     def test_rps_triplet(self):

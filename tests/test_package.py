@@ -1,7 +1,8 @@
 """The package's public names are exactly the ones it lists, its numpy
 calls are ones that the oldest numpy it allows has, and its string enums
 spell as their values, with members bound to names only where they are
-defined."""
+defined, and only ``dsl.source_tree`` touches the process-wide parse
+cache."""
 import ast
 import types
 from pathlib import Path
@@ -103,4 +104,35 @@ def test_enum_members_are_bound_to_names_only_where_defined():
                     and enums.get(item.value.id, name) != name
                 ):
                     stray.append(f"{name}:{node.lineno} {ast.unparse(item)}")
+    assert stray == []
+
+
+_PARSE_CACHE = {"_trees", "_held"}
+
+
+def test_only_source_tree_touches_the_parse_cache():
+    # ``dsl._trees`` and ``dsl._held`` are named by their module-level
+    # bindings and inside ``source_tree``, and nowhere else in the package,
+    # so the process-wide cache has one reader and one writer.
+    stray = []
+    for name, tree in _modules():
+        allowed = set()
+        if name == "dsl":
+            for node in tree.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    allowed.update(id(target) for target in targets)
+                elif isinstance(node, ast.FunctionDef) and node.name == "source_tree":
+                    allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named = name == "dsl" and node.id in _PARSE_CACHE
+            elif isinstance(node, ast.Attribute):
+                named = node.attr in _PARSE_CACHE
+            elif isinstance(node, ast.ImportFrom):
+                named = any(alias.name in _PARSE_CACHE for alias in node.names)
+            else:
+                continue
+            if named and id(node) not in allowed:
+                stray.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert stray == []

@@ -124,15 +124,29 @@ def test_cached_sources_are_not_parsed_again(monkeypatch):
     assert parses == []
 
 
-def test_a_given_source_takes_a_cached_tree_at_once():
+# Runs its rival, then itself against the rival, which collapses on its own
+# twin and exhausts, and then the rival against itself.
+_RUNS_BOTH_SOURCES = (
+    "match sim(opp, self, 50) { halted(k) => "
+    "match sim(self, opp, 40) { halted(j) => j | exhausted => "
+    "match sim(opp, opp, 30) { halted(i) => i | exhausted => 2 } } "
+    "| exhausted => 3 }"
+)
+
+
+def test_a_given_source_is_parsed_at_most_once_per_evaluation(monkeypatch):
+    # The cache cannot hold both texts, so each read of one evicts the
+    # other: only the evaluation's own memo keeps a given text's tree.
+    monkeypatch.setattr(dsl, "_PARSE_CACHE_CHARS", 1000)
+    opponent = "const 1".ljust(600)
+    me = _RUNS_BOTH_SOURCES.ljust(600)
     empty_parse_cache()
-    tree = source_tree("const 3")
-    # Read through the slot itself, which skips ``__getattr__``.
-    slot = dsl._Given.program
-    assert slot.__get__(dsl._Given("const 3")) is tree
-    with pytest.raises(AttributeError):
-        slot.__get__(dsl._Given("const 4"))
-    assert "const 4" not in dsl._trees
+    program = parse_program(me)
+    rival_parses = _count_parses(monkeypatch, opponent)
+    own_parses = _count_parses(monkeypatch, me)
+    result = evaluate(program, env_for(opponent=opponent, me=me, fuel=1000))
+    assert (result.kind, result.strategy) == (EvalKind.HALTED, 1)
+    assert len(rival_parses) <= 1 and len(own_parses) <= 1
 
 
 def test_a_cached_parse_error_pins_no_frames(monkeypatch):

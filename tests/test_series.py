@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,3 +97,24 @@ class TestCompose:
             # at least two games, so a table is composed
             combined = compose_series(shaped + shaped[:1], rule)
             assert set(np.unique(combined.entries)) <= {-1, 0, 1}
+
+
+@pytest.mark.parametrize("rule", list(Aggregator))
+@pytest.mark.parametrize("count", [3, 5])
+def test_composing_holds_a_few_bytes_a_cell(rule, count):
+    # The games are folded into one table, not stacked: an int32 total and
+    # the int8 result for the sum, the result and one game's mask for lex,
+    # whatever the number of games.
+    n = 600
+    rng = np.random.default_rng(count)
+    games = []
+    for i in range(count):
+        upper = np.triu(rng.integers(-1, 2, (n, n), dtype=np.int8), 1)
+        games.append(table(upper - upper.T, name=f"g{i}", symmetric=True))
+    tracemalloc.start()
+    try:
+        compose_series(games, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n
