@@ -87,51 +87,64 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="opencomp", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("classify", help="classify a game table")
-    p.add_argument("--game", required=True)
+    def command(name, handler, help, game=True):
+        # A command's parser, bound to the handler ``dispatch`` runs; most
+        # commands read one game first.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if game:
+            p.add_argument("--game", required=True)
+        return p
+
+    modes = [m.value for m in Mode]
+
+    p = command("classify", _cmd_classify, "classify a game table")
     p.add_argument("--assert-class", choices=[k.value for k in ClassKind])
 
-    p = sub.add_parser("cycles", help="list beats-cycles of a symmetric game")
-    p.add_argument("--game", required=True)
+    p = command("cycles", _cmd_cycles, "list beats-cycles of a symmetric game")
     p.add_argument("--max-len", type=int, default=3)
 
-    p = sub.add_parser("nash", help="list pure equilibrium cells")
-    p.add_argument("--game", required=True)
+    command("nash", _cmd_nash, "list pure equilibrium cells")
 
-    p = sub.add_parser("arena", help="run one match between two learner files")
-    p.add_argument("--game", required=True)
+    p = command("arena", _cmd_arena, "run one match between two learner files")
     p.add_argument("--p1", required=True)
     p.add_argument("--p2", required=True)
     p.add_argument("--fuel", type=int, default=100_000)
     p.add_argument("--fuel2", type=int, default=None)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default="strict")
+    p.add_argument("--mode", choices=modes, default="strict")
 
-    p = sub.add_parser("tournament", help="round robin over learner files")
-    p.add_argument("--game", required=True)
+    p = command("tournament", _cmd_tournament, "round robin over learner files")
     p.add_argument("--learners", required=True, nargs="+")
     p.add_argument("--fuel", type=int, default=100_000)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default="strict")
+    p.add_argument("--mode", choices=modes, default="strict")
 
-    p = sub.add_parser("demo", help="run the no-champion demonstrations")
+    p = command("demo", _cmd_demo, "run the no-champion demonstrations", game=False)
     p.add_argument("--fuel", type=int, default=3000)
 
-    p = sub.add_parser("series", help="compose games into one aggregate game")
+    p = command(
+        "series", _cmd_series, "compose games into one aggregate game", game=False
+    )
     p.add_argument("--game", required=True, action="append", dest="games")
     p.add_argument(
         "--aggregate", choices=[a.value for a in Aggregator], default="sum"
     )
 
-    p = sub.add_parser("maxmin", help="approximate maxmin play by fictitious play")
-    p.add_argument("--game", required=True)
+    p = command("maxmin", _cmd_maxmin, "approximate maxmin play by fictitious play")
     p.add_argument("--iters", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-2)
 
-    p = sub.add_parser("crosstable", help="threshold a score crosstable into a game")
+    p = command(
+        "crosstable", _cmd_crosstable, "threshold a score crosstable into a game",
+        game=False,
+    )
     p.add_argument("path")
     p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--name", default="crosstable")
 
-    p = sub.add_parser("enumerate", help="count distinct tables of a given shape")
+    p = command(
+        "enumerate", _cmd_enumerate, "count distinct tables of a given shape",
+        game=False,
+    )
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
 
@@ -225,20 +238,6 @@ def _cmd_enumerate(args) -> tuple[int, str, str]:
     return 0, f"games={3 ** cells}\n", ""
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "cycles": _cmd_cycles,
-    "nash": _cmd_nash,
-    "arena": _cmd_arena,
-    "tournament": _cmd_tournament,
-    "demo": _cmd_demo,
-    "series": _cmd_series,
-    "maxmin": _cmd_maxmin,
-    "crosstable": _cmd_crosstable,
-    "enumerate": _cmd_enumerate,
-}
-
-
 def dispatch(argv: list[str]) -> tuple[int, str, str]:
     """Run one invocation; returns (exit code, stdout text, stderr text)."""
     parser = _build_parser()
@@ -250,9 +249,8 @@ def dispatch(argv: list[str]) -> tuple[int, str, str]:
         return 0, str(exc), ""
     if args.command is None:
         return 1, "", parser.format_usage()
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except ValueError as exc:  # _DataError and every library data error
         return 2, "", f"error: {exc}\n"
     except Exception as exc:  # last resort, a CLI should not traceback

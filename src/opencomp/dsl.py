@@ -655,155 +655,149 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
     # keyed by its text, as in the record.  The root is not entered: its
     # program need not be ``env.self_source``.
     live: dict = {}
-    # The running level is ``lvl``, with its continuation, seat, sources and
-    # limit in locals.  Its control is ``node`` under ``bindings``, or, when
-    # ``node`` is None, the ``value`` the last step produced.
     node, bindings, value = program.ast, (), None
 
     while True:
         try:
-            if node is not None:
-                if g >= limit:
-                    result = _OUT_OF_FUEL
+            if node is None and not kont:
+                # The running level is ``lvl``, with its continuation, seat,
+                # sources and limit in locals.  Its control is ``node`` under
+                # ``bindings``, or, when ``node`` is None, the ``value`` the
+                # last step produced.  A bare value with nothing pending ends
+                # the level.  Finishing costs no fuel.
+                if isinstance(value, SimOut):
+                    result = (_RUNTIME_FAULT,
+                              "program finished without a strategy index", None)
                 else:
-                    g += 1
-                    # Node types in order of how often a step meets them.
-                    kind = type(node)
-                    if kind is Literal:
-                        value = node.value
-                        node = None
-                        continue
-                    if kind is Match:
-                        kont.append((node, bindings, None))
-                        node = node.scrutinee
-                        continue
-                    if kind is Sim:
-                        target, child_side = node.target, side
-                        if type(target) is SrcOpp:
-                            target, child_side = opp, _OPPOSITE[side]
-                        elif type(target) is SrcSelf:
-                            target = me
-                        else:
-                            trees[target.text] = target.program
-                            target = target.text
-                        adversary = node.adversary
-                        if type(adversary) is SrcOpp:
-                            adversary = opp
-                        elif type(adversary) is SrcSelf:
-                            adversary = me
-                        else:
-                            adversary = adversary.text
-                        tree = trees.get(target)
-                        if tree is None and target not in trees:
-                            tree = trees[target] = source_tree(target)
-                        if tree is None:
-                            # A rival whose source is not a runnable program
-                            # yields nothing observable.
-                            value = _EXHAUSTED
-                            node = None
-                            continue
-                        room = limit - g  # the fuel the child may use
-                        if node.budget != "rest" and node.budget < room:
-                            room = node.budget
-                        key = (target, child_side, adversary)
-                        # (fuel spent, what the parent saw, whether a larger
-                        # budget ends the same way)
-                        record = sims.get(key)
-                        if record is not None and (room <= record[0] or record[2]):
-                            if room < record[0]:  # cut off before its end
-                                g += room
-                                value = _EXHAUSTED
-                            else:
-                                g += record[0]
-                                value = record[1]
-                            node = None
-                            continue
-                        kont, side, opp, me = [], child_side, adversary, target
-                        limit = g + room
-                        twin = live.get(key)
-                        lvl = (kont, side, opp, me, limit, g, key, twin)
-                        if twin is not None and twin[4] == limit:
-                            # The child starts in its twin's state, and its
-                            # run would repeat the twin's descent until the
-                            # shared limit stops it: spend that limit now.
-                            g = limit
-                        live[key] = lvl
-                        levels.append(lvl)
-                        node, bindings = tree, ()
-                        continue
-                    if kind is BestResp:
-                        kont.append((node, bindings, None))
-                        node = node.arg
-                        continue
-                    if kind is If:
-                        kont.append((node, bindings, None))
-                        node = node.left
-                        continue
-                    if kind is Var:
-                        value = _lookup(bindings, node.name)
-                        node = None
-                        continue
-                    if kind is Loop:
-                        # This step leaves the state as it was, so the next
-                        # one would repeat it: a proof, if fuel is left to
-                        # take that next step.  Only the root's witness is
-                        # reported, and it starts at step 0.
-                        result = ((_PROVEN_NONHALTING, None, (g, g + 1))
-                                  if g < limit else _OUT_OF_FUEL)
-                    else:  # Grow
-                        # Never halts and never repeats a state: spends the
-                        # rest.
-                        g = limit
-                        result = _OUT_OF_FUEL
-            elif kont:  # a value meeting the top continuation frame
-                if g >= limit:
-                    result = _OUT_OF_FUEL
-                else:
-                    g += 1
-                    node, bindings, left = kont.pop()
-                    kind = type(node)
-                    if kind is Match:
-                        if not isinstance(value, SimOut):
-                            raise _FaultSignal("match on a non-simulation value")
-                        if value.tag == "halted":
-                            bindings = bindings + ((node.var, value.value),)
-                            node = node.on_halted
-                        else:
-                            node = node.on_exhausted
-                        continue
-                    if kind is If:
-                        if not isinstance(value, int):
-                            raise _FaultSignal("comparison on a non-integer")
-                        if left is None:
-                            kont.append((node, bindings, value))
-                            node = node.right
-                            continue
-                        taken = _COMPARE[node.op](left, value)
-                        node = node.then if taken else node.otherwise
-                        continue
-                    # BestResp, read through the table's memo, which holds
-                    # only indices that passed the range check.
-                    if not isinstance(value, int):
-                        raise _FaultSignal("best response applied to a non-index")
-                    reply = replies.get((side, value))
-                    if reply is None:
-                        if not 1 <= value <= game.side_count(_OPPOSITE[side]):
-                            raise _FaultSignal(
-                                f"best response to out-of-range strategy {value}"
-                            )
-                        reply = replies[side, value] = best_response(
-                            game, side, value
-                        )
-                    value = reply
+                    result = (_HALTED, value, None)
+            elif g >= limit:  # every other step costs fuel
+                result = _OUT_OF_FUEL
+            elif node is not None:
+                g += 1
+                # Node types in order of how often a step meets them.
+                kind = type(node)
+                if kind is Literal:
+                    value = node.value
                     node = None
                     continue
-            elif isinstance(value, SimOut):
-                # A level that reached a bare value with nothing pending is
-                # done.  Finishing costs no fuel.
-                result = (_RUNTIME_FAULT,
-                          "program finished without a strategy index", None)
-            else:
-                result = (_HALTED, value, None)
+                if kind is Match:
+                    kont.append((node, bindings, None))
+                    node = node.scrutinee
+                    continue
+                if kind is Sim:
+                    target, child_side = node.target, side
+                    if type(target) is SrcOpp:
+                        target, child_side = opp, _OPPOSITE[side]
+                    elif type(target) is SrcSelf:
+                        target = me
+                    else:
+                        trees[target.text] = target.program
+                        target = target.text
+                    adversary = node.adversary
+                    if type(adversary) is SrcOpp:
+                        adversary = opp
+                    elif type(adversary) is SrcSelf:
+                        adversary = me
+                    else:
+                        adversary = adversary.text
+                    tree = trees.get(target)
+                    if tree is None and target not in trees:
+                        tree = trees[target] = source_tree(target)
+                    if tree is None:
+                        # A rival whose source is not a runnable program
+                        # yields nothing observable.
+                        value = _EXHAUSTED
+                        node = None
+                        continue
+                    room = limit - g  # the fuel the child may use
+                    if node.budget != "rest" and node.budget < room:
+                        room = node.budget
+                    key = (target, child_side, adversary)
+                    # (fuel spent, what the parent saw, whether a larger
+                    # budget ends the same way)
+                    record = sims.get(key)
+                    if record is not None and (room <= record[0] or record[2]):
+                        if room < record[0]:  # cut off before its end
+                            g += room
+                            value = _EXHAUSTED
+                        else:
+                            g += record[0]
+                            value = record[1]
+                        node = None
+                        continue
+                    kont, side, opp, me = [], child_side, adversary, target
+                    limit = g + room
+                    twin = live.get(key)
+                    lvl = (kont, side, opp, me, limit, g, key, twin)
+                    if twin is not None and twin[4] == limit:
+                        # The child starts in its twin's state, and its
+                        # run would repeat the twin's descent until the
+                        # shared limit stops it: spend that limit now.
+                        g = limit
+                    live[key] = lvl
+                    levels.append(lvl)
+                    node, bindings = tree, ()
+                    continue
+                if kind is BestResp:
+                    kont.append((node, bindings, None))
+                    node = node.arg
+                    continue
+                if kind is If:
+                    kont.append((node, bindings, None))
+                    node = node.left
+                    continue
+                if kind is Var:
+                    value = _lookup(bindings, node.name)
+                    node = None
+                    continue
+                if kind is Loop:
+                    # This step leaves the state as it was, so the next
+                    # one would repeat it: a proof, if fuel is left to
+                    # take that next step.  Only the root's witness is
+                    # reported, and it starts at step 0.
+                    result = ((_PROVEN_NONHALTING, None, (g, g + 1))
+                              if g < limit else _OUT_OF_FUEL)
+                else:  # Grow
+                    # Never halts and never repeats a state: spends the rest.
+                    g = limit
+                    result = _OUT_OF_FUEL
+            else:  # a value meeting the top continuation frame
+                g += 1
+                node, bindings, left = kont.pop()
+                kind = type(node)
+                if kind is Match:
+                    if not isinstance(value, SimOut):
+                        raise _FaultSignal("match on a non-simulation value")
+                    if value.tag == "halted":
+                        bindings = bindings + ((node.var, value.value),)
+                        node = node.on_halted
+                    else:
+                        node = node.on_exhausted
+                    continue
+                if kind is If:
+                    if not isinstance(value, int):
+                        raise _FaultSignal("comparison on a non-integer")
+                    if left is None:
+                        kont.append((node, bindings, value))
+                        node = node.right
+                        continue
+                    taken = _COMPARE[node.op](left, value)
+                    node = node.then if taken else node.otherwise
+                    continue
+                # BestResp, read through the table's memo, which holds
+                # only indices that passed the range check.
+                if not isinstance(value, int):
+                    raise _FaultSignal("best response applied to a non-index")
+                reply = replies.get((side, value))
+                if reply is None:
+                    if not 1 <= value <= game.side_count(_OPPOSITE[side]):
+                        raise _FaultSignal(
+                            f"best response to out-of-range strategy {value}"
+                        )
+                    reply = replies[side, value] = best_response(game, side, value)
+                value = reply
+                node = None
+                continue
         except _FaultSignal as fault:
             result = (_RUNTIME_FAULT, str(fault), None)
 

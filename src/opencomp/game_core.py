@@ -219,18 +219,13 @@ class GameTable:
     __hash__ = None  # type: ignore[assignment]
 
 
-# Outcome by cell value: a numpy cell hashes and compares as its int, and a
-# dict read is cheaper than the enum's own lookup.
-_OUTCOMES = {int(member): member for member in Outcome}
-
-
 def outcome(table: GameTable, i: int, j: int) -> Outcome:
     """Payoff to the first player when row ``i`` meets column ``j`` (1-based)."""
     if not 1 <= i <= table.rows:
         raise IndexError(f"row index {i} out of range 1..{table.rows}")
     if not 1 <= j <= table.cols:
         raise IndexError(f"column index {j} out of range 1..{table.cols}")
-    return _OUTCOMES[table.entries[i - 1, j - 1]]
+    return Outcome(int(table.entries[i - 1, j - 1]))
 
 
 def role_swapped(table: GameTable) -> GameTable:

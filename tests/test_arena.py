@@ -177,7 +177,7 @@ class TestTournament:
 
     def test_duplicate_names_rejected(self):
         learners = [ProgramLearner("x", "const 1"), ProgramLearner("x", "const 2")]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^learner names must be unique$"):
             run_tournament(rps(), learners, fuel=10)
 
     @pytest.mark.parametrize("count", [0, 1])

@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,12 @@ import pytest
 
 from conftest import REPO_ROOT
 from opencomp import serialize_game, rps
-from opencomp.cli import _HANDLERS, _build_parser, dispatch, main
+from opencomp.cli import _build_parser, dispatch, main
+
+# Every command, as the top-level usage lists them: "{classify,cycles,...}".
+COMMANDS = re.search(r"\{(.*?)\}", _build_parser().format_usage()).group(1).split(",")
+# The commands that read games through a required --game.
+GAME_COMMANDS = ["classify", "cycles", "nash", "arena", "tournament", "series", "maxmin"]
 
 
 def run(*argv):
@@ -201,8 +207,9 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert f"invalid choice: 'bogus' (choose from {choices})" in err
 
-    def test_missing_required_flag(self):
-        code, _, err = run("classify")
+    @pytest.mark.parametrize("command", GAME_COMMANDS)
+    def test_missing_required_flag(self, command):
+        code, _, err = run(command)
         assert code == 1
         assert "--game" in err
 
@@ -312,6 +319,11 @@ class TestErrorHandling:
         )
         assert (code, out, err) == (2, "", "error: fuel must be non-negative\n")
 
+    def test_duplicate_learner_names_are_a_data_error(self, repo_root):
+        path = str(repo_root / "learners" / "loop.lrn")
+        code, out, err = run("tournament", "--game", "rps", "--learners", path, path)
+        assert (code, out, err) == (2, "", "error: learner names must be unique\n")
+
     def test_dispatch_never_raises(self):
         for argv in (
             ["classify", "--game"],
@@ -327,7 +339,7 @@ class TestHelp:
     # The text's width follows COLUMNS, so only its content is checked.
     @pytest.mark.parametrize("argv, usage", [
         (["--help"], "usage: opencomp [-h]"),
-        (["tournament", "-h"], "usage: opencomp tournament [-h]"),
+        *(([command, "-h"], f"usage: opencomp {command} [-h]") for command in COMMANDS),
     ])
     def test_help_is_returned_not_printed(self, capsys, argv, usage):
         code, out, err = dispatch(argv)
@@ -423,4 +435,4 @@ def test_readme_command_lines_run(argv, monkeypatch):
 
 
 def test_readme_shows_every_command():
-    assert sorted(argv[0] for argv in _readme_commands()) == sorted(_HANDLERS)
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(COMMANDS)

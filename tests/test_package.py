@@ -1,8 +1,8 @@
 """The package's public names are exactly the ones it lists, its numpy
 calls are ones that the oldest numpy it allows has, and its string enums
 spell as their values, with members bound to names only where they are
-defined, and only ``dsl.source_tree`` touches the process-wide parse
-cache."""
+defined.  Only ``dsl.source_tree`` touches the process-wide parse cache,
+and ``dsl.evaluate`` checks its fuel in one place."""
 import ast
 import types
 from pathlib import Path
@@ -136,3 +136,18 @@ def test_only_source_tree_touches_the_parse_cache():
             if named and id(node) not in allowed:
                 stray.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert stray == []
+
+
+def test_evaluate_checks_fuel_in_one_place():
+    # Every step but a level's finish costs fuel, and one test before both
+    # kinds of step stops a level that has none left.
+    tree = dict(_modules())["dsl"]
+    evaluate = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "evaluate"
+    )
+    checks = [
+        node.lineno for node in ast.walk(evaluate)
+        if isinstance(node, ast.Compare) and ast.unparse(node) == "g >= limit"
+    ]
+    assert len(checks) == 1, checks
