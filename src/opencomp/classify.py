@@ -58,23 +58,18 @@ class Classification:
 
 def find_dominator(table: GameTable, strict: bool) -> int | None:
     """Lowest 1-based row that wins everywhere (strict) or never loses."""
-    entries = table.entries
-    if strict:
-        mask = (entries == 1).all(axis=1)
-    else:
-        mask = (entries >= 0).all(axis=1)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(table.entries.min(axis=1) >= (1 if strict else 0))
     return int(idx[0]) + 1 if idx.size else None
 
 
 def is_strongly_intransitive(table: GameTable) -> tuple[bool, SIWitnesses | None]:
     entries = table.entries
-    row_loses = (entries == -1).any(axis=1)
-    col_beaten = (entries == 1).any(axis=0)
-    if not (row_loses.all() and col_beaten.all()):
+    if not ((entries.min(axis=1) == -1).all() and (entries.max(axis=0) == 1).all()):
         return False, None
     beats_row = dict(enumerate((np.argmax(entries == -1, axis=1) + 1).tolist(), 1))
-    beats_col = dict(enumerate((np.argmax(entries == 1, axis=0) + 1).tolist(), 1))
+    # Antisymmetry: row i beats column j just where row j loses to column i.
+    beats_col = beats_row.copy() if table.symmetric_flag else dict(
+        enumerate((np.argmax(entries == 1, axis=0) + 1).tolist(), 1))
     return True, SIWitnesses(beats_row, beats_col)
 
 
@@ -97,10 +92,11 @@ def pure_nash(table: GameTable) -> list[NashCell]:
     Returned in lexicographic (row-major) order, 1-based.
     """
     entries = table.entries
-    col_max = entries.max(axis=0)
-    row_min = entries.min(axis=1)
-    hits = np.argwhere((entries == col_max) & (entries == row_min[:, None]))
-    return [NashCell(int(i) + 1, int(j) + 1) for i, j in hits]
+    col_max, row_min = entries.max(axis=0), entries.min(axis=1)
+    rows = np.flatnonzero(np.isin(row_min, col_max))  # rows that can hold a cell
+    found = entries[rows]
+    hits = np.argwhere((found == col_max) & (found == row_min[rows, None]))
+    return [NashCell(int(rows[i]) + 1, int(j) + 1) for i, j in hits]
 
 
 def best_response(table: GameTable, side: Side, opponent_strategy: int) -> int:
@@ -145,16 +141,13 @@ def find_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
     if not table.symmetric_flag:
         raise NotSymmetricError("cycle search needs a symmetric table")
     n = table.rows
-    # beaten_by[i, j]: strategy j beats strategy i, the edge i -> j.  Built
-    # in C order, so that each row packs from contiguous bytes.
-    beaten_by = np.equal(table.entries.T, 1, order="C")
-    later = np.arange(n) > np.arange(n)[:, None]
-    packed = (
-        np.packbits(beaten_by, axis=1),
-        np.packbits(later, axis=1),
-        # edges back to the start
-        np.packbits((table.entries == 1) & later, axis=1),
-    )
+    # Row i of each: the edges i -> j to the strategies j that beat i, which
+    # antisymmetry puts where row i loses; the nodes j > i; and the edges
+    # j -> i back to i from those.
+    successors = np.packbits(table.entries == -1, axis=1)
+    later = np.packbits(~np.tri(n, dtype=bool), axis=1)
+    closes = np.packbits(table.entries == 1, axis=1) & later
+    packed = (successors, later, closes)
     found = {length: [] for length in range(3, max_len + 1)}
     _grow(np.arange(n)[:, None], max_len, packed, found)
     cycles = found[3]

@@ -262,7 +262,7 @@ def _plain_scores(
     below >>= 56
     # Both operands are exact doubles and the division rounds once, so a
     # score equals float(cell) bit for bit.
-    np.divide(x, _SCALE[below], out=out)
+    np.divide(x.view(np.int64), _SCALE.take(below), out=out)
     return plain
 
 
@@ -357,16 +357,17 @@ def to_game(
     # NaN left over compares false both ways, so it is a draw.  The lower
     # triangle is its negated mirror, written in place: left of the
     # block's square from the rows above it, done in earlier blocks, and
-    # below the square's diagonal from the square itself.
+    # below the square's diagonal from the square, zeroed on and below it.
     for start, stop in row_blocks(n, n):
         rows, mirror = s[start:stop, start:], s[start:, start:stop].T
         score = np.subtract(1.0, mirror)
         np.copyto(score, rows, where=rows == rows)
         entry = (score > 0.5 + margin).view(np.int8)
         entry -= (score < 0.5 - margin).view(np.int8)
-        entries[start:stop, start:] = np.triu(entry, 1)
+        entries[start:stop, start:] = entry
         np.negative(entries[:start, start:stop].T, out=entries[start:stop, :start])
         square = entries[start:stop, start:stop]
+        np.copyto(square, 0, where=np.tri(stop - start, dtype=bool))
         square -= square.T
     return GameTable._holding(
         name, entries, True, crosstable.names, crosstable.names

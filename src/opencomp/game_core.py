@@ -135,14 +135,15 @@ class GameTable:
             if not held:
                 arr[start:stop] = block
         # Kept as tuples, so a caller's list cannot relabel the table later.
-        for field in ("labels_rows", "labels_cols"):
+        seats = (("labels_rows", nr, "row"), ("labels_cols", nc, "column"))
+        for field, count, seat in seats:
             if getattr(self, field) is not None:
                 object.__setattr__(self, field, tuple(getattr(self, field)))
-        if self.labels_rows is not None and len(self.labels_rows) != nr:
-            raise InvariantError("labels_rows length does not match row count")
-        if self.labels_cols is not None and len(self.labels_cols) != nc:
-            raise InvariantError("labels_cols length does not match column count")
-        for word in (self.name, *(self.labels_rows or ()), *(self.labels_cols or ())):
+                if len(getattr(self, field)) != count:
+                    raise InvariantError(f"{field} length does not match {seat} count")
+        # Column labels that equal the row labels are checked as those.
+        cols = () if self.labels_cols == self.labels_rows else self.labels_cols
+        for word in (self.name, *(self.labels_rows or ()), *(cols or ())):
             if not is_label(word):
                 raise InvariantError(
                     f"name or label {word!r} must be one word with no '#'"
@@ -357,13 +358,17 @@ def _payoff_rows(
     # An entry ends where a space follows a byte that is none; the two bytes
     # before its end (wrapping round to the final "\n") give its spelling.
     ends = np.flatnonzero(space[1:] > space[:-1])
-    tail, sign = data.take(ends), data.take(ends - 1)
+    before = ends - 1
+    tail, sign = data.take(ends), data.take(before)
     letter = (tail == ord("0")) | (tail == ord("d"))
     letter |= (tail == ord("w")) | (tail == ord("l"))
-    letter &= space.take(ends - 1)
-    signed = (tail == ord("1")) & space.take(ends - 2)
+    letter &= space.take(before)
+    signed = (tail == ord("1")) & space.take(before - 1)
     signed &= (sign == ord("+")) | (sign == ord("-"))
-    row_ends = np.searchsorted(ends, np.flatnonzero(data == ord("\n")))
+    # Each row's "\n", from the rows' lengths in characters: those are
+    # bytes unless a non-space beyond ASCII is left, which spoils an entry.
+    newlines = np.cumsum([len(head[2]) + 1 for head in heads]) - 1
+    row_ends = np.searchsorted(ends, newlines)
     if not (
         np.array_equal(row_ends, np.arange(1, len(rows) + 1) * nc)
         and (letter | signed).all()

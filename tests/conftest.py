@@ -61,6 +61,17 @@ def brute_nash(table: GameTable) -> list[tuple[int, int]]:
     return cells
 
 
+def brute_dominator(table: GameTable, strict: bool) -> int | None:
+    """Lowest 1-based row of pure wins (strict) or of no losses, by a loop
+    over every cell."""
+    entries = table.entries
+    for i in range(table.rows):
+        row = [int(entries[i, j]) for j in range(table.cols)]
+        if all(v == 1 if strict else v >= 0 for v in row):
+            return i + 1
+    return None
+
+
 def brute_cycles(table: GameTable, max_len: int = 3) -> list[tuple[int, ...]]:
     """All beats-cycles up to max_len by checking every candidate tuple.
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cycles, brute_nash, game_tables, symmetric_tables
+from conftest import (
+    brute_cycles, brute_dominator, brute_nash, game_tables, symmetric_tables,
+)
 from opencomp import (
     ClassKind, GameTable, NotSymmetricError, Side, best_response, classify,
     dice, find_cycles, find_dominator, is_strongly_intransitive, pennies,
@@ -75,10 +79,17 @@ class TestClassify:
         assert find_dominator(dice(), strict=False) == 6
 
     def test_strong_intransitivity_needs_both_directions(self):
-        # every row has a loss, but column 1 never wins
+        # every row has a loss, but no column is ever beaten: column 1
+        # wins every pairing
         game = table([[-1, 0], [-1, 0]])
         verdict, witnesses = is_strongly_intransitive(game)
         assert not verdict and witnesses is None
+
+    @given(st.one_of(game_tables(max_side=6), symmetric_tables(max_side=6)))
+    @settings(max_examples=120)
+    def test_find_dominator_matches_brute_force(self, game):
+        for strict in (True, False):
+            assert find_dominator(game, strict) == brute_dominator(game, strict)
 
     def test_witnesses_use_lowest_indices(self):
         verdict, witnesses = is_strongly_intransitive(rpsls())
@@ -107,6 +118,18 @@ class TestPureNash:
     def test_matches_brute_force(self, game):
         assert [(c.i, c.j) for c in pure_nash(game)] == brute_nash(game)
 
+    @given(st.one_of(
+        symmetric_tables(max_side=6),
+        # Constant columns, all-draw tables among them: every row's minimum
+        # is some column's maximum, so every row may hold a cell.
+        st.tuples(
+            st.integers(1, 6), st.lists(st.integers(-1, 1), min_size=1, max_size=6)
+        ).map(lambda shape: table([shape[1]] * shape[0])),
+    ))
+    @settings(max_examples=160)
+    def test_matches_brute_force_on_symmetric_and_constant_column_tables(self, game):
+        assert [(c.i, c.j) for c in pure_nash(game)] == brute_nash(game)
+
     @given(game_tables(max_side=6))
     @settings(max_examples=80)
     def test_strong_intransitivity_excludes_pure_nash(self, game):
@@ -120,6 +143,47 @@ class TestPureNash:
         if result.kind is ClassKind.WEAK_DOMINATION:
             d = result.dominator
             assert (d, d) in [(c.i, c.j) for c in pure_nash(game)]
+
+
+class TestScratch:
+    """At 2000 strategies, classification and the equilibrium search hold
+    no table-sized temporaries: each traced peak stays under a tenth of a
+    byte a cell."""
+
+    N = 2000
+
+    @staticmethod
+    def _peak(call, *args) -> int:
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _antisymmetric(self, seed: int | None) -> GameTable:
+        """A random table, or with no seed the one where each strategy
+        beats every later one."""
+        shape = (self.N, self.N)
+        if seed is None:
+            upper = np.triu(np.ones(shape, dtype=np.int8), 1)
+        else:
+            rng = np.random.default_rng(seed)
+            upper = np.triu(rng.integers(-1, 2, shape, dtype=np.int8), 1)
+        return GameTable(name="big", entries=upper - upper.T, symmetric_flag=True)
+
+    def test_pure_nash(self):
+        game = self._antisymmetric(0)
+        assert self._peak(pure_nash, game) < 0.1 * self.N ** 2
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_find_dominator(self, strict):
+        game = self._antisymmetric(1)
+        assert self._peak(find_dominator, game, strict) < 0.1 * self.N ** 2
+
+    def test_is_strongly_intransitive_on_a_transitive_table(self):
+        game = self._antisymmetric(None)
+        assert self._peak(is_strongly_intransitive, game) < 0.1 * self.N ** 2
 
 
 class TestBestResponse:

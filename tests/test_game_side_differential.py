@@ -534,6 +534,42 @@ def test_game_rows_across_block_boundaries(monkeypatch, rows_per_block):
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+def test_characters_beyond_ascii_across_block_boundaries(monkeypatch, rows_per_block):
+    """Each row of a block ends where the lengths of the rows before it
+    say.  Wide spaces between entries, in the last row of a block and the
+    first of the next, read as the oracle reads them without the per-row
+    checks; a character beyond ASCII that is no space, there or after
+    them, is reported as the oracle reports it, on its line."""
+    monkeypatch.setattr(game_core, "_BLOCK_CELLS", rows_per_block * 100)
+    k = rows_per_block
+    text = _game_text(100, seed=7)
+    wide = _edited(
+        text,
+        _on_row(k, _between_entries("\xa0")),
+        _on_row(k + 1, _between_entries(" \u3000")),
+        _on_row(2 * k + 1, _between_entries("\u3000\xa0")),
+    )
+
+    def unused(*args):
+        raise AssertionError("the per-row checks ran on a valid file")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(game_core, "_row_error", unused)
+        assert parse_game(wide) == oracle.parse_game(wide)
+    edits = [
+        lambda line: line.rsplit(None, 1)[0] + " \u00e9",  # the last entry
+        lambda line: line.replace(": ", ": +1 \u00e9 ", 1),  # two more
+        lambda line: line.replace(": ", ": \u00e9", 1),  # in the first
+    ]
+    for row in (k, k + 1, 2 * k + 2, 100):
+        for edit in edits:
+            bad = _on_row(row, edit)(wide)
+            want = _outcome(oracle.parse_game, bad)
+            assert want[0] is ParseError
+            assert _outcome(parse_game, bad) == want
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7])
 def test_crosstable_rows_across_block_boundaries(monkeypatch, rows_per_block):
     """With a block of one, two or seven rows, the complementarity check and
     the thresholding of a 120-engine table span many blocks.  A clash in the
