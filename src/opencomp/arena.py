@@ -14,7 +14,6 @@ room for mutually-simulating programs to force a standoff.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import StrEnum
 from typing import NamedTuple
 
@@ -175,8 +174,7 @@ def run_match(
     )
 
 
-@dataclass(frozen=True)
-class TournamentReport:
+class TournamentReport(NamedTuple):
     game_name: str
     learner_names: tuple[str, ...]
     fuel: int

@@ -15,14 +15,13 @@ not extend to arbitrary asymmetric tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import StrEnum
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotSymmetricError
-from .game_core import GameTable, Side
+from .game_core import GameTable, Side, row_blocks
 
 
 class ClassKind(StrEnum):
@@ -49,8 +48,7 @@ class SIWitnesses(NamedTuple):
     beats_col: dict[int, int]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: ClassKind
     dominator: int | None = None
     witnesses: SIWitnesses | None = None
@@ -66,11 +64,20 @@ def is_strongly_intransitive(table: GameTable) -> tuple[bool, SIWitnesses | None
     entries = table.entries
     if not ((entries.min(axis=1) == -1).all() and (entries.max(axis=0) == 1).all()):
         return False, None
-    beats_row = dict(enumerate((np.argmax(entries == -1, axis=1) + 1).tolist(), 1))
+    beats_row = dict(enumerate(_first_index(entries, -1), 1))
     # Antisymmetry: row i beats column j just where row j loses to column i.
     beats_col = beats_row.copy() if table.symmetric_flag else dict(
-        enumerate((np.argmax(entries == 1, axis=0) + 1).tolist(), 1))
+        enumerate(_first_index(entries.T, 1), 1))
     return True, SIWitnesses(beats_row, beats_col)
+
+
+def _first_index(lines: np.ndarray, value: int) -> list[int]:
+    """The 1-based index of the first ``value`` in each row of ``lines``
+    (1 where it has none), found a block of rows at a time, so no mask of
+    the whole table is built."""
+    firsts = [np.argmax(lines[start:stop] == value, axis=1)
+              for start, stop in row_blocks(*lines.shape)]
+    return (np.concatenate(firsts) + 1).tolist()
 
 
 def classify(table: GameTable) -> Classification:

@@ -38,13 +38,13 @@ temporaries and the int8 table being built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .errors import ComplementarityViolation, ParseError
+from .frozen import Frozen, _restore, _set
 from .game_core import GameTable, content_lines, is_label, row_blocks
 
 _COMPLEMENT_TOL = 1e-6
@@ -63,33 +63,28 @@ _ONES = np.uint64(0x0101010101010101)
 _SCALE = 10.0 ** np.arange(8, -1, -1)
 
 
-@dataclass(frozen=True)
-class Crosstable:
+class Crosstable(Frozen):
     """Raw parsed scores: names plus a square matrix with NaN where empty."""
 
-    names: tuple[str, ...]
-    scores: np.ndarray
+    __slots__ = _fields = ("names", "scores")
 
-    def __post_init__(self):
-        names = tuple(self.names)  # so a caller's list cannot rename players
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: tuple[str, ...], scores: np.ndarray):
+        names = tuple(names)  # so a caller's list cannot rename players
         # A copy, so that a caller's array cannot change the scores.
-        scores = np.array(self.scores, dtype=np.float64)
+        scores = np.array(scores, dtype=np.float64)
         n = len(names)
         if scores.shape != (n, n):
             raise ValueError("scores must be square and match the name count")
         scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        _set(self, "names", names)
+        _set(self, "scores", scores)
 
 
 def _holding(names: tuple[str, ...], scores: np.ndarray) -> Crosstable:
     """A ``Crosstable`` that keeps ``scores`` itself, made read-only: for a
     matrix just decoded, which nothing else holds, so it needs no copy."""
     scores.setflags(write=False)
-    table = object.__new__(Crosstable)
-    object.__setattr__(table, "names", names)
-    object.__setattr__(table, "scores", scores)
-    return table
+    return _restore(Crosstable, (names, scores))
 
 
 def parse_crosstable(text: str) -> Crosstable:

@@ -23,8 +23,9 @@ quoted program counting one level deeper than the ``sim`` that quotes it;
 deeper nesting is a ``ParseError`` too, so a walker that takes one frame
 per level, such as ``pretty`` or the parser itself (an expression slot
 recurses straight from the expression it sits in), can recurse through
-every tree the parser builds.  Tree ``==`` and ``hash`` take about two
-frames per level and can pass the default recursion limit near the bound.
+every tree the parser builds.  Tree ``hash`` and ``repr`` take two frames
+per level and ``==`` three, so they can pass the default recursion limit
+near the bound.
 
 A quoted program runs as its own syntax tree, kept with the text it was
 parsed from, and is never parsed again.  Every other text is read through
@@ -112,102 +113,108 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field, fields
 from enum import StrEnum
 from typing import NamedTuple, Union
 
 from .classify import best_response
 from .errors import ParseError, RuntimeFault
+from .frozen import Frozen, _set
 from .game_core import _OPPOSITE, GameTable, Side
 
 # --------------------------------------------------------------------------
 # Syntax tree
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: int
-    bare: bool = False  # written as a plain integer rather than "const n"
+class Literal(Frozen):
+    __slots__ = _fields = ("value", "bare")
+
+    def __init__(self, value: int, bare: bool = False):
+        _set(self, "value", value)
+        _set(self, "bare", bare)  # written as a plain integer rather than "const n"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BestResp:
-    arg: "Expr"
+class BestResp(Frozen):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class SrcOpp:
-    pass
+class SrcOpp(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SrcSelf:
-    pass
+class SrcSelf(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SrcQuoted:
+class SrcQuoted(Frozen):
     """A quoted program: its tree, which ``sim`` runs without parsing, and
     the unescaped text between the quotes, which parses to that tree and
     names the source in ``sim``'s records.  Quotes are equal when their
     trees are, so the text takes no part in ``==``, ``hash`` or ``repr``.  A
     quote built by hand gets ``pretty(program)`` as its text."""
 
-    program: "Expr"
-    text: str = field(default=None, compare=False, repr=False)
+    __slots__ = ("program", "text")
+    _fields = ("program",)
 
-    def __post_init__(self):
-        if self.text is None:
-            object.__setattr__(self, "text", pretty(self.program))
+    def __init__(self, program: Expr, text: str | None = None):
+        _set(self, "program", program)
+        _set(self, "text", pretty(program) if text is None else text)
 
 
 Src = Union[SrcOpp, SrcSelf, SrcQuoted]
 
 
-@dataclass(frozen=True)
-class Sim:
-    target: Src
-    adversary: Src
-    budget: int | str  # non-negative int, or the string "rest"
+class Sim(Frozen):
+    __slots__ = _fields = ("target", "adversary", "budget")
+
+    def __init__(self, target: Src, adversary: Src, budget: int | str):
+        _set(self, "target", target)
+        _set(self, "adversary", adversary)
+        _set(self, "budget", budget)  # non-negative int, or the string "rest"
 
 
-@dataclass(frozen=True)
-class Match:
-    scrutinee: "Expr"
-    var: str
-    on_halted: "Expr"
-    on_exhausted: "Expr"
+class Match(Frozen):
+    __slots__ = _fields = ("scrutinee", "var", "on_halted", "on_exhausted")
+
+    def __init__(self, scrutinee: Expr, var: str, on_halted: Expr, on_exhausted: Expr):
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "var", var)
+        _set(self, "on_halted", on_halted)
+        _set(self, "on_exhausted", on_exhausted)
 
 
-@dataclass(frozen=True)
-class If:
-    left: "Expr"
-    op: str  # "==", "<" or ">"
-    right: "Expr"
-    then: "Expr"
-    otherwise: "Expr"
+class If(Frozen):
+    __slots__ = _fields = ("left", "op", "right", "then", "otherwise")
+
+    def __init__(self, left: Expr, op: str, right: Expr, then: Expr, otherwise: Expr):
+        _set(self, "left", left)
+        _set(self, "op", op)  # "==", "<" or ">"
+        _set(self, "right", right)
+        _set(self, "then", then)
+        _set(self, "otherwise", otherwise)
 
 
-@dataclass(frozen=True)
-class Loop:
-    pass
+class Loop(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Grow:
-    pass
+class Grow(Frozen):
+    __slots__ = ()
 
 
 Expr = Union[Literal, Var, BestResp, Sim, Match, If, Loop, Grow]
 
 
-@dataclass(frozen=True)
-class StrategyProgram:
+class StrategyProgram(NamedTuple):
     """A parsed program together with the exact text it came from."""
 
     source: str
@@ -248,7 +255,7 @@ _KEYWORDS = {*_FORMS, *_SOURCES, "rest"}.union(
 # What ``pretty`` prints for each node type a keyword starts: the keyword,
 # the items after it, and the names of the fields its slots fill.
 _PRINTED = {
-    node_type: (word, items, tuple(f.name for f in fields(node_type)))
+    node_type: (word, items, node_type._fields)
     for word, (node_type, items) in _FORMS.items()
 }
 _PRINTED.update((node_type, (word, (), ())) for word, node_type in _SOURCES.items())
@@ -423,7 +430,7 @@ def parse_program(text: str) -> StrategyProgram:
     tree = source_tree(text)
     if tree is None:
         _parse(text, 0)  # raises the text's ParseError
-    return StrategyProgram(source=text, ast=tree)
+    return StrategyProgram(text, tree)
 
 
 # Shared by every evaluation in the process: trees are immutable, and
@@ -473,7 +480,7 @@ def parse_learner_file(text: str) -> tuple[str, StrategyProgram]:
     tree = source_tree(body)
     if tree is None:
         _parse("\n" + body, 0)  # raises with the line numbers of the file
-    return header[1], StrategyProgram(source=body, ast=tree)
+    return header[1], StrategyProgram(body, tree)
 
 
 def pretty(node: Expr | Src) -> str:

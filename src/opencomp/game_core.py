@@ -11,7 +11,6 @@ function arguments); the numpy array underneath is 0-based as usual.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum, StrEnum
 from itertools import chain, islice
 from typing import Iterator, NoReturn
@@ -19,6 +18,7 @@ from typing import Iterator, NoReturn
 import numpy as np
 
 from .errors import InvariantError, ParseError
+from .frozen import Frozen, _restore, _set
 
 MAX_STRATEGIES = 10_000
 
@@ -90,8 +90,7 @@ _ROW, _COL = Side.ROW, Side.COL
 _OPPOSITE = {_ROW: _COL, _COL: _ROW}
 
 
-@dataclass(frozen=True, eq=False)
-class GameTable:
+class GameTable(Frozen):
     """Immutable payoff table with optional strategy labels.
 
     The name and every label are one word without ``#`` (``is_label``), so
@@ -106,13 +105,27 @@ class GameTable:
     ints set at construction.
     """
 
-    name: str
-    entries: np.ndarray
-    symmetric_flag: bool = False
-    labels_rows: tuple[str, ...] | None = None
-    labels_cols: tuple[str, ...] | None = None
+    _fields = ("name", "entries", "symmetric_flag", "labels_rows", "labels_cols")
+    __slots__ = (*_fields, "rows", "cols", "_replies", "_sims", "__weakref__")
+
+    def __init__(
+        self,
+        name: str,
+        entries: np.ndarray,
+        symmetric_flag: bool = False,
+        labels_rows: tuple[str, ...] | None = None,
+        labels_cols: tuple[str, ...] | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "entries", entries)
+        _set(self, "symmetric_flag", symmetric_flag)
+        _set(self, "labels_rows", labels_rows)
+        _set(self, "labels_cols", labels_cols)
+        self.__post_init__()
 
     def __post_init__(self, held: bool = False):
+        """Check the fields as given, keep them in their final form, and set
+        the counts and the memos: for the constructor and ``_holding``."""
         raw = np.asarray(self.entries)
         if raw.ndim != 2:
             raise InvariantError("game table must be two-dimensional")
@@ -138,7 +151,7 @@ class GameTable:
         seats = (("labels_rows", nr, "row"), ("labels_cols", nc, "column"))
         for field, count, seat in seats:
             if getattr(self, field) is not None:
-                object.__setattr__(self, field, tuple(getattr(self, field)))
+                _set(self, field, tuple(getattr(self, field)))
                 if len(getattr(self, field)) != count:
                     raise InvariantError(f"{field} length does not match {seat} count")
         # Column labels that equal the row labels are checked as those.
@@ -158,28 +171,24 @@ class GameTable:
                 if (rows != -arr[start:, start:stop].T).any():
                     raise InvariantError("symmetric table must be antisymmetric")
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "rows", nr)
-        object.__setattr__(self, "cols", nc)
+        _set(self, "entries", arr)
+        _set(self, "rows", nr)
+        _set(self, "cols", nc)
         # (seat, opponent index) -> best reply, filled by ``dsl.evaluate``
         # as its ``bestresp`` frames ask: at most rows + cols entries, and
         # dropped with the table.
-        object.__setattr__(self, "_replies", {})
+        _set(self, "_replies", {})
         # (target text, seat, adversary text) -> a finished ``sim`` run,
         # kept by ``dsl.evaluate``: at most ``dsl._SIM_MEMO_SIZE`` entries,
         # and dropped with the table.
-        object.__setattr__(self, "_sims", {})
+        _set(self, "_sims", {})
 
     @classmethod
     def _holding(cls, name, entries, symmetric_flag, labels_rows, labels_cols):
         """A table that keeps ``entries`` itself, made read-only, after every
         check the constructor makes: for an int8 array just built, which
         nothing else holds, so it needs no copy."""
-        table = object.__new__(cls)
-        vars(table).update(
-            name=name, entries=entries, symmetric_flag=symmetric_flag,
-            labels_rows=labels_rows, labels_cols=labels_cols,
-        )
+        table = _restore(cls, (name, entries, symmetric_flag, labels_rows, labels_cols))
         table.__post_init__(held=True)
         return table
 
@@ -187,10 +196,7 @@ class GameTable:
         # Copies and pickles go through the constructor, so their entries
         # are read-only too, which a copied array would not be.  Their memos
         # start empty.
-        return (type(self), (
-            self.name, self.entries, self.symmetric_flag,
-            self.labels_rows, self.labels_cols,
-        ))
+        return type(self), self._values()
 
     def row_name(self, i: int) -> str:
         """Label of 1-based row ``i`` if the table has labels, else the index."""

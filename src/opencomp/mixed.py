@@ -23,21 +23,21 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .frozen import Frozen, _set
 from .game_core import GameTable
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(Frozen):
     """A probability vector over one side's strategies."""
 
-    weights: np.ndarray
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
+    def __init__(self, weights: np.ndarray):
+        weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a non-empty vector")
         if np.any(weights < -1e-12):
@@ -48,7 +48,7 @@ class MixedStrategy:
         weights = np.clip(weights, 0.0, None)
         weights = weights / weights.sum()
         weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        _set(self, "weights", weights)
 
     @staticmethod
     def uniform(n: int) -> "MixedStrategy":
@@ -80,8 +80,7 @@ def exploitability(game: GameTable, p1: MixedStrategy, p2: MixedStrategy) -> flo
     return max(0.0, best_vs_p2 - worst_vs_p1)
 
 
-@dataclass(frozen=True)
-class FictitiousPlayResult:
+class FictitiousPlayResult(NamedTuple):
     p1: MixedStrategy
     p2: MixedStrategy
     value: float

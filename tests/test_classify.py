@@ -91,6 +91,27 @@ class TestClassify:
         for strict in (True, False):
             assert find_dominator(game, strict) == brute_dominator(game, strict)
 
+    @pytest.mark.parametrize("shape, symmetric", [
+        ((300, 300), True), ((300, 500), False), ((700, 90), False),
+    ])
+    def test_witnesses_are_the_first_defeats_across_blocks(self, shape, symmetric):
+        # Tables of several blocks of rows (and, transposed, of columns).
+        rng = np.random.default_rng(sum(shape))
+        entries = rng.integers(-1, 2, shape, dtype=np.int8)
+        if symmetric:
+            upper = np.triu(entries, 1)
+            entries = upper - upper.T
+        game = table(entries, symmetric)
+        verdict, witnesses = is_strongly_intransitive(game)
+        assert verdict
+        rows, cols = entries.tolist(), entries.T.tolist()
+        assert witnesses.beats_row == {
+            i: row.index(-1) + 1 for i, row in enumerate(rows, 1)
+        }
+        assert witnesses.beats_col == {
+            j: col.index(1) + 1 for j, col in enumerate(cols, 1)
+        }
+
     def test_witnesses_use_lowest_indices(self):
         verdict, witnesses = is_strongly_intransitive(rpsls())
         assert verdict
@@ -183,6 +204,16 @@ class TestScratch:
 
     def test_is_strongly_intransitive_on_a_transitive_table(self):
         game = self._antisymmetric(None)
+        assert self._peak(is_strongly_intransitive, game) < 0.1 * self.N ** 2
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_is_strongly_intransitive_on_a_random_table(self, symmetric):
+        if symmetric:
+            game = self._antisymmetric(2)
+        else:
+            rng = np.random.default_rng(3)
+            game = GameTable(name="big", entries=rng.integers(-1, 2, (self.N, self.N)))
+        assert is_strongly_intransitive(game)[0]
         assert self._peak(is_strongly_intransitive, game) < 0.1 * self.N ** 2
 
 

@@ -2,8 +2,12 @@
 calls are ones that the oldest numpy it allows has, and its string enums
 spell as their values, with members bound to names only where they are
 defined.  Only ``dsl.source_tree`` touches the process-wide parse cache,
-and ``dsl.evaluate`` checks its fuel in one place."""
+``dsl.evaluate`` checks its fuel in one place, and importing the package
+generates no code."""
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -151,3 +155,36 @@ def test_evaluate_checks_fuel_in_one_place():
         if isinstance(node, ast.Compare) and ast.unparse(node) == "g >= limit"
     ]
     assert len(checks) == 1, checks
+
+
+# What ``import opencomp`` loads of the package.  A module loaded only on
+# first use would move its import cost out of start-up, not save it.
+_IMPORTED = {
+    "opencomp", "opencomp.arena", "opencomp.bundled", "opencomp.classify",
+    "opencomp.crosstable", "opencomp.demos", "opencomp.dsl", "opencomp.errors",
+    "opencomp.game_core", "opencomp.mixed", "opencomp.series",
+}
+
+
+def test_import_loads_every_module_and_no_dataclasses():
+    # In a fresh interpreter: ``dataclasses`` writes and compiles the methods
+    # of each class it decorates, on every import.
+    src = str(Path(opencomp.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, opencomp; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "dataclasses" not in loaded
+    assert _IMPORTED <= set(loaded)
+
+
+def test_no_module_calls_exec_or_eval():
+    calls = [
+        f"{name}:{node.lineno} {ast.unparse(node.func)}"
+        for name, tree in _modules() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval")
+    ]
+    assert calls == []
