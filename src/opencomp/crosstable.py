@@ -80,13 +80,6 @@ class Crosstable(Frozen):
         _set(self, "scores", scores)
 
 
-def _holding(names: tuple[str, ...], scores: np.ndarray) -> Crosstable:
-    """A ``Crosstable`` that keeps ``scores`` itself, made read-only: for a
-    matrix just decoded, which nothing else holds, so it needs no copy."""
-    scores.setflags(write=False)
-    return _restore(Crosstable, (names, scores))
-
-
 def parse_crosstable(text: str) -> Crosstable:
     """Parse the CSV-ish crosstable format; errors carry line numbers.
 
@@ -132,7 +125,8 @@ def parse_crosstable(text: str) -> Crosstable:
         raise ParseError(
             f"name {bad!r} must be one word with no '#'", line=header_line
         )
-    return _holding(names, scores)
+    # Kept without a copy, made read-only: nothing else holds the matrix.
+    return _restore(Crosstable, (names, scores))
 
 
 def _scores(names: tuple[str, ...], rows: Iterator[tuple[int, str]]) -> np.ndarray:

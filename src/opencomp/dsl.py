@@ -23,9 +23,9 @@ quoted program counting one level deeper than the ``sim`` that quotes it;
 deeper nesting is a ``ParseError`` too, so a walker that takes one frame
 per level, such as ``pretty`` or the parser itself (an expression slot
 recurses straight from the expression it sits in), can recurse through
-every tree the parser builds.  Tree ``hash`` and ``repr`` take two frames
-per level and ``==`` three, so they can pass the default recursion limit
-near the bound.
+every tree the parser builds.  Tree ``hash``, ``repr`` and ``==`` take
+two frames per level (measured by the least recursion limit under which
+each runs), so they can pass the default recursion limit near the bound.
 
 A quoted program runs as its own syntax tree, kept with the text it was
 parsed from, and is never parsed again.  Every other text is read through
@@ -285,11 +285,11 @@ _ESCAPE = re.compile(r"\\(.)")
 _MAX_INT_DIGITS = 18
 _MAX_NESTING = 640
 # Characters of text the parse cache holds, each entry charged 32 more for
-# its fixed cost.  Key and tree take up to ~22 bytes per charged character
-# (tracemalloc, nineteen shapes of source; short texts stay under 12, as
-# 5,000 "const i" take ~195 bytes each), ~92 MB for a full cache.  Quotes
-# keep their text, one copy per level: a body quoted 4 deep reaches ~29,
-# 8 deep ~32.
+# its fixed cost.  Key and tree take up to ~14 bytes per charged character
+# (tracemalloc, nineteen shapes of source; short texts stay under 5, as
+# 5,000 "const i" take ~162 bytes each), ~59 MB for a full cache.  Quotes
+# keep their text, one copy per level: a long body quoted 4 deep reaches
+# ~17, 8 deep ~19 (~81 MB full).
 _PARSE_CACHE_CHARS = 1 << 22
 _SIM_MEMO_SIZE = 4096  # simulation keys a table records
 
@@ -706,6 +706,7 @@ def evaluate(program: StrategyProgram | str, env: EvalEnv) -> EvalResult:
                     elif type(adversary) is SrcSelf:
                         adversary = me
                     else:
+                        trees[adversary.text] = adversary.program
                         adversary = adversary.text
                     tree = trees.get(target)
                     if tree is None and target not in trees:

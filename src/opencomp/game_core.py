@@ -193,8 +193,7 @@ class GameTable(Frozen):
         return table
 
     def __reduce__(self):
-        # Copies and pickles go through the constructor, so their entries
-        # are read-only too, which a copied array would not be.  Their memos
+        # Copies and pickles go through the constructor, so their memos
         # start empty.
         return type(self), self._values()
 
@@ -211,19 +210,6 @@ class GameTable(Frozen):
 
     def side_count(self, side: Side) -> int:
         return self.rows if side is _ROW else self.cols
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GameTable):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.symmetric_flag == other.symmetric_flag
-            and self.labels_rows == other.labels_rows
-            and self.labels_cols == other.labels_cols
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def outcome(table: GameTable, i: int, j: int) -> Outcome:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frozen import Frozen, _set
-from .game_core import GameTable
+from .game_core import GameTable, row_blocks
 
 
 class MixedStrategy(Frozen):
@@ -74,10 +74,13 @@ def exploitability(game: GameTable, p1: MixedStrategy, p2: MixedStrategy) -> flo
     """
     if p1.weights.size != game.rows or p2.weights.size != game.cols:
         raise ValueError("mixture sizes must match the table")
-    payoff = game.entries.astype(np.float64)
-    best_vs_p2 = float(np.max(payoff @ p2.weights))
-    worst_vs_p1 = float(np.min(p1.weights @ payoff))
-    return max(0.0, best_vs_p2 - worst_vs_p1)
+    # A block of rows at a time, in float64: 8 bytes a cell of one block.
+    best_vs_p2, vs_p1 = -np.inf, np.zeros(game.cols)
+    for start, stop in row_blocks(game.rows, 8 * game.cols):
+        payoff = game.entries[start:stop].astype(np.float64)
+        best_vs_p2 = max(best_vs_p2, float(np.max(payoff @ p2.weights)))
+        vs_p1 += p1.weights[start:stop] @ payoff
+    return max(0.0, best_vs_p2 - float(np.min(vs_p1)))
 
 
 class FictitiousPlayResult(NamedTuple):

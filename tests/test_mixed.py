@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +79,37 @@ class TestPayoffAndExploitability:
         p1 = MixedStrategy(np.array(raw1) / np.sum(raw1))
         p2 = MixedStrategy(np.array(raw2) / np.sum(raw2))
         assert exploitability(game, p1, p2) >= 0.0
+
+    @staticmethod
+    def _random_mixture(rng, n: int) -> MixedStrategy:
+        weights = rng.random(n)
+        return MixedStrategy(weights / weights.sum())
+
+    @pytest.mark.parametrize("rows, cols", [(300, 700), (2000, 3), (3, 2000)])
+    def test_matches_the_whole_table_products(self, rows, cols):
+        # Taken a block of rows at a time, so the column sums add up in
+        # another order: each is at most 1 in size, summed over at most
+        # 2000 rows in float64.
+        rng = np.random.default_rng(rows * cols)
+        game = GameTable(name="wide", entries=rng.integers(-1, 2, (rows, cols)))
+        p1, p2 = self._random_mixture(rng, rows), self._random_mixture(rng, cols)
+        payoff = game.entries.astype(np.float64)
+        whole = max(0.0, np.max(payoff @ p2.weights) - np.min(p1.weights @ payoff))
+        assert exploitability(game, p1, p2) == pytest.approx(whole, rel=0, abs=1e-12)
+
+    def test_holds_no_copy_of_the_table(self):
+        n = 2000
+        rng = np.random.default_rng(5)
+        upper = np.triu(rng.integers(-1, 2, (n, n), dtype=np.int8), 1)
+        game = GameTable(name="big", entries=upper - upper.T, symmetric_flag=True)
+        p1, p2 = self._random_mixture(rng, n), self._random_mixture(rng, n)
+        tracemalloc.start()
+        try:
+            exploitability(game, p1, p2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n ** 2
 
 
 class TestFictitiousPlay:

@@ -2,8 +2,9 @@
 calls are ones that the oldest numpy it allows has, and its string enums
 spell as their values, with members bound to names only where they are
 defined.  Only ``dsl.source_tree`` touches the process-wide parse cache,
-``dsl.evaluate`` checks its fuel in one place, and importing the package
-generates no code."""
+``dsl.evaluate`` checks its fuel in one place, ``frozen.Frozen`` alone
+defines ``==`` and ``hash``, and importing the package generates no
+code."""
 import ast
 import os
 import subprocess
@@ -155,6 +156,29 @@ def test_evaluate_checks_fuel_in_one_place():
         if isinstance(node, ast.Compare) and ast.unparse(node) == "g >= limit"
     ]
     assert len(checks) == 1, checks
+
+
+def test_value_rules_are_defined_once():
+    # ``Frozen`` states ``==`` and ``hash`` for every slot class, array
+    # fields included; only ``GameTable`` copies through its constructor.
+    defined: dict[str, set[str]] = {"__eq__": set(), "__hash__": set(),
+                                    "__reduce__": set()}
+    for _, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):  # ``__hash__ = None``
+                    names = [ast.unparse(target) for target in node.targets]
+                else:
+                    continue
+                for name in names:
+                    if name in defined:
+                        defined[name].add(cls.name)
+    assert defined == {"__eq__": {"Frozen"}, "__hash__": {"Frozen"},
+                       "__reduce__": {"Frozen", "GameTable"}}
 
 
 # What ``import opencomp`` loads of the package.  A module loaded only on

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from fingerprint_oracle import fingerprint_evaluate
 from conftest import REPO_ROOT, empty_parse_cache
 from opencomp import (
-    EXPLOITER_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind, EvalResult, Mode,
-    OracleWinner, ParseError, ProgramLearner, RuntimeFault, Side, best_response,
-    build_defiance, build_exploiter, catalog_learners, evaluate,
-    parse_learner_file, parse_program, pennies, render_report, rps,
+    EXPLOITER_SOURCE, MIRROR_SOURCE, ORACLE_SOURCE, EvalEnv, EvalKind,
+    EvalResult, Mode, OracleWinner, ParseError, ProgramLearner, RuntimeFault,
+    Side, best_response, build_defiance, build_exploiter, catalog_learners,
+    evaluate, parse_learner_file, parse_program, pennies, render_report, rps,
     run_tournament,
 )
 from opencomp import dsl
@@ -326,6 +326,19 @@ def test_a_wide_program_parses_no_quoted_text_when_it_runs(monkeypatch):
     result = evaluate(program, env_for(opponent="const 1", me=_WIDE, fuel=200_000))
     assert (result.kind, result.strategy) == (EvalKind.HALTED, 1)
     assert parses == []
+
+
+def test_a_quote_in_the_adversary_seat_is_not_parsed_when_it_runs(monkeypatch):
+    # The quote becomes the mirror's ``opp``, which the mirror simulates.
+    source = ('match sim(opp, "const 2", rest) '
+              "{ halted(k) => bestresp(k) | exhausted => const 1 }")
+    empty_parse_cache()
+    program = parse_program(source)
+    parses = _count_parses(monkeypatch, "const 2")
+    result = evaluate(program, env_for(opponent=MIRROR_SOURCE, me=source, fuel=1000))
+    assert (result.kind, result.strategy) == (EvalKind.HALTED, 3)
+    assert parses == []
+    assert "const 2" not in dsl._trees
 
 
 def _reparsing_oracle_play(env: EvalEnv) -> EvalResult:

@@ -2,8 +2,9 @@
 built, printed, compared, hashed, protected and copied.
 
 Each reads and prints as the frozen dataclass it once was.  Nodes compare
-by type and fields, a quote's text taking no part; ``GameTable`` compares
-by its entries' values and cannot be hashed.
+by type and fields, a quote's text taking no part.  ``GameTable``,
+``Crosstable`` and ``MixedStrategy`` compare their arrays cell by cell, NaN
+equal to NaN, cannot be hashed, and keep their arrays read-only in copies.
 """
 import copy
 import pickle
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 from opencomp import (
-    ClassKind, Classification, Crosstable, FictitiousPlayResult, GameTable,
-    MixedStrategy, Mode, ProgramLearner, SIWitnesses, StrategyProgram,
-    TournamentReport, classify, fictitious_play, parse_crosstable,
+    ENGINES3_TEXT, ClassKind, Classification, Crosstable, FictitiousPlayResult,
+    GameTable, MixedStrategy, Mode, ProgramLearner, SIWitnesses, StrategyProgram,
+    TournamentReport, classify, dice, fictitious_play, parse_crosstable,
     parse_program, rps, run_tournament,
 )
 from opencomp.dsl import (
@@ -122,21 +123,8 @@ _BUILDERS = [build for build, _ in _BUILT]
 
 
 def _same(a, b) -> bool:
-    """Equal values of the same type, arrays compared cell by cell."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b, equal_nan=True)
-    if isinstance(a, MixedStrategy):
-        return _same(a.weights, b.weights)
-    if isinstance(a, Crosstable):
-        return a.names == b.names and _same(a.scores, b.scores)
-    if isinstance(a, FictitiousPlayResult):
-        rest = ("value", "exploitability", "iterations", "converged")
-        return _same(a.p1, b.p1) and _same(a.p2, b.p2) and all(
-            getattr(a, name) == getattr(b, name) for name in rest
-        )
-    return a == b
+    """Equal values of the same type."""
+    return type(a) is type(b) and a == b
 
 
 @pytest.mark.parametrize("build, text", _REPRS)
@@ -275,6 +263,73 @@ def test_a_game_table_is_unhashable_and_compares_by_value():
     assert rps() != GameTable("rps", _TABLE.entries, True)
     labels = ("R", "P", "S")
     assert rps() != GameTable("rps", -_TABLE.entries, True, labels, labels)
+
+
+_CLONES = [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+]
+_CLONE_IDS = ["copy", "deepcopy", "pickle"]
+# Each kind that holds an array, and how to read the array.
+_HOLDERS = [
+    pytest.param(rps, lambda value: value.entries, id="game"),
+    pytest.param(lambda: parse_crosstable(ENGINES3_TEXT), lambda value: value.scores,
+                 id="crosstable"),
+    pytest.param(lambda: MixedStrategy.uniform(3), lambda value: value.weights,
+                 id="mixture"),
+    pytest.param(lambda: fictitious_play(rps(), 100), lambda value: value.p1.weights,
+                 id="fictitious-play"),
+]
+
+
+@pytest.mark.parametrize("build, array", _HOLDERS)
+def test_values_holding_arrays_built_alike_compare_equal(build, array):
+    first, second = build(), build()
+    assert array(first) is not array(second)
+    assert (first == second) is True and (first != second) is False
+
+
+@pytest.mark.parametrize("clone", _CLONES, ids=_CLONE_IDS)
+@pytest.mark.parametrize("build, array", _HOLDERS)
+def test_copies_of_values_holding_arrays_compare_equal_and_stay_read_only(
+    clone, build, array
+):
+    value = build()
+    twin = clone(value)
+    assert (twin == value) is True and (value == twin) is True
+    assert not array(twin).flags.writeable
+    with pytest.raises(ValueError):
+        array(twin)[0] = 0
+
+
+_THREE = "names,A,B,C\nA,,0.6,0.4\nB,0.4,,0.6\nC,0.6,0.4,\n"
+
+
+@pytest.mark.parametrize("build, other", [
+    (lambda: parse_crosstable(_THREE),
+     lambda: parse_crosstable(_THREE.replace("0.6", "0.7").replace("0.4", "0.3"))),
+    (lambda: parse_crosstable(_THREE),
+     lambda: parse_crosstable(_THREE.replace("0.6,0.4,\n", ",0.4,\n")
+                              .replace("A,,0.6,0.4", "A,,0.6,"))),
+    (lambda: parse_crosstable(_THREE), lambda: parse_crosstable(_THREE.replace("C", "D"))),
+    (lambda: parse_crosstable(_THREE), lambda: parse_crosstable("names,A\nA,\n")),
+    (lambda: MixedStrategy.uniform(3), lambda: MixedStrategy.pure(3, 1)),
+    (lambda: MixedStrategy.uniform(3), lambda: MixedStrategy.uniform(2)),
+    (lambda: fictitious_play(rps(), 100), lambda: fictitious_play(rps(), 10)),
+    (lambda: fictitious_play(rps(), 100), lambda: fictitious_play(dice(), 100)),
+], ids=["scores", "blank-cell", "names", "size", "weights", "weight-count",
+        "rounds", "game"])
+def test_values_holding_different_arrays_compare_unequal(build, other):
+    first, second = build(), other()
+    assert (first == second) is False and (second == first) is False
+    assert (first != second) is True
+
+
+@pytest.mark.parametrize("build", [
+    rps, lambda: parse_crosstable(ENGINES3_TEXT), lambda: MixedStrategy.uniform(3),
+], ids=["game", "crosstable", "mixture"])
+def test_values_holding_arrays_are_unhashable(build):
+    with pytest.raises(TypeError):
+        hash(build())
 
 
 def _least_limit(op) -> int:
