@@ -44,7 +44,9 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
-def content_lines(text: str, comment: str = "") -> Iterator[tuple[int, str]]:
+def content_lines(
+    text: str | bytes, comment: str = ""
+) -> Iterator[tuple[int, str]]:
     """The 1-based line number and stripped content of each line of ``text``
     that has content, read from the text one line at a time.
 
@@ -52,15 +54,27 @@ def content_lines(text: str, comment: str = "") -> Iterator[tuple[int, str]]:
     ``"\\n"``, so any other line break is whitespace within a line, and a
     line of whitespace alone has no content.  With ``comment`` given, a line
     ends at its first ``comment`` too.
+
+    A ``bytes`` text is UTF-8, split at ``b"\\n"`` and decoded a line at a
+    time, so the lines are those of ``text.decode()`` with no decoded copy
+    of the whole text; a line that is not UTF-8 is a ParseError.
     """
+    decode = not isinstance(text, str)
+    newline = b"\n" if decode else "\n"
     start = lineno = 0
     while start <= len(text):
         lineno += 1
-        end = text.find("\n", start)
+        end = text.find(newline, start)
         if end < 0:
             end = len(text)
-        cut = text.find(comment, start, end) if comment else -1
-        content = text[start:end if cut < 0 else cut].strip()
+        line = text[start:end]
+        if decode:
+            try:
+                line = line.decode()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc.reason}", line=lineno) from None
+        cut = line.find(comment) if comment else -1
+        content = (line if cut < 0 else line[:cut]).strip()
         if content:
             yield lineno, content
         start = end + 1
@@ -136,16 +150,18 @@ class GameTable(Frozen):
             raise InvariantError(
                 f"table exceeds the {MAX_STRATEGIES}-strategies-per-side limit"
             )
-        # Checked a block of rows at a time, so no full-size mask is built,
-        # and before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
-        # A held array (``_holding``) is kept, any other copied.
+        # A held array (``_holding``) is kept as it is.  Any other is
+        # checked and copied a block of rows at a time, so no full-size mask
+        # is built, and checked before the cast, which would wrap 256 to 0
+        # and cut 0.5 to 0.
         blocks = row_blocks(nr, nc)
-        arr = raw if held else np.empty((nr, nc), dtype=np.int8)
-        for start, stop in blocks:
-            block = raw[start:stop]
-            if not ((block == -1) | (block == 0) | (block == 1)).all():
-                raise InvariantError("entries must be -1, 0 or +1")
-            if not held:
+        arr = raw
+        if not held:
+            arr = np.empty((nr, nc), dtype=np.int8)
+            for start, stop in blocks:
+                block = raw[start:stop]
+                if not ((block == -1) | (block == 0) | (block == 1)).all():
+                    raise InvariantError("entries must be -1, 0 or +1")
                 arr[start:stop] = block
         # Kept as tuples, so a caller's list cannot relabel the table later.
         seats = (("labels_rows", nr, "row"), ("labels_cols", nc, "column"))
@@ -185,9 +201,11 @@ class GameTable(Frozen):
 
     @classmethod
     def _holding(cls, name, entries, symmetric_flag, labels_rows, labels_cols):
-        """A table that keeps ``entries`` itself, made read-only, after every
-        check the constructor makes: for an int8 array just built, which
-        nothing else holds, so it needs no copy."""
+        """A table that keeps ``entries`` itself, made read-only: for an int8
+        array just built, which nothing else holds, so it needs no copy.
+
+        The caller vouches that every entry is -1, 0 or +1, which is not
+        checked again; every other check the constructor makes is."""
         table = _restore(cls, (name, entries, symmetric_flag, labels_rows, labels_cols))
         table.__post_init__(held=True)
         return table
@@ -236,8 +254,8 @@ def role_swapped(table: GameTable) -> GameTable:
     )
 
 
-def parse_game(text: str) -> GameTable:
-    """Parse the plain-text game format.
+def parse_game(text: str | bytes) -> GameTable:
+    """Parse the plain-text game format, given as text or as UTF-8 bytes.
 
     ::
 
@@ -251,7 +269,8 @@ def parse_game(text: str) -> GameTable:
 
     Entries are ``-1 0 +1`` or the aliases ``l d w``, split as ``str.split``
     splits.  ``#`` starts a comment.  Lines are read by ``content_lines``,
-    a block of payoff rows at a time, so no list of every line is kept.
+    a block of payoff rows at a time, so no list of every line is kept, and
+    bytes are decoded a line at a time, so no decoded copy of them is.
     Row heads are checked line by line and the row bodies decoded as bytes;
     a block with a bad row is checked token by token to report the first
     error's line.

@@ -5,11 +5,18 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
-from opencomp import serialize_game, rps
+from opencomp import (
+    GameTable, ProgramLearner, classify, ingest_crosstable, parse_game,
+    parse_learner_file, render_classification, render_report,
+    rps, run_tournament, serialize_game,
+)
 from opencomp.cli import _build_parser, dispatch, main
 
 # Every command, as the top-level usage lists them: "{classify,cycles,...}".
@@ -381,6 +388,144 @@ class TestSharedParser:
         assert shared[0] == shared[2] and shared[0][0] == 1
         assert shared[1][0] == 0
         assert shared[3][0] == 0 and shared[3][1].startswith("usage: opencomp")
+
+
+def _line_end_variants(data: bytes) -> dict[str, bytes]:
+    lines = data.split(b"\n")
+    return {
+        "lf": data,
+        "crlf": data.replace(b"\n", b"\r\n"),
+        "cr": data.replace(b"\n", b"\r"),
+        "mixed": b"".join(
+            line + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate(lines)
+        ),
+        "trailing-cr": data + b"\r",
+        "bom": b"\xef\xbb\xbf" + data,
+        "beyond-ascii": "# \u00e9t\u00e9 \u2028\n".encode() + data,
+        "empty": b"",
+    }
+
+
+_ROCK = REPO_ROOT / "learners" / "const_rock.lrn"
+
+
+def _library(kind: str, text: str) -> tuple[int, str, str]:
+    """What the CLI should answer for a file that reads as ``text``, worked
+    out with the library: the command ``_READ_ARGV[kind]`` runs."""
+    try:
+        if kind == "game":
+            game = parse_game(text)
+            return 0, render_classification(game, classify(game)), ""
+        if kind == "learner":
+            learners = [
+                ProgramLearner(*parse_learner_file(source))
+                for source in (text, _ROCK.read_text())
+            ]
+            report = run_tournament(rps(), learners, fuel=1000, mode="strict")
+            return 0, render_report(report), ""
+        return 0, serialize_game(ingest_crosstable(text)), ""
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+_READ_ARGV = {
+    "game": lambda path: ["classify", "--game", path],
+    "learner": lambda path: [
+        "tournament", "--game", "rps", "--fuel", "1000",
+        "--learners", path, str(_ROCK),
+    ],
+    "crosstable": lambda path: ["crosstable", path],
+}
+_READ_SOURCES = {
+    "game": ["games/rps.gm", "games/dice.gm"],
+    "learner": ["learners/exploiter.lrn", "learners/mirror.lrn"],
+    "crosstable": ["crosstables/engines3.ct"],
+}
+
+
+class TestFileReading:
+    """Every input file reads as ``Path.read_text`` reads it in a UTF-8
+    locale: UTF-8, with ``\\r\\n`` and then ``\\r`` read as ``\\n``."""
+
+    @pytest.mark.parametrize("kind, source", [
+        (kind, source) for kind, sources in _READ_SOURCES.items() for source in sources
+    ])
+    @pytest.mark.parametrize("variant", list(_line_end_variants(b"")))
+    def test_any_line_ends_read_as_read_text_reads_them(
+        self, tmp_path, kind, source, variant
+    ):
+        data = _line_end_variants((REPO_ROOT / source).read_bytes())[variant]
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        expected = _library(kind, path.read_text())
+        assert run(*_READ_ARGV[kind](str(path))) == expected
+        if variant in ("lf", "crlf", "cr", "mixed", "trailing-cr"):
+            assert expected[0] == 0
+
+    @pytest.mark.parametrize("kind, data, position", [
+        ("game", b"game x\r\nsymmetric true\r\n\xff\r\n", 24),
+        ("learner", b"learner a\r\nconst 1\r\n\xff", 20),
+        ("crosstable", b"names,A,B\r\nA,,0.5\r\n\xc3\r\nB,0.5,\r\n", 19),
+        ("game", b"game x\r\nsymmetric true\r\nrows 1 cols 1\r\nrow 1: 0 # \xe2\x82", 50),
+    ], ids=["game", "learner", "crosstable", "cut-short"])
+    def test_a_byte_that_is_not_utf8_is_placed_in_the_file_as_it_is(
+        self, tmp_path, kind, data, position
+    ):
+        # The line ends before the bad byte are counted as they stand in
+        # the file, two bytes each, as ``read_text`` counts them.
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as info:
+            path.read_text()
+        assert info.value.start == position
+        assert run(*_READ_ARGV[kind](str(path))) == (2, "", f"error: {info.value}\n")
+
+    @pytest.mark.parametrize("kind, what", [
+        ("game", "game file"), ("learner", "learner file"), ("crosstable", "crosstable"),
+    ])
+    def test_missing_files_and_directories_cannot_be_read(
+        self, tmp_path, monkeypatch, kind, what
+    ):
+        # Named in the error as ``Path`` names them: "." parts and extra
+        # slashes dropped.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for path in ("missing", "./sub//missing", "sub", "./sub/", str(tmp_path)):
+            with pytest.raises(OSError) as info:
+                Path(path).read_text()
+            assert run(*_READ_ARGV[kind](path)) == (
+                2, "", f"error: cannot read {what} {path}: {info.value}\n"
+            )
+
+    def test_a_file_path_reads_as_path_reads_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rps.gm").write_bytes((REPO_ROOT / "games/rps.gm").read_bytes())
+        expected = run("classify", "--game", "rps.gm")
+        assert expected[0] == 0
+        for path in ("./rps.gm", ".//rps.gm", "rps.gm/", f"{tmp_path}/./rps.gm/"):
+            assert run("classify", "--game", path) == expected
+
+    def test_a_large_game_file_is_held_once(self, tmp_path):
+        # The file's bytes go to ``parse_game``, which decodes them a line
+        # at a time: the read holds no decoded copy of the text beside them.
+        n = 2000
+        upper = np.triu(
+            np.random.default_rng(4).integers(-1, 2, (n, n), dtype=np.int8), 1
+        )
+        path = tmp_path / "big.gm"
+        path.write_text(serialize_game(
+            GameTable(name="big", entries=upper - upper.T, symmetric_flag=True)
+        ))
+        del upper
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            code, out, err = run("classify", "--game", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert peak < 1.7 * size
 
 
 def _module_env() -> dict[str, str]:

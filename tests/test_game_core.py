@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_game_count, game_tables, symmetric_tables
+from conftest import REPO_ROOT, brute_game_count, game_tables, symmetric_tables
 from game_side_oracle import is_symmetric
 from opencomp import (
     MAX_STRATEGIES, GameTable, InvariantError, Outcome, ParseError, Side,
@@ -462,6 +462,61 @@ class TestParseSerialize:
             labels_rows=labels_rows, labels_cols=labels_cols,
         )
         assert parse_game(serialize_game(labeled)) == labeled
+
+
+def _parsed(text):
+    """What ``parse_game`` makes of ``text``: the table, or its error."""
+    try:
+        return parse_game(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestParseBytes:
+    """``parse_game`` of UTF-8 bytes reads them as their decoded text."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(REPO_ROOT.glob("games/*.gm")), ids=lambda path: path.name
+    )
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_bundled_files(self, path, end):
+        data = path.read_bytes().replace(b"\n", end)
+        assert _parsed(data) == _parsed(data.decode())
+
+    @given(st.one_of(game_tables(max_side=7), symmetric_tables(max_side=7)))
+    @settings(max_examples=60)
+    def test_tables_of_several_row_blocks(self, game):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game_core, "_BLOCK_CELLS", 2 * 7)
+            data = serialize_game(game).encode()
+            assert _parsed(data) == game
+            # The last row's last entry spoiled, and row 1's line broken in two.
+            spoiled = data[:-1] + b"2\n"
+            assert _parsed(spoiled) == _parsed(spoiled.decode())
+            broken = data.replace(b": ", b":\n", 1)
+            assert _parsed(broken) == _parsed(broken.decode())
+
+    @pytest.mark.parametrize("text", [
+        "game \u00e9t\u00e9\nsymmetric false\nrows 1 cols 2\n"
+        "labels_rows \u0663\nlabels_cols \u00e9 \U0001f600\nrow 1: 0 w # \u00fc\n",
+        "game x\x0csymmetric true\x1crows 1 cols 1\x85row 1: 0\n",
+        "game x\nsymmetric\u2028false\nrows 1 cols 1\nrow\u00a01: \u2029d\n",
+        "\ufeffgame x\nsymmetric false\nrows 1 cols 1\nrow 1: 0\n",
+        "", "#\n", "game x\nsymmetric false\nrows 1 cols 1\nrow 1: \u0661\n",
+    ], ids=["labels", "breaks", "wide-spaces", "bom", "empty", "comment", "digit"])
+    def test_texts_beyond_ascii(self, text):
+        assert _parsed(text.encode()) == _parsed(text)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"game x\nsymmetric \xff\n", 2),
+        (b"game x\nsymmetric false\nrows 1 cols 1\nrow 1: 0 # \xe2\x82\n", 4),
+        (b"\xc3(", 1),
+    ], ids=["stray", "cut-short-in-a-comment", "bad-continuation"])
+    def test_a_line_that_is_not_utf8_is_a_parse_error(self, data, line):
+        with pytest.raises(ParseError) as err:
+            parse_game(data)
+        assert err.value.line == line
+        assert str(err.value).startswith("invalid UTF-8: ")
 
 
 class TestEnumeration:

@@ -130,6 +130,29 @@ def test_mutated_learner_files(scratch_file, text):
             "--p2", rival, "--fuel", "1000"])
 
 
+def _outcome(read, text):
+    """The value ``read`` makes of ``text``, or its error."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=_mutated("games/*.gm"), at=st.integers(0, 10**6),
+    stray=st.sampled_from([b"\xff", b"\x80", b"\xc3"]),
+)
+def test_mutated_game_files_read_alike_as_bytes(text, at, stray):
+    """``parse_game`` of a text's UTF-8 bytes does what it does with the
+    text; with a byte put in that leaves them no UTF-8, it fails as data."""
+    data = text.encode()
+    assert _outcome(parse_game, data) == _outcome(parse_game, text)
+    at %= len(data) + 1
+    with pytest.raises(ParseError):
+        parse_game(data[:at] + stray + data[at:])
+
+
 @pytest.mark.parametrize("rows, cols, message", [
     ("9" * 5000, "2", "table exceeds the 10000-strategies-per-side limit"),
     ("2", "-" + "9" * 5000, "row and column counts must be positive"),

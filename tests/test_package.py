@@ -3,8 +3,8 @@ calls are ones that the oldest numpy it allows has, and its string enums
 spell as their values, with members bound to names only where they are
 defined.  Only ``dsl.source_tree`` touches the process-wide parse cache,
 ``dsl.evaluate`` checks its fuel in one place, ``frozen.Frozen`` alone
-defines ``==`` and ``hash``, and importing the package generates no
-code."""
+defines ``==`` and ``hash``, ``cli._read`` alone opens files, and importing
+the package generates no code."""
 import ast
 import os
 import subprocess
@@ -202,6 +202,31 @@ def test_import_loads_every_module_and_no_dataclasses():
     ).stdout.split()
     assert "dataclasses" not in loaded
     assert _IMPORTED <= set(loaded)
+
+
+_FILE_READS = {"open", "read_text", "read_bytes"}
+
+
+def test_files_are_read_in_one_place():
+    # Only ``cli._read`` opens files, so every input is read by one rule:
+    # its bytes, one newline translation, UTF-8.
+    reads = []
+    for name, tree in _modules():
+        reader = set()
+        if name == "cli":
+            read = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_read"
+            )
+            reader = {id(node) for node in ast.walk(read)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in _FILE_READS:
+                reads.append((id(node) in reader, f"{name}:{node.lineno} {called}"))
+    assert reads and [where for inside, where in reads if not inside] == []
 
 
 def test_no_module_calls_exec_or_eval():
