@@ -162,10 +162,15 @@ def run_match(
     """
     if type(mode) is not Mode:
         mode = Mode(mode)
+    if fuel2 is None:
+        fuel2 = fuel
+    # Checked here once for both seats, so the environments skip the check
+    # ``EvalEnv.__new__`` would make.
+    if fuel < 0 or fuel2 < 0:
+        raise ValueError("fuel must be non-negative")
     # Fields in order: game, seat, opponent's source, own source, fuel.
-    env1 = EvalEnv(game, _ROW, learner2.source, learner1.source, fuel)
-    env2 = EvalEnv(game, _COL, learner1.source, learner2.source,
-                   fuel if fuel2 is None else fuel2)
+    env1 = _tuple_new(EvalEnv, (game, _ROW, learner2.source, learner1.source, fuel))
+    env2 = _tuple_new(EvalEnv, (game, _COL, learner1.source, learner2.source, fuel2))
     side1 = _run_side(learner1, env1)
     side2 = _run_side(learner2, env2)
     result = adjudicate(game, side1, side2, mode)

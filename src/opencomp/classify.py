@@ -194,9 +194,10 @@ def _extend(paths: np.ndarray, successors: np.ndarray, mask: np.ndarray) -> np.n
     ``successors`` row and its first node's packed ``mask`` row, in
     row-major order."""
     bits = successors[paths[:, -1]] & mask[paths[:, 0]]
-    row, byte = np.nonzero(bits)
-    hit, bit = np.nonzero(np.unpackbits(bits[row, byte][:, None], axis=1))
-    return np.column_stack((paths[row[hit]], byte[hit] * 8 + bit))
+    cells = np.flatnonzero(bits)
+    hit, bit = np.nonzero(np.unpackbits(bits.take(cells)[:, None], axis=1))
+    row, byte = np.divmod(cells[hit], bits.shape[1])
+    return np.column_stack((paths[row], byte * 8 + bit))
 
 
 def render_classification(table: GameTable, result: Classification) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -69,8 +70,20 @@ def _read(what: str, path: str, decode: bool = True) -> str | bytes:
     """
     try:
         try:
-            with open(path, "rb", buffering=0) as file:
-                raw = file.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                # One read of a byte more than the size, which a regular
+                # file answers with exactly its size.  Any other count, from
+                # a pipe or a file that changed, is read on until the end.
+                size = os.fstat(fd).st_size
+                raw = os.read(fd, size + 1)
+                if len(raw) != size:
+                    chunks = [raw]
+                    while chunk := os.read(fd, 1 << 16):
+                        chunks.append(chunk)
+                    raw = b"".join(chunks)
+            finally:
+                os.close(fd)
         except OSError:
             # Tried again as ``Path`` reads, which drops "." parts and extra
             # slashes: the same file, or the same error naming that path.

@@ -5,11 +5,11 @@ import pickle
 import pytest
 
 from opencomp import (
-    EvalKind, EvalResult, MatchResult, Mode, ProgramLearner, adjudicate,
-    catalog_learners, pennies, render_match, render_report, rps, run_match,
-    run_tournament,
+    EvalEnv, EvalKind, EvalResult, MatchResult, Mode, ProgramLearner, Side,
+    adjudicate, catalog_learners, pennies, render_match, render_report, rps,
+    run_match, run_tournament,
 )
-from opencomp.arena import MatchRecord, SideRecord
+from opencomp.arena import Learner, MatchRecord, SideRecord
 
 
 def record(tag, strategy=None):
@@ -127,6 +127,36 @@ class TestRunMatch:
         )
         assert match.side2.outcome is EvalKind.FUEL_EXHAUSTED
         assert match.result is MatchResult.WIN1
+
+    @pytest.mark.parametrize("fuels", [
+        {"fuel": -1}, {"fuel": -1, "fuel2": 5}, {"fuel2": -1}, {"fuel": 0, "fuel2": -1},
+    ], ids=["fuel", "fuel-with-fuel2", "fuel2", "fuel2-with-zero-fuel"])
+    def test_negative_fuel_on_either_seat_is_rejected(self, fuels):
+        rock = ProgramLearner("rock", "const 1")
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+            run_match(rps(), rock, rock, **fuels)
+
+    def test_each_seat_sees_its_environment(self):
+        seen = []
+
+        class Recorder(Learner):
+            def __init__(self, name):
+                self.name, self.source = name, f"published by {name}"
+
+            def play(self, env):
+                seen.append(env)
+                return EvalResult(EvalKind.HALTED, strategy=1)
+
+        game = rps()
+        run_match(game, Recorder("a"), Recorder("b"), fuel=7, fuel2=3)
+        run_match(game, Recorder("a"), Recorder("b"), fuel=7)
+        assert [type(env) for env in seen] == [EvalEnv] * 4
+        assert seen == [
+            (game, Side.ROW, "published by b", "published by a", 7),
+            (game, Side.COL, "published by a", "published by b", 3),
+            (game, Side.ROW, "published by b", "published by a", 7),
+            (game, Side.COL, "published by a", "published by b", 7),
+        ]
 
     def test_mode_accepts_strings(self):
         rock = ProgramLearner("rock", "const 1")

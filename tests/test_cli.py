@@ -17,7 +17,7 @@ from opencomp import (
     parse_learner_file, render_classification, render_report,
     rps, run_tournament, serialize_game,
 )
-from opencomp.cli import _build_parser, dispatch, main
+from opencomp.cli import _build_parser, _read, dispatch, main
 
 # Every command, as the top-level usage lists them: "{classify,cycles,...}".
 COMMANDS = re.search(r"\{(.*?)\}", _build_parser().format_usage()).group(1).split(",")
@@ -504,6 +504,41 @@ class TestFileReading:
         assert expected[0] == 0
         for path in ("./rps.gm", ".//rps.gm", "rps.gm/", f"{tmp_path}/./rps.gm/"):
             assert run("classify", "--game", path) == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("name", ["dir", "missing", "rps.gm"])
+    def test_a_read_leaves_no_file_open(self, tmp_path, name):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "rps.gm").write_bytes((REPO_ROOT / "games/rps.gm").read_bytes())
+        path = str(tmp_path / name)
+        before = len(os.listdir("/proc/self/fd"))
+        for decode in (True, False):
+            try:
+                _read("game file", path, decode=decode)
+            except ValueError as exc:
+                assert name != "rps.gm", exc
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("size", [0, 1, 50_000])
+    def test_a_pipe_is_read_to_its_end(self, size):
+        # Written and closed first, so the read meets the end of the pipe;
+        # its size reads as 0, so the whole of it comes after the first read.
+        data = (b"row 1: +1 0 -1\r\n" * size)[:size]
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+            got = _read("game file", f"/dev/fd/{read_end}", decode=False)
+        finally:
+            os.close(read_end)
+        assert got == data.replace(b"\r\n", b"\n")
+
+    def test_an_empty_file_reads_as_nothing(self, tmp_path):
+        path = tmp_path / "empty"
+        path.write_bytes(b"")
+        assert _read("game file", str(path)) == ""
+        assert _read("game file", str(path), decode=False) == b""
 
     def test_a_large_game_file_is_held_once(self, tmp_path):
         # The file's bytes go to ``parse_game``, which decodes them a line

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import game_side_oracle as oracle
 from conftest import game_tables, symmetric_tables
 from opencomp import (
-    ComplementarityViolation, GameTable, ParseError, find_cycles,
+    MAX_STRATEGIES, ComplementarityViolation, GameTable, ParseError, find_cycles,
     is_strongly_intransitive, parse_crosstable, parse_game, rps, serialize_game,
     to_game,
 )
@@ -692,6 +692,139 @@ def test_lines_with_no_content_across_block_boundaries(monkeypatch, rows_per_blo
         want = (ParseError, f"expected {n} score rows after the header, found {n + 1}", None)
         assert _outcome(parse_crosstable, extra) == want
         assert _outcome(oracle.parse_crosstable, extra) == want
+
+
+# The two decoders of payoff rows: the row walk, for blocks of fewer than
+# ``_WALK_CELLS`` cells, and the numpy decoder for larger ones.  Each input
+# here is read with every block on one of them, then on the other.
+_EVERY_BLOCK_ON = {"numpy": 0, "walk": MAX_STRATEGIES ** 2 + 1}
+
+
+def _on_both_decoders(text) -> list:
+    """``parse_game``'s outcome for ``text`` with every block on the numpy
+    decoder, and then with every block on the row walk."""
+    outcomes = []
+    for cells in _EVERY_BLOCK_ON.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game_core, "_WALK_CELLS", cells)
+            outcomes.append(_outcome(parse_game, text))
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_mutated("games/*.gm"))
+def test_mutated_game_files_read_alike_by_both_decoders(text):
+    """Texts beyond ASCII too, as text and as bytes: the decoders are
+    compared with each other here, not with the oracle."""
+    numpy_read, walked = _on_both_decoders(text)
+    assert numpy_read == walked
+    assert _on_both_decoders(text.encode()) == [walked, walked]
+
+
+@settings(max_examples=100, deadline=None)
+@given(game_texts())
+def test_random_game_files_read_alike_by_both_decoders(text):
+    numpy_read, walked = _on_both_decoders(text)
+    assert numpy_read == walked == _outcome(oracle.parse_game, text)
+
+
+@pytest.mark.parametrize("edit", _GAME_EDITS.values(), ids=_GAME_EDITS)
+def test_game_edits_read_alike_by_both_decoders(edit):
+    text = edit(_game_text(100, seed=2))
+    numpy_read, walked = _on_both_decoders(text)
+    assert numpy_read == walked == _outcome(oracle.parse_game, text)
+
+
+@pytest.mark.parametrize("kept", [0, 1, 11])
+def test_game_files_that_end_early_read_alike_by_both_decoders(kept):
+    lines = _game_text(12, seed=8).splitlines(keepends=True)
+    text = "".join(lines[:3 + kept])
+    numpy_read, walked = _on_both_decoders(text)
+    assert numpy_read == walked == (
+        ParseError, "unexpected end of input, expected 'row'", None
+    )
+
+
+def _spoiled_rows(text: str) -> list[str]:
+    """``text`` with its last entry spoiled, with an entry too many in its
+    first row, and with its first row's head misnumbered."""
+    return [
+        text[:-2] + "2\n",
+        _on_row(1, lambda line: line + " 0")(text),
+        _on_row(1, lambda line: line.replace("row 1:", "row 2:"))(text),
+    ]
+
+
+def _counted_walks(monkeypatch) -> list:
+    """The calls to the walk of small blocks, from here on.  The numpy
+    decoder calls the walk by its own name, ``_row_error``, so its calls
+    are not counted."""
+    calls = []
+    walk = game_core._row_walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(game_core, "_row_walk", counted)
+    return calls
+
+
+_BOUND = game_core._WALK_CELLS
+
+
+@pytest.mark.parametrize("shape, walked", [
+    ((1, _BOUND), False), ((_BOUND, 1), False),
+    ((1, _BOUND - 1), True), ((_BOUND - 1, 1), True),
+], ids=["row-at-the-bound", "column-at-the-bound", "row-a-cell-fewer",
+        "column-a-cell-fewer"])
+def test_tables_at_the_walk_bound(monkeypatch, shape, walked):
+    """A table of ``_WALK_CELLS`` cells goes to the numpy decoder, one of a
+    cell fewer to the row walk; each reads as the oracle reads it, valid or
+    spoiled."""
+    calls = _counted_walks(monkeypatch)
+    entries = np.random.default_rng(shape[1]).integers(-1, 2, shape)
+    text = serialize_game(GameTable(name="g", entries=entries))
+    assert parse_game(text) == oracle.parse_game(text)
+    assert bool(calls) is walked
+    for bad in _spoiled_rows(text):
+        want = _outcome(oracle.parse_game, bad)
+        assert want[0] is ParseError
+        assert _outcome(parse_game, bad) == want
+
+
+def test_a_table_of_both_decoders(monkeypatch):
+    """Blocks of two 300-entry rows go to the numpy decoder, and the last
+    block of a 5-row table, one row, to the walk: the table reads as the
+    oracle reads it, and a fault in either kind of block is worded alike."""
+    monkeypatch.setattr(game_core, "_BLOCK_CELLS", 600)
+    calls = _counted_walks(monkeypatch)
+    entries = np.random.default_rng(9).integers(-1, 2, (5, 300))
+    text = serialize_game(GameTable(name="g", entries=entries))
+    assert parse_game(text) == oracle.parse_game(text)
+    assert [call[1:3] for call in calls] == [(4, 5)]
+    bad_texts = _spoiled_rows(text) + [
+        _on_row(5, lambda line: line.replace(" 0", " 2", 1))(text),
+        _on_row(5, lambda line: line + " 0")(text),
+    ]
+    for bad in bad_texts:
+        want = _outcome(oracle.parse_game, bad)
+        assert want[0] is ParseError
+        assert _outcome(parse_game, bad) == want
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2])
+@pytest.mark.parametrize("block_test", [
+    test_game_rows_across_block_boundaries,
+    test_characters_beyond_ascii_across_block_boundaries,
+    test_lines_with_no_content_across_block_boundaries,
+], ids=lambda test: test.__name__.removeprefix("test_"))
+def test_block_boundaries_on_the_numpy_decoder(monkeypatch, block_test, rows_per_block):
+    """The block tests above with every block on the numpy decoder: their
+    blocks of one and two rows are smaller than ``_WALK_CELLS``, so they
+    otherwise go to the walk."""
+    monkeypatch.setattr(game_core, "_WALK_CELLS", 0)
+    block_test(monkeypatch, rows_per_block)
 
 
 # ---------------------------------------------------------------------------
